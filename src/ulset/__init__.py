@@ -2,7 +2,7 @@
 
 The central object is phi(y) = inf {t : y in t*k + A} for a closed set
 A and a direction k admissible for A. The package evaluates phi exactly
-on polyhedral structure and by monotone bisection otherwise, verifies
+on the whole set grammar, with monotone bisection as an opt-in oracle, verifies
 its defining identities as seeded property checks, separates point
 clouds from sets, scalarizes finite multiobjective clouds against
 reference points, and exposes the induced gauges and order-unit norms.
@@ -30,7 +30,6 @@ from .geometry import (
     complement_closure,
     contains,
     contains_many,
-    probably_empty,
     recession_cone,
     set_from_json,
     set_to_json,
@@ -42,7 +41,6 @@ from .evaluator import (
     ExtReal,
     FunctionalHandle,
     Strategy,
-    closed_form_supported,
     contour2d,
     evaluate,
     evaluate_batch,
@@ -89,10 +87,10 @@ __all__ = [
     "HalfSpace", "SetExpr", "Polyhedron", "SetUnion", "SetIntersection",
     "Shift", "ComplementClosure", "RecessionCone", "Direction",
     "contains", "contains_many", "recession_cone", "certify_direction",
-    "shift_set", "complement_closure", "probably_empty",
+    "shift_set", "complement_closure",
     "set_from_json", "set_to_json",
     "ExtReal", "MINUS_INF", "NU", "FunctionalHandle", "Strategy",
-    "closed_form_supported", "make_handle",
+    "make_handle",
     "evaluate", "evaluate_many", "evaluate_batch",
     "evaluate_scaled", "evaluate_level_shifted",
     "evaluate_dual", "evaluate_dual_many", "contour2d",

@@ -22,6 +22,7 @@ from .evaluator import (
     DEFAULT_T_MAX,
     DEFAULT_TOL,
     ExtReal,
+    Strategy,
     contour2d,
     evaluate_many,
     make_handle,
@@ -67,10 +68,9 @@ def _load_config(path: str, k_flag: str | None):
     return make_handle(
         s,
         k,
-        strategy=doc.get("strategy"),
+        strategy=doc.get("strategy") or Strategy.CLOSED_FORM,
         t_max=t_max,
         tol=float(doc.get("tol", DEFAULT_TOL)),
-        allow_unsupported=bool(doc.get("allow_unsupported_recession", False)),
     )
 
 
@@ -112,12 +112,8 @@ def _run_suite(h, name: str, samples: int, seed: int) -> list[analysis.PropertyR
     if name == "translation":
         return [analysis.check_translation_invariance(h, samples, seed)]
     if name == "recession":
-        try:
-            cone = recession_cone(h.set)
-        except UlsetError:
-            return [analysis.PropertyReport("recession_inequality", analysis.INAPPLICABLE,
-                                            None, 0.0, samples, seed, 0)]
-        h_rec = make_handle(cone.to_polyhedron(), h.direction.k, t_max=h.t_max, tol=h.tol)
+        h_rec = make_handle(recession_cone(h.set).to_polyhedron(), h.direction.k,
+                            t_max=h.t_max, tol=h.tol)
         return [analysis.check_recession_inequality(h, h_rec, samples, seed)]
     if name == "dual":
         return [analysis.check_dual_relation(h, samples, seed)]

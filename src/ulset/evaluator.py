@@ -7,16 +7,21 @@ along k ever reaches it). nu is deliberately kept distinct from +inf:
 every order predicate involving nu is false and arithmetic with nu
 raises, which keeps min-over-union semantics honest.
 
-Two evaluation strategies are provided. The closed form covers
-polyhedra, unions of polyhedra, shifts of those and complement
-closures; it is exact up to floating point. Bisection covers every
-representable set through the membership oracle: it brackets the
-threshold by exponential doubling from t=0 out to +-t_max and refines
-to a mixed tolerance tol*(1+|t|). A bisection result of MinusInf means
-membership persisted at -t_max; that is a bounded numerical
-certificate, not a proof that the whole line lies in the set. Ties at
-the bracket edge resolve toward membership, matching the fact that the
-infimum is attained for closed sets.
+Two evaluation strategies are provided. The closed form, the default,
+covers the whole set grammar and is exact up to floating point: for a
+direction admissible for every member, each member's feasible t is an
+up-ray, so phi of a union is the min over its members, phi of an
+intersection is the max, a polyhedron is the intersection of its
+halfspaces and a complement closure the intersection, over the base's
+members, of the union of that member's reversed halfspaces. Bisection
+is the independent oracle, opt in with ``strategy="bisection"``: it
+goes through the membership oracle only, brackets the threshold by
+exponential doubling from t=0 out to +-t_max and refines to a mixed
+tolerance tol*(1+|t|). A bisection result of MinusInf means membership
+persisted at -t_max; that is a bounded numerical certificate, not a
+proof that the whole line lies in the set. Ties at the bracket edge
+resolve toward membership, matching the fact that the infimum is
+attained for closed sets.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 
 import numpy as np
 
@@ -35,10 +40,10 @@ from .geometry import (
     Direction,
     Polyhedron,
     SetExpr,
+    SetIntersection,
     SetUnion,
     Shift,
     certify_direction,
-    complement_closure,
     contains_many,
     _as_points,
 )
@@ -215,19 +220,6 @@ class Strategy(str, enum.Enum):
     BISECTION = "bisection"
 
 
-def closed_form_supported(s: SetExpr) -> bool:
-    """Whether the exact evaluation path covers this set expression."""
-    if isinstance(s, Polyhedron):
-        return True
-    if isinstance(s, Shift):
-        return closed_form_supported(s.base)
-    if isinstance(s, SetUnion):
-        return all(closed_form_supported(m) for m in s.members)
-    if isinstance(s, ComplementClosure):
-        return True
-    return False
-
-
 @dataclass(frozen=True, eq=False)
 class FunctionalHandle:
     """A set, a certified direction, and a pinned evaluation strategy."""
@@ -243,11 +235,6 @@ class FunctionalHandle:
             raise InvalidInput(
                 f"direction has dimension {self.direction.k.shape[0]}, set has {self.set.dim}"
             )
-        if self.strategy == Strategy.CLOSED_FORM and not closed_form_supported(self.set):
-            raise InvalidInput(
-                "closed form only covers polyhedra, unions of polyhedra, "
-                "shifts of those and complement closures"
-            )
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise InvalidInput("t_max must be positive and finite")
         if not (self.tol > 0):
@@ -257,67 +244,69 @@ class FunctionalHandle:
 def make_handle(
     s: SetExpr,
     k,
-    strategy: Strategy | str | None = None,
+    strategy: Strategy | str = Strategy.CLOSED_FORM,
     t_max: float = DEFAULT_T_MAX,
     tol: float = DEFAULT_TOL,
-    allow_unsupported: bool = False,
 ) -> FunctionalHandle:
-    """Certify k against s and build a handle.
-
-    The strategy defaults to the closed form whenever the set supports
-    it, bisection otherwise.
-    """
-    direction = certify_direction(s, k, allow_unsupported=allow_unsupported)
-    if strategy is None:
-        strategy = Strategy.CLOSED_FORM if closed_form_supported(s) else Strategy.BISECTION
-    else:
-        strategy = Strategy(strategy)
-    return FunctionalHandle(s, direction, strategy, t_max=t_max, tol=tol)
+    """Certify k against s and build a handle, by default on the closed form."""
+    direction = certify_direction(s, k)
+    return FunctionalHandle(s, direction, Strategy(strategy), t_max=t_max, tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # closed form
+#
+# Values travel as lattice keys: a finite value is itself, -inf is -inf
+# and nu is +inf, the top element. A union is then the elementwise min
+# (-inf wins) and an intersection the elementwise max (nu wins).
 
 
-@lru_cache(maxsize=256)
-def _cc_expansion(cc: ComplementClosure) -> SetExpr:
-    return complement_closure(cc.base)
+def _lattice(parts, union: bool) -> np.ndarray:
+    """Combine the keys of the members of a union (min) or an intersection (max)."""
+    return reduce(np.minimum if union else np.maximum, parts)
 
 
-def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _halfspace_keys(g: np.ndarray, ak: float) -> np.ndarray:
+    """Keys of one halfspace a·y <= b, given g = a·y - b at every point.
+
+    A row moving along k (a·k > 0) is reached at t = g / a·k. A static
+    row is -inf where the point satisfies it and nu where it does not.
+    """
+    if ak <= AK_POSITIVE_MIN:
+        return np.where(g > EPS_MEMBERSHIP, np.inf, -np.inf)
+    t = g / ak
+    if not np.isfinite(t).all():
+        raise InvalidInput("a value of the functional overflows the float range")
+    return t
+
+
+def _rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarray:
+    """Keys of the intersection (or union) of the halfspaces with rows G, a·k."""
+    return _lattice((_halfspace_keys(g, a) for g, a in zip(G, ak)), union)
+
+
+def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if isinstance(s, Polyhedron):
-        G = s.normals @ Y.T - s.offsets[:, None]
-        ak = s.normals @ k
-        pos = ak > AK_POSITIVE_MIN
-        n = Y.shape[0]
-        kinds = np.full(n, KIND_FINITE, dtype=np.int8)
-        vals = np.zeros(n)
-        if (~pos).any():
-            nu = (G[~pos, :] > EPS_MEMBERSHIP).any(axis=0)
-        else:
-            nu = np.zeros(n, dtype=bool)
-        if pos.any():
-            vals = (G[pos, :] / ak[pos, None]).max(axis=0)
-        else:
-            kinds[:] = KIND_MINUS_INF
-        kinds[nu] = KIND_NU
-        vals = np.where(kinds == KIND_FINITE, vals, 0.0)
-        return vals, kinds
+        return _rows_keys(s.normals @ Y.T - s.offsets[:, None], s.normals @ k, union=False)
     if isinstance(s, Shift):
         return _closed_batch(s.base, k, Y - s.offset)
-    if isinstance(s, SetUnion):
-        parts = [_closed_batch(m, k, Y) for m in s.members]
-        V = np.stack([v for v, _ in parts])
-        K = np.stack([kd for _, kd in parts])
-        neg = (K == KIND_MINUS_INF).any(axis=0)
-        fin = (K == KIND_FINITE).any(axis=0)
-        minvals = np.where(K == KIND_FINITE, V, np.inf).min(axis=0)
-        kinds = np.where(neg, KIND_MINUS_INF, np.where(fin, KIND_FINITE, KIND_NU)).astype(np.int8)
-        vals = np.where(kinds == KIND_FINITE, minvals, 0.0)
-        return vals, kinds
+    if isinstance(s, (SetUnion, SetIntersection)):
+        return _lattice((_closed_batch(m, k, Y) for m in s.members),
+                        union=isinstance(s, SetUnion))
     if isinstance(s, ComplementClosure):
-        return _closed_batch(_cc_expansion(s), k, Y)
+        # a member's reversed rows (-a)·y <= -b go through one matrix
+        # product, so they round as the pieces of complement_closure do
+        reversed_rows = ((-m.normals, -m.offsets) for m in s.polyhedra)
+        return _lattice((_rows_keys(R @ Y.T - c[:, None], R @ k, union=True)
+                         for R, c in reversed_rows), union=False)
     raise InvalidInput(f"closed form does not cover {type(s).__name__}")
+
+
+def _from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    kinds = np.full(keys.shape, KIND_FINITE, dtype=np.int8)
+    kinds[keys == -np.inf] = KIND_MINUS_INF
+    kinds[keys == np.inf] = KIND_NU
+    return np.where(kinds == KIND_FINITE, keys, 0.0), kinds
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +381,7 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = _as_points(Y, h.set.dim)
     if h.strategy == Strategy.CLOSED_FORM:
-        return _closed_batch(h.set, h.direction.k, pts)
+        return _from_keys(_closed_batch(h.set, h.direction.k, pts))
     return _bisect_batch(h, pts)
 
 
@@ -451,10 +440,9 @@ def _require_strict_recession(s: SetExpr, k: np.ndarray) -> None:
             )
 
 
-@lru_cache(maxsize=256)
 def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
     _require_strict_recession(h.set, h.direction.k)
-    comp = complement_closure(h.set)
+    comp = ComplementClosure(h.set)
     direction = certify_direction(comp, -h.direction.k)
     return FunctionalHandle(comp, direction, Strategy.CLOSED_FORM, t_max=h.t_max, tol=h.tol)
 

@@ -185,10 +185,6 @@ class Shift(SetExpr):
         return self.base.dim
 
 
-def _union_of_polyhedra(s: SetExpr) -> bool:
-    return isinstance(s, SetUnion) and all(isinstance(m, Polyhedron) for m in s.members)
-
-
 @dataclass(frozen=True, eq=False)
 class ComplementClosure(SetExpr):
     """Closure of the complement of a polyhedron (or union of polyhedra).
@@ -202,7 +198,7 @@ class ComplementClosure(SetExpr):
     base: SetExpr
 
     def __post_init__(self):
-        if not (isinstance(self.base, Polyhedron) or _union_of_polyhedra(self.base)):
+        if not all(isinstance(m, Polyhedron) for m in self.polyhedra):
             raise Unsupported(
                 "complement closure is only defined for a polyhedron "
                 "or a union of polyhedra"
@@ -211,6 +207,11 @@ class ComplementClosure(SetExpr):
     @property
     def dim(self) -> int:
         return self.base.dim
+
+    @property
+    def polyhedra(self) -> tuple[Polyhedron, ...]:
+        """The base's polyhedra: the base itself, or the members of a union."""
+        return self.base.members if isinstance(self.base, SetUnion) else (self.base,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,11 +295,8 @@ def _contains(s: SetExpr, pts: np.ndarray, eps: float) -> np.ndarray:
     if isinstance(s, Shift):
         return _contains(s.base, pts - s.offset, eps)
     if isinstance(s, ComplementClosure):
-        if isinstance(s.base, Polyhedron):
-            p = s.base
-            return (p.normals @ pts.T >= p.offsets[:, None] - eps).any(axis=0)
         out = None
-        for m in s.base.members:
+        for m in s.polyhedra:
             part = (m.normals @ pts.T >= m.offsets[:, None] - eps).any(axis=0)
             out = part if out is None else (out & part)
         return out
@@ -325,8 +323,9 @@ def recession_cone(s: SetExpr) -> RecessionCone:
 
     Exact for polyhedra and their shifts/intersections: offsets drop and
     the rows are kept. Unions get the intersection of their members'
-    cones, flagged inexact because exactness is not derivable from the
-    representation.
+    cones, and complement closures the reversed rows of their base,
+    both flagged inexact: every listed direction is valid, but
+    exactness is not derivable from the representation.
     """
     if isinstance(s, Polyhedron):
         rows = tuple(HalfSpace(h.a, 0.0) for h in s.halfspaces)
@@ -338,31 +337,22 @@ def recession_cone(s: SetExpr) -> RecessionCone:
         rows = _dedup_rows([h for p in parts for h in p.halfspaces])
         exact = isinstance(s, SetIntersection) and all(p.exact for p in parts)
         return RecessionCone(rows, exact=exact)
-    raise Unsupported(
-        "recession cone is not derivable for complement-closure sets; "
-        "certify the direction with allow_unsupported=True if you know it is valid"
-    )
+    if isinstance(s, ComplementClosure):
+        rows = tuple(HalfSpace(-h.a, 0.0) for m in s.polyhedra for h in m.halfspaces)
+        return RecessionCone(_dedup_rows(rows), exact=False)
+    raise Unsupported(f"recession cone is not derivable for {type(s).__name__}")
 
 
-def certify_direction(s: SetExpr, k, allow_unsupported: bool = False) -> Direction:
+def certify_direction(s: SetExpr, k) -> Direction:
     """Certify that k is an admissible translation direction for s.
 
     The certificate checks a·k >= -1e-9 against every recession-cone row
-    and records whether all rows clear the strict interior margin. When
-    the recession cone is unavailable (complement closures) the caller
-    may waive the certificate with ``allow_unsupported=True``; the
-    resulting direction carries an empty certificate and is never marked
-    interior.
+    and records whether all rows clear the strict interior margin.
     """
     kv = _as_vector(k, s.dim, "direction")
     if float(np.linalg.norm(kv)) <= NORMAL_MIN:
         raise InvalidInput("direction vector is numerically zero")
-    try:
-        cone = recession_cone(s)
-    except Unsupported:
-        if allow_unsupported:
-            return Direction(kv, RecessionCone((), exact=False), interior=False)
-        raise
+    cone = recession_cone(s)
     products = [float(h.a @ kv) for h in cone.halfspaces]
     for i, p in enumerate(products):
         if p < -CERT_SLACK:
@@ -379,72 +369,19 @@ def shift_set(s: SetExpr, y0) -> SetExpr:
     return Shift(s, y0)
 
 
-def complement_closure(s: SetExpr) -> SetExpr:
+def complement_closure(s: SetExpr) -> SetUnion:
     """De Morgan expansion of the closed complement into a union of polyhedra.
 
-    A polyhedron becomes the union of its reversed rows. A union of
-    polyhedra becomes the union over all row choices, one reversed row
-    per member. Anything else (nested intersections in particular) is
-    unsupported.
+    The union runs over all row choices, one reversed row per member of
+    a union base (a polyhedron base is its own single member), so it has
+    the product of the members' row counts as pieces. Anything else
+    (nested intersections in particular) is unsupported. The evaluator
+    never expands; this is the reference for its complement rule.
     """
-    if isinstance(s, Polyhedron):
-        return SetUnion(tuple(Polyhedron((h.reversed(),)) for h in s.halfspaces))
-    if _union_of_polyhedra(s):
-        rowsets = [m.halfspaces for m in s.members]
-        pieces = [
-            Polyhedron(tuple(h.reversed() for h in combo))
-            for combo in itertools.product(*rowsets)
-        ]
-        return SetUnion(tuple(pieces))
-    raise Unsupported(
-        "complement closure is only defined for a polyhedron or a union of polyhedra"
-    )
-
-
-# ---------------------------------------------------------------------------
-# emptiness probe (advisory)
-
-
-def probably_empty(p: Polyhedron, bbox: tuple[float, float] = (-10.0, 10.0),
-                   grid_points: int = 10_000) -> bool:
-    """Advisory emptiness probe, no linear programming involved.
-
-    Returns True only when a feasibility sweep over roughly
-    ``grid_points`` grid points inside ``bbox`` finds no member AND
-    every pair of halfspaces is infeasible when restricted to the 1-d
-    line spanned by one of the two normals. False negatives and false
-    positives (for sets living far outside the box) are possible;
-    emptiness remains the caller's responsibility.
-    """
-    lo, hi = bbox
-    n = p.dim
-    per_axis = max(2, int(round(grid_points ** (1.0 / n))))
-    axes = [np.linspace(lo, hi, per_axis) for _ in range(n)]
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1)
-    if contains_many(p, mesh).any():
-        return False
-
-    def line_infeasible(d: np.ndarray) -> bool:
-        t_lo, t_hi = -np.inf, np.inf
-        for h in p.halfspaces:
-            c = float(h.a @ d)
-            if abs(c) <= NORMAL_MIN:
-                if h.b < -NORMAL_MIN:
-                    return True
-                continue
-            bound = h.b / c
-            if c > 0:
-                t_hi = min(t_hi, bound)
-            else:
-                t_lo = max(t_lo, bound)
-        return t_lo > t_hi
-
-    pairs = itertools.combinations(range(len(p.halfspaces)), 2)
-    for i, j in pairs:
-        di, dj = p.halfspaces[i].a, p.halfspaces[j].a
-        if not (line_infeasible(di) or line_infeasible(dj)):
-            return False
-    return True
+    rowsets = [m.halfspaces for m in ComplementClosure(s).polyhedra]
+    return SetUnion(tuple(
+        Polyhedron(tuple(h.reversed() for h in combo)) for combo in itertools.product(*rowsets)
+    ))
 
 
 # ---------------------------------------------------------------------------

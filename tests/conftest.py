@@ -77,21 +77,23 @@ def orthant2():
 
 
 def random_polyhedral_fixture(rng: np.random.Generator, dim: int,
-                              max_halfspaces: int = 6):
+                              max_halfspaces: int = 6, k=None, strict: bool = False):
     """Random polyhedron or union with a direction its rows certify.
 
     Rows are made either exactly orthogonal to k (so they stay
     t-independent under closed form and bisection alike) or clearly
-    aligned with it (a·k at least 0.3 * ||a|| * ||k||).
+    aligned with it (a·k at least 0.3 * ||a|| * ||k||). A given k is
+    reused; ``strict`` makes every row aligned (strict recession).
     """
-    k = rng.normal(size=dim)
-    k /= np.linalg.norm(k)
+    if k is None:
+        k = rng.normal(size=dim)
+        k /= np.linalg.norm(k)
 
     def row():
         a = rng.normal(size=dim)
         a /= np.linalg.norm(a)
         s = float(a @ k)
-        if rng.uniform() < 0.25:
+        if not strict and rng.uniform() < 0.25:
             a = a - s * k
             norm = np.linalg.norm(a)
             if norm < 1e-6:

@@ -212,10 +212,10 @@ class TestLipschitz:
         assert est.l_bound == 0.5
 
     def test_requires_certificate(self):
-        from ulset import ComplementClosure
+        from ulset import Direction, FunctionalHandle, RecessionCone, Strategy
 
-        h = make_handle(ComplementClosure(neg_orthant(2)), [-1.0, -1.0],
-                        allow_unsupported=True)
+        d = Direction(np.array([1.0, 1.0]), RecessionCone((), exact=False), interior=False)
+        h = FunctionalHandle(neg_orthant(2), d, Strategy.CLOSED_FORM)
         with pytest.raises(PreconditionFailed):
             estimate_lipschitz(h, n_pairs=10, seed=42)
 

@@ -108,6 +108,16 @@ class TestCheck:
         docs = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert any(d["verdict"] == "Violated" for d in docs)
 
+    def test_complement_recession_suite_runs(self, tmp_path, capsys):
+        # complement closures have a recession cone (their reversed rows)
+        path = tmp_path / "complement.json"
+        path.write_text(json.dumps({"dim": 2, "k": [-1.0, -1.0],
+                                    "set": {"type": "complement", "base": CONE_CONFIG["set"]}}))
+        assert main(["check", str(path), "--suite", "recession", "--samples", "200"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "Holds"
+        assert doc["applicable"] == 200
+
     def test_unknown_suite_exit_2(self, cone_config):
         assert main(["check", cone_config, "--suite", "mystery"]) == 2
 

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from ulset import (
+    ComplementClosure,
     EmptyContour,
     FunctionalHandle,
+    HalfSpace,
     InvalidInput,
     MINUS_INF,
     NU,
+    Polyhedron,
     PreconditionFailed,
     SetIntersection,
     SetUnion,
@@ -43,20 +46,19 @@ class TestClosedFormValues:
         hb = make_handle(cone_edge.set, cone_edge.direction.k, strategy="bisection")
         assert evaluate(hb, [0.0, 1.0]) is NU
 
-    def test_complement_closure_handle(self):
-        from ulset import ComplementClosure
-
-        cc = ComplementClosure(neg_orthant(2))
-        h = make_handle(cc, [-1.0, -1.0], allow_unsupported=True)
-        assert h.strategy == Strategy.CLOSED_FORM
-        expanded = make_handle(complement_closure(neg_orthant(2)), [-1.0, -1.0])
+    def test_complement_closure_handle(self, tq_set):
+        # the lattice rule on the lazy node equals the De Morgan expansion
+        # exactly, for a polyhedron base and for a union base with static rows
         rng = np.random.default_rng(12)
         pts = rng.uniform(-4, 4, size=(200, 2))
-        vc, kc = evaluate_batch(h, pts)
-        ve, ke = evaluate_batch(expanded, pts)
-        assert (kc == ke).all()
-        fin = kc == KIND_FINITE
-        assert np.abs(vc[fin] - ve[fin]).max(initial=0.0) < 1e-12
+        for base, k in ((neg_orthant(2), [-1.0, -1.0]), (tq_set, [-1.0, 0.0])):
+            h = make_handle(ComplementClosure(base), k)
+            assert h.strategy == Strategy.CLOSED_FORM
+            expanded = make_handle(complement_closure(base), k)
+            vc, kc = evaluate_batch(h, pts)
+            ve, ke = evaluate_batch(expanded, pts)
+            assert (kc == ke).all()
+            assert (vc == ve).all()
 
     def test_shifted_set(self, tq_set):
         h = make_handle(Shift(tq_set, [2.0, 0.0]), [1.0, 0.0])
@@ -70,11 +72,18 @@ class TestClosedFormValues:
         with pytest.raises(InvalidInput):
             evaluate(cone_diag, [0.0, 0.0, 0.0])
 
-    def test_closed_form_rejected_for_intersection(self):
-        s = SetIntersection((neg_orthant(2), neg_orthant(2)))
-        with pytest.raises(InvalidInput):
-            make_handle(s, [1.0, 1.0], strategy="closed_form")
-        assert make_handle(s, [1.0, 1.0]).strategy == Strategy.BISECTION
+    def test_intersection_defaults_to_closed_form(self):
+        # {y1 <= 0, y2 <= 0} and {y1 <= 1, y2 <= -1}: phi = max(y1, y2 + 1)
+        s = SetIntersection((neg_orthant(2), Shift(neg_orthant(2), [1.0, -1.0])))
+        h = make_handle(s, [1.0, 1.0])
+        assert h.strategy == Strategy.CLOSED_FORM
+        assert evaluate(h, [0.5, 0.5]) == 1.5
+        assert evaluate(h, [2.0, -4.0]) == 2.0
+
+    def test_overflowing_value_rejected(self):
+        h = make_handle(Polyhedron((HalfSpace([1.0, 0.0], 0.0),)), [1e-8, 1.0])
+        with pytest.raises(InvalidInput), np.errstate(over="ignore"):
+            evaluate_batch(h, [[1e305, 0.0]])
 
 
 class TestBisectionAgainstClosedForm:
@@ -90,19 +99,62 @@ class TestBisectionAgainstClosedForm:
         assert np.abs(vc[fin] - vb[fin]).max() < 1e-6
 
     def test_random_fixtures(self):
+        # plain fixtures, intersections of two fixtures under one k, and
+        # complements of strict-recession fixtures under -k
         rng = np.random.default_rng(2024)
+        cases = []
         for _ in range(5):
             dim = int(rng.integers(2, 4))
-            s, k = random_polyhedral_fixture(rng, dim)
+            cases.append(random_polyhedral_fixture(rng, dim))
+            s1, k = random_polyhedral_fixture(rng, dim)
+            s2, _ = random_polyhedral_fixture(rng, dim, k=k)
+            cases.append((SetIntersection((s1, s2)), k))
+            base, k = random_polyhedral_fixture(rng, dim, strict=True)
+            cases.append((ComplementClosure(base), -k))
+        for s, k in cases:
             hc = make_handle(s, k, t_max=1e6)
             hb = make_handle(s, k, strategy="bisection", t_max=1e6)
-            pts = rng.uniform(-10, 10, size=(500, dim))
+            pts = rng.uniform(-10, 10, size=(500, s.dim))
             vc, kc = evaluate_batch(hc, pts)
             vb, kb = evaluate_batch(hb, pts)
             assert (kc == kb).all()
             fin = kc == KIND_FINITE
             if fin.any():
                 assert np.abs(vc[fin] - vb[fin]).max() < 1e-6
+
+    def test_intersection_of_polyhedra_is_exact(self):
+        # the max rule reproduces the polyhedron with all rows concatenated,
+        # bit for bit; dyadic data keeps every a·y exact, since matrix
+        # products of different shapes may round differently
+        rng = np.random.default_rng(2025)
+
+        def dyadic_polyhedron(k):
+            rows = []
+            while len(rows) < int(rng.integers(1, 5)):
+                a = rng.integers(-8, 9, size=k.shape[0]) / 4.0
+                b = rng.integers(-48, 49) / 16.0
+                if rng.uniform() < 0.25:
+                    # static (a·k == 0 for k = (1, ..., 1)), around the origin
+                    a[-1] = -a[:-1].sum()
+                    b = abs(b)
+                if a @ k < 0:
+                    a = -a
+                if a.any():
+                    rows.append(HalfSpace(a, b))
+            return Polyhedron(tuple(rows))
+
+        seen = set()
+        for dim in (2, 3, 3, 4):
+            k = np.ones(dim)
+            polys = [dyadic_polyhedron(k) for _ in range(int(rng.integers(2, 5)))]
+            merged = Polyhedron(tuple(h for p in polys for h in p.halfspaces))
+            pts = rng.integers(-64, 65, size=(2000, dim)) / 16.0
+            vi, ki = evaluate_batch(make_handle(SetIntersection(tuple(polys)), k), pts)
+            vm, km = evaluate_batch(make_handle(merged, k), pts)
+            assert ki.tobytes() == km.tobytes()
+            assert vi.tobytes() == vm.tobytes()
+            seen.update(ki.tolist())
+        assert {KIND_FINITE, KIND_NU} <= seen
 
     def test_union_is_min_of_children(self):
         rng = np.random.default_rng(11)

@@ -16,7 +16,6 @@ from ulset import (
     complement_closure,
     contains,
     contains_many,
-    probably_empty,
     recession_cone,
     set_from_json,
     set_to_json,
@@ -123,9 +122,13 @@ class TestRecessionCone:
         assert len(cone.halfspaces) == 3
 
     def test_complement_unsupported(self):
-        cc = ComplementClosure(neg_orthant(2))
-        with pytest.raises(Unsupported):
-            recession_cone(cc)
+        # the reversed rows through the origin, deduplicated: a sound
+        # under-approximation, so never flagged exact
+        base = SetUnion((neg_orthant(2), Polyhedron((HalfSpace([1.0, 0.0], 3.0),))))
+        cone = recession_cone(ComplementClosure(base))
+        assert cone.exact is False
+        assert [h.a.tolist() for h in cone.halfspaces] == [[-1.0, -0.0], [-0.0, -1.0]]
+        assert all(h.b == 0.0 for h in cone.halfspaces)
 
 
 class TestCertifyDirection:
@@ -146,13 +149,27 @@ class TestCertifyDirection:
         with pytest.raises(InvalidInput):
             certify_direction(neg_orthant(2), [0.0, 0.0])
 
-    def test_complement_needs_waiver(self):
-        cc = ComplementClosure(neg_orthant(2))
-        with pytest.raises(Unsupported):
-            certify_direction(cc, [-1.0, -1.0])
-        d = certify_direction(cc, [-1.0, -1.0], allow_unsupported=True)
-        assert not d.interior
-        assert d.cert.halfspaces == ()
+    def test_complement_needs_waiver(self, tmp_path, capsys):
+        # the complement of the unit box admits no direction: its reversed
+        # rows point both ways along each axis
+        import json
+
+        from ulset.cli import main
+
+        box = Polyhedron((HalfSpace([1.0, 0.0], 1.0), HalfSpace([-1.0, 0.0], 0.0),
+                          HalfSpace([0.0, 1.0], 1.0), HalfSpace([0.0, -1.0], 0.0)))
+        with pytest.raises(DirectionRejected):
+            certify_direction(ComplementClosure(box), [1.0, 0.0])
+        config = tmp_path / "box_complement.json"
+        config.write_text(json.dumps({"k": [1.0, 0.0], **set_to_json(ComplementClosure(box))}))
+        assert main(["eval", str(config), "--point", "2,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: recession-cone row")
+        assert captured.err.count("\n") == 1
+        d = certify_direction(ComplementClosure(neg_orthant(2)), [-1.0, -1.0])
+        assert d.interior
+        assert len(d.cert.halfspaces) == 2
 
 
 class TestShift:
@@ -262,12 +279,3 @@ class TestValidation:
             Polyhedron((HalfSpace([1.0], 0.0), HalfSpace([1.0, 0.0], 0.0)))
         with pytest.raises(InvalidInput):
             SetUnion((neg_orthant(2), neg_orthant(3)))
-
-
-class TestEmptinessProbe:
-    def test_opposing_slabs_flagged(self):
-        p = Polyhedron((HalfSpace([1.0], -1.0), HalfSpace([-1.0], -1.0)))
-        assert probably_empty(p)
-
-    def test_nonempty_not_flagged(self):
-        assert not probably_empty(neg_orthant(2))
