@@ -9,6 +9,14 @@ the number of samples that actually contributed is reported in
 ``applicable``. A check with nothing applicable reports Inapplicable,
 never Holds.
 
+A check computes one defect per applicable sample, as an array, on the
+evaluator's lattice keys (a finite value as itself, -inf as -inf, nu as
++inf) with one of two rules: the inequality lhs <= rhs
+(:func:`_le_defect`) or the equality lhs == rhs (:func:`_eq_defect`).
+The verdict is Violated when the largest defect exceeds the check's
+tolerance; the witness is then the first sample with that largest
+defect, and it is the only witness ever built.
+
 All verdicts are sampled evidence: Holds means no violation was found,
 not a proof.
 """
@@ -23,17 +31,16 @@ import numpy as np
 from .errors import InvalidInput, PreconditionFailed, UlsetError
 from .evaluator import (
     KIND_FINITE,
-    KIND_MINUS_INF,
-    KIND_NU,
-    MINUS_INF,
     NU,
     ExtReal,
     FunctionalHandle,
     Strategy,
     evaluate_batch,
-    evaluate_dual_many,
     make_handle,
     _dual_handle,
+    _dual_keys,
+    _to_keys,
+    _wrap,
 )
 from .geometry import Polyhedron, SetExpr, Shift, contains_many, _as_vector
 
@@ -115,48 +122,73 @@ class LipschitzEstimate:
     interior: bool
 
 
-def _ext_json(val: float, kind: int):
-    if kind == KIND_FINITE:
-        return float(val)
-    return "-inf" if kind == KIND_MINUS_INF else "nu"
+def _ext_json(key: float):
+    """A lattice key as a witness entry: the float itself, "-inf" or "nu"."""
+    if np.isfinite(key):
+        return float(key)
+    return "-inf" if key < 0 else "nu"
 
 
-class _Tally:
-    """Accumulates the max defect and the worst above-tolerance witness."""
+def _le_defect(lhs: np.ndarray, rhs: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    """Defect of lhs <= rhs on lattice keys, elementwise.
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.max_defect = 0.0
-        self.witness = None
-        self._witness_defect = 0.0
-
-    def note(self, defect: float, witness: dict):
-        defect = float(defect)
-        if defect > self.max_defect:
-            self.max_defect = defect
-        if defect > self.tol and defect > self._witness_defect:
-            self._witness_defect = defect
-            self.witness = witness
+    0 where it holds as keys, 1 where it fails with an infinite side,
+    otherwise max(0, lhs - rhs - slack).
+    """
+    defect = (lhs > rhs).astype(float)
+    finite = (defect > 0) & np.isfinite(lhs) & np.isfinite(rhs)
+    gap = lhs[finite] - rhs[finite] - slack
+    defect[finite] = np.where(gap > 0.0, gap, 0.0)
+    return defect
 
 
-def _report(name, seed, samples, applicable, tally: _Tally) -> PropertyReport:
+def _eq_defect(lhs: np.ndarray, rhs: np.ndarray, mismatch=1.0) -> np.ndarray:
+    """Defect of lhs == rhs on lattice keys, elementwise.
+
+    |lhs - rhs| where both are finite, 0 where both are the same
+    infinity, and ``mismatch`` (a scalar or one value per element) where
+    the kinds differ.
+    """
+    defect = np.where(lhs == rhs, 0.0, mismatch)
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    defect[finite] = np.abs(lhs[finite] - rhs[finite])
+    return defect
+
+
+def _verdict(name, seed, samples, defects: np.ndarray, tol: float, witness_at,
+             applicable: int | None = None) -> PropertyReport:
+    """Report over a defect array; ``applicable`` defaults to its length.
+
+    Violated when the largest defect exceeds tol, with witness_at(i) for
+    the first sample i that attains it as the witness.
+    """
+    if applicable is None:
+        applicable = len(defects)
     if applicable == 0:
         return PropertyReport(name, INAPPLICABLE, None, 0.0, samples, seed, 0)
-    verdict = VIOLATED if tally.witness is not None else HOLDS
-    return PropertyReport(name, verdict, tally.witness, tally.max_defect,
+    worst = int(np.argmax(defects))
+    max_defect = max(0.0, float(defects[worst]))
+    witness = witness_at(worst) if max_defect > tol else None
+    return PropertyReport(name, HOLDS if witness is None else VIOLATED, witness, max_defect,
                           samples, seed, applicable)
+
+
+def _keys(h: FunctionalHandle, Y) -> np.ndarray:
+    # looks evaluate_batch up in this module, where fault-injection tests replace it
+    return _to_keys(*evaluate_batch(h, Y))
 
 
 def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
     """Rejection-sample up to n domain points (value not nu) from the box.
 
-    Extra uniform columns in [-10, 10] are drawn alongside each
-    candidate so that rejection does not disturb the pairing.
-    Oversampling is capped at 10x.
+    Returns the points, their lattice keys and the extra columns: extra
+    uniform columns in [-10, 10] are drawn alongside each candidate so
+    that rejection does not disturb the pairing. Oversampling is capped
+    at 10x.
     """
     lo, hi = bbox
     dim = h.set.dim
-    kept_p, kept_v, kept_k, kept_e = [], [], [], []
+    kept_p, kept_v, kept_e = [], [], []
     total = 0
     kept = 0
     while total < 10 * n and kept < n:
@@ -164,18 +196,14 @@ def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
         total += m
         cand = rng.uniform(lo, hi, size=(m, dim))
         extras = rng.uniform(-10.0, 10.0, size=(m, extra_cols)) if extra_cols else np.zeros((m, 0))
-        vals, kinds = evaluate_batch(h, cand)
-        keep = kinds != KIND_NU
+        keys = _keys(h, cand)
+        keep = keys < np.inf
         kept += int(keep.sum())
         kept_p.append(cand[keep])
-        kept_v.append(vals[keep])
-        kept_k.append(kinds[keep])
+        kept_v.append(keys[keep])
         kept_e.append(extras[keep])
-    P = np.concatenate(kept_p)[:n]
-    V = np.concatenate(kept_v)[:n]
-    K = np.concatenate(kept_k)[:n]
-    E = np.concatenate(kept_e)[:n]
-    return P, V, K, E
+    return (np.concatenate(kept_p)[:n], np.concatenate(kept_v)[:n],
+            np.concatenate(kept_e)[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -187,57 +215,40 @@ def check_sublevel_identity(h: FunctionalHandle, n_samples: int = 1000, seed: in
     """Sampled equivalence phi(y) <= t  <=>  y - t*k in set.
 
     Pairs with |phi(y) - t| <= 1e-6 are excluded: inside that band the
-    two sides may legitimately disagree numerically.
+    two sides may legitimately disagree numerically. Membership is tested
+    without slack, so the band is the only tolerance (a slack s on
+    a·y - b would widen it by s / (a·k) in t).
     """
     rng = np.random.default_rng(seed)
-    P, V, K, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=1)
+    P, V, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=1)
     T = E[:, 0]
-    tally = _Tally(0.0)
-    applicable = 0
-    if len(P):
-        member = contains_many(h.set, P - T[:, None] * h.direction.k, 1e-6)
-        for y, v, kd, t, rhs in zip(P, V, K, T, member):
-            if kd == KIND_FINITE and abs(v - t) <= 1e-6:
-                continue
-            applicable += 1
-            lhs = True if kd == KIND_MINUS_INF else bool(v <= t)
-            if lhs != bool(rhs):
-                defect = 1.0 + (abs(v - t) if kd == KIND_FINITE else 0.0)
-                tally.note(defect, {
-                    "inputs": {"y": y.tolist(), "t": float(t)},
-                    "values": {"phi": _ext_json(v, kd), "member": bool(rhs)},
-                })
-    return _report("sublevel_identity", seed, n_samples, applicable, tally)
+    member = contains_many(h.set, P - T[:, None] * h.direction.k, 0.0)
+    keep = ~(np.abs(V - T) <= 1e-6)
+    P, V, T, member = P[keep], V[keep], T[keep], member[keep]
+    # a disagreement costs 1 plus the distance of a finite phi from t
+    defects = np.where((V <= T) != member, 1.0 + _eq_defect(V, T, mismatch=0.0), 0.0)
+    return _verdict("sublevel_identity", seed, n_samples, defects, 0.0, lambda i: {
+        "inputs": {"y": P[i].tolist(), "t": float(T[i])},
+        "values": {"phi": _ext_json(V[i]), "member": bool(member[i])},
+    })
 
 
 def check_translation_invariance(h: FunctionalHandle, n_samples: int = 1000, seed: int = 42,
                                  bbox=DEFAULT_BBOX) -> PropertyReport:
     """Sampled identity phi(y + t*k) = phi(y) + t; -inf is preserved."""
     rng = np.random.default_rng(seed)
-    P, V, K, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=1)
+    P, V, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=1)
     T = E[:, 0]
     pass_tol = 1e-7
-    if h.strategy == Strategy.BISECTION and len(P):
-        finite = K == KIND_FINITE
-        spread = float(np.abs(V[finite]).max(initial=0.0) + np.abs(T).max(initial=0.0))
+    if h.strategy == Strategy.BISECTION:
+        spread = float(np.abs(V[np.isfinite(V)]).max(initial=0.0) + np.abs(T).max(initial=0.0))
         pass_tol = max(pass_tol, 2.0 * h.tol * (1.0 + spread))
-    tally = _Tally(pass_tol)
-    applicable = 0
-    if len(P):
-        V2, K2 = evaluate_batch(h, P + T[:, None] * h.direction.k)
-        for y, t, v, kd, v2, kd2 in zip(P, T, V, K, V2, K2):
-            applicable += 1
-            if kd == KIND_MINUS_INF:
-                defect = 0.0 if kd2 == KIND_MINUS_INF else 1.0
-            elif kd2 != KIND_FINITE:
-                defect = 1.0
-            else:
-                defect = abs(v2 - (v + t))
-            tally.note(defect, {
-                "inputs": {"y": y.tolist(), "t": float(t)},
-                "values": {"phi_y": _ext_json(v, kd), "phi_shifted": _ext_json(v2, kd2)},
-            })
-    return _report("translation_invariance", seed, n_samples, applicable, tally)
+    V2 = _keys(h, P + T[:, None] * h.direction.k)
+    return _verdict("translation_invariance", seed, n_samples, _eq_defect(V2, V + T), pass_tol,
+                    lambda i: {
+                        "inputs": {"y": P[i].tolist(), "t": float(T[i])},
+                        "values": {"phi_y": _ext_json(V[i]), "phi_shifted": _ext_json(V2[i])},
+                    })
 
 
 def check_monotone(h: FunctionalHandle, cone: MonotoneCone, strict: bool = False,
@@ -253,45 +264,32 @@ def check_monotone(h: FunctionalHandle, cone: MonotoneCone, strict: bool = False
     """
     rng = np.random.default_rng(seed)
     G = cone.matrix(h.set.dim)
-    P, V, K, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=max(G.shape[0], 1))
-    tally = _Tally(0.0)
-    applicable = 0
-    if len(P):
-        if G.shape[0]:
-            B = (np.abs(E[:, : G.shape[0]]) * 0.3) @ G
-        else:
-            B = np.zeros_like(P)
-        V1, K1 = evaluate_batch(h, P - B)
-        bnorm = np.linalg.norm(B, axis=1)
-        for y2, v2, kd2, b, nb, v1, kd1 in zip(P, V, K, B, bnorm, V1, K1):
-            if kd1 == KIND_NU:
-                continue
-            applicable += 1
-            if kd2 == KIND_MINUS_INF and kd1 != KIND_MINUS_INF:
-                defect = 1.0
-            elif kd1 == KIND_FINITE and kd2 == KIND_FINITE:
-                defect = max(0.0, v1 - v2 - 1e-7)
-                if strict and nb > 1e-6:
-                    gap = STRICT_MARGIN * (1.0 + abs(v2))
-                    defect = max(defect, max(0.0, v1 - (v2 - gap)))
-            else:
-                defect = 0.0
-            tally.note(defect, {
-                "inputs": {"y2": y2.tolist(), "step": b.tolist()},
-                "values": {"phi_y1": _ext_json(v1, kd1), "phi_y2": _ext_json(v2, kd2)},
-            })
-        finite2 = K == KIND_FINITE
-        if finite2.any():
-            bd = P[finite2] - V[finite2, None] * h.direction.k - B[finite2]
-            inside = contains_many(h.set, bd, 1e-6)
-            for p, b, ok in zip(bd, B[finite2], inside):
-                if not ok:
-                    tally.note(1.0, {
-                        "inputs": {"boundary_minus_step": p.tolist(), "step": b.tolist()},
-                        "values": {"set_level": "boundary point minus step escaped the set"},
-                    })
+    P, V, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=max(G.shape[0], 1))
+    B = (np.abs(E[:, : G.shape[0]]) * 0.3) @ G
+    V1 = _keys(h, P - B)
+    ok = V1 < np.inf
+    y2, step, v1, v2 = P[ok], B[ok], V1[ok], V[ok]
+    functional = _le_defect(v1, v2, slack=1e-7)
+    if strict:
+        gap = STRICT_MARGIN * (1.0 + np.abs(v2))
+        moved = np.linalg.norm(step, axis=1) > 1e-6
+        functional = np.maximum(functional, np.where(moved, _le_defect(v1, v2 - gap), 0.0))
+    finite = np.isfinite(V)
+    boundary = P[finite] - V[finite, None] * h.direction.k - B[finite]
+    escaped = ~contains_many(h.set, boundary, 1e-6)
+    n = len(functional)
+
+    def witness_at(i):
+        if i < n:
+            return {"inputs": {"y2": y2[i].tolist(), "step": step[i].tolist()},
+                    "values": {"phi_y1": _ext_json(v1[i]), "phi_y2": _ext_json(v2[i])}}
+        return {"inputs": {"boundary_minus_step": boundary[i - n].tolist(),
+                           "step": B[finite][i - n].tolist()},
+                "values": {"set_level": "boundary point minus step escaped the set"}}
+
     name = "strictly_monotone" if strict else "monotone"
-    return _report(name, seed, n_samples, applicable, tally)
+    return _verdict(name, seed, n_samples, np.concatenate([functional, escaped.astype(float)]),
+                    0.0, witness_at, applicable=n)
 
 
 def classify_convexity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 42,
@@ -303,77 +301,42 @@ def classify_convexity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 4
     midpoint or sum that leaves the domain counts against the flag.
     """
     rng = np.random.default_rng(seed)
-    P, V, K, E = _draw_domain(h, 2 * n_samples, rng, bbox, extra_cols=2)
+    P, V, E = _draw_domain(h, 2 * n_samples, rng, bbox, extra_cols=2)
     half = len(P) // 2
-    Y1, V1, K1 = P[:half], V[:half], K[:half]
-    Y2, V2, K2 = P[half: 2 * half], V[half: 2 * half], K[half: 2 * half]
+    Y1, V1 = P[:half], V[:half]
+    Y2, V2 = P[half: 2 * half], V[half: 2 * half]
     lam_mix = 0.05 + 0.9 * (np.abs(E[:half, 0]) / 10.0)
     lam_pos = 0.05 + 0.4 * np.abs(E[:, 1])
 
     reports: dict[str, PropertyReport] = {}
 
-    tally = _Tally(1e-7)
-    applicable = 0
-    if half:
-        Vm, Km = evaluate_batch(h, lam_mix[:, None] * Y1 + (1 - lam_mix)[:, None] * Y2)
-        for y1, v1, k1, y2, v2, k2, lam, vm, km in zip(Y1, V1, K1, Y2, V2, K2, lam_mix, Vm, Km):
-            applicable += 1
-            if k1 == KIND_MINUS_INF or k2 == KIND_MINUS_INF:
-                defect = 0.0 if km == KIND_MINUS_INF else 1.0
-            elif km == KIND_NU:
-                defect = 1.0
-            elif km == KIND_MINUS_INF:
-                defect = 0.0
-            else:
-                defect = max(0.0, vm - (lam * v1 + (1 - lam) * v2))
-            tally.note(defect, {
-                "inputs": {"y1": y1.tolist(), "y2": y2.tolist(), "lambda": float(lam)},
-                "values": {"phi_mid": _ext_json(vm, km),
-                           "phi_y1": _ext_json(v1, k1), "phi_y2": _ext_json(v2, k2)},
-            })
-    reports["convex"] = _report("convex", seed, n_samples, applicable, tally)
+    Vm = _keys(h, lam_mix[:, None] * Y1 + (1 - lam_mix)[:, None] * Y2)
+    reports["convex"] = _verdict(
+        "convex", seed, n_samples, _le_defect(Vm, lam_mix * V1 + (1 - lam_mix) * V2), 1e-7,
+        lambda i: {
+            "inputs": {"y1": Y1[i].tolist(), "y2": Y2[i].tolist(), "lambda": float(lam_mix[i])},
+            "values": {"phi_mid": _ext_json(Vm[i]),
+                       "phi_y1": _ext_json(V1[i]), "phi_y2": _ext_json(V2[i])},
+        })
 
-    tally = _Tally(1e-7)
-    applicable = 0
     n_pos = min(len(P), n_samples)
-    if n_pos:
-        Vs, Ks = evaluate_batch(h, lam_pos[:n_pos, None] * P[:n_pos])
-        for y, v, kd, lam, vs, ks in zip(P[:n_pos], V[:n_pos], K[:n_pos],
-                                         lam_pos[:n_pos], Vs, Ks):
-            applicable += 1
-            if kd == KIND_MINUS_INF:
-                defect = 0.0 if ks == KIND_MINUS_INF else 1.0
-            elif ks != KIND_FINITE:
-                defect = 1.0
-            else:
-                defect = abs(vs - lam * v)
-            tally.note(defect, {
-                "inputs": {"y": y.tolist(), "lambda": float(lam)},
-                "values": {"phi_y": _ext_json(v, kd), "phi_scaled": _ext_json(vs, ks)},
-            })
-    reports["positively_homogeneous"] = _report(
-        "positively_homogeneous", seed, n_samples, applicable, tally)
+    Y, Vy, lam = P[:n_pos], V[:n_pos], lam_pos[:n_pos]
+    Vs = _keys(h, lam[:, None] * Y)
+    reports["positively_homogeneous"] = _verdict(
+        "positively_homogeneous", seed, n_samples, _eq_defect(Vs, lam * Vy), 1e-7,
+        lambda i: {
+            "inputs": {"y": Y[i].tolist(), "lambda": float(lam[i])},
+            "values": {"phi_y": _ext_json(Vy[i]), "phi_scaled": _ext_json(Vs[i])},
+        })
 
-    tally = _Tally(1e-7)
-    applicable = 0
-    if half:
-        Vs, Ks = evaluate_batch(h, Y1 + Y2)
-        for y1, v1, k1, y2, v2, k2, vs, ks in zip(Y1, V1, K1, Y2, V2, K2, Vs, Ks):
-            applicable += 1
-            if k1 == KIND_MINUS_INF or k2 == KIND_MINUS_INF:
-                defect = 0.0 if ks == KIND_MINUS_INF else 1.0
-            elif ks == KIND_NU:
-                defect = 1.0
-            elif ks == KIND_MINUS_INF:
-                defect = 0.0
-            else:
-                defect = max(0.0, vs - (v1 + v2))
-            tally.note(defect, {
-                "inputs": {"y1": y1.tolist(), "y2": y2.tolist()},
-                "values": {"phi_sum": _ext_json(vs, ks),
-                           "phi_y1": _ext_json(v1, k1), "phi_y2": _ext_json(v2, k2)},
-            })
-    reports["subadditive"] = _report("subadditive", seed, n_samples, applicable, tally)
+    Vsum = _keys(h, Y1 + Y2)
+    reports["subadditive"] = _verdict(
+        "subadditive", seed, n_samples, _le_defect(Vsum, V1 + V2), 1e-7,
+        lambda i: {
+            "inputs": {"y1": Y1[i].tolist(), "y2": Y2[i].tolist()},
+            "values": {"phi_sum": _ext_json(Vsum[i]),
+                       "phi_y1": _ext_json(V1[i]), "phi_y2": _ext_json(V2[i])},
+        })
 
     cv, ph = reports["convex"], reports["positively_homogeneous"]
     if cv.verdict == INAPPLICABLE or ph.verdict == INAPPLICABLE:
@@ -397,54 +360,40 @@ def check_recession_inequality(h_set: FunctionalHandle, h_rec: FunctionalHandle,
                                bbox=DEFAULT_BBOX) -> PropertyReport:
     """Sampled bound phi(y0 + y1) <= phi(y0) + phi_cone(y1)."""
     rng = np.random.default_rng(seed)
-    P0, V0, K0, _ = _draw_domain(h_set, n_samples, rng, bbox)
-    P1, V1, K1, _ = _draw_domain(h_rec, n_samples, rng, bbox)
+    P0, V0, _ = _draw_domain(h_set, n_samples, rng, bbox)
+    P1, V1, _ = _draw_domain(h_rec, n_samples, rng, bbox)
     m = min(len(P0), len(P1))
-    tally = _Tally(1e-7)
-    applicable = 0
-    if m:
-        Vs, Ks = evaluate_batch(h_set, P0[:m] + P1[:m])
-        for y0, v0, k0, y1, v1, k1, vs, ks in zip(
-                P0[:m], V0[:m], K0[:m], P1[:m], V1[:m], K1[:m], Vs, Ks):
-            applicable += 1
-            if k0 == KIND_MINUS_INF or k1 == KIND_MINUS_INF:
-                defect = 0.0 if ks == KIND_MINUS_INF else 1.0
-            elif ks == KIND_NU:
-                defect = 1.0
-            elif ks == KIND_MINUS_INF:
-                defect = 0.0
-            else:
-                defect = max(0.0, vs - (v0 + v1))
-            tally.note(defect, {
-                "inputs": {"y0": y0.tolist(), "y1": y1.tolist()},
-                "values": {"phi_sum": _ext_json(vs, ks),
-                           "phi_y0": _ext_json(v0, k0), "phi_cone_y1": _ext_json(v1, k1)},
-            })
-    return _report("recession_inequality", seed, n_samples, applicable, tally)
+    Y0, V0, Y1, V1 = P0[:m], V0[:m], P1[:m], V1[:m]
+    Vs = _keys(h_set, Y0 + Y1)
+    return _verdict("recession_inequality", seed, n_samples, _le_defect(Vs, V0 + V1), 1e-7,
+                    lambda i: {
+                        "inputs": {"y0": Y0[i].tolist(), "y1": Y1[i].tolist()},
+                        "values": {"phi_sum": _ext_json(Vs[i]), "phi_y0": _ext_json(V0[i]),
+                                   "phi_cone_y1": _ext_json(V1[i])},
+                    })
 
 
 def check_dual_relation(h: FunctionalHandle, n_samples: int = 1000, seed: int = 42,
                         bbox=DEFAULT_BBOX) -> PropertyReport:
-    """Agreement of the direct value with the negated complement route."""
+    """Agreement of the direct value with the negated complement route.
+
+    A dual value of nu at a finite phi costs 1 + |phi|.
+    """
     try:
         _dual_handle(h)
     except PreconditionFailed:
         return PropertyReport("dual_relation", INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     rng = np.random.default_rng(seed)
-    P, V, K, _ = _draw_domain(h, n_samples, rng, bbox)
-    finite = K == KIND_FINITE
+    P, V, _ = _draw_domain(h, n_samples, rng, bbox)
+    finite = np.isfinite(V)
     P, V = P[finite], V[finite]
-    tally = _Tally(1e-6)
-    applicable = len(P)
-    if applicable:
-        duals = evaluate_dual_many(h, P)
-        for y, v, d in zip(P, V, duals):
-            defect = abs(d.value - v) if d.is_finite else 1.0 + abs(v)
-            tally.note(defect, {
-                "inputs": {"y": y.tolist()},
-                "values": {"phi": float(v), "dual": str(d)},
-            })
-    return _report("dual_relation", seed, n_samples, applicable, tally)
+    D = _dual_keys(h, P)
+    return _verdict("dual_relation", seed, n_samples,
+                    _eq_defect(D, V, mismatch=1.0 + np.abs(V)), 1e-6,
+                    lambda i: {
+                        "inputs": {"y": P[i].tolist()},
+                        "values": {"phi": float(V[i]), "dual": str(_ext_json(D[i]))},
+                    })
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +404,7 @@ def separate(h: FunctionalHandle, points, mode: str = "closed") -> SeparationVer
     """Disjointness of a finite cloud from the set (closed) or its interior.
 
     Closed mode flags points with phi <= 0, interior mode flags
-    phi < 0; nu values never flag in either mode.
+    phi < 0; as lattice keys -inf always flags and nu never does.
     """
     if mode not in ("closed", "interior"):
         raise InvalidInput(f"mode must be 'closed' or 'interior', got {mode!r}")
@@ -463,20 +412,13 @@ def separate(h: FunctionalHandle, points, mode: str = "closed") -> SeparationVer
     if pts.ndim == 1:
         pts = pts[None, :]
     vals, kinds = evaluate_batch(h, pts)
-    idx, pv, vv = [], [], []
-    for i, (v, kd) in enumerate(zip(vals, kinds)):
-        if kd == KIND_NU:
-            continue
-        hit = (kd == KIND_MINUS_INF) or (v <= 0.0 if mode == "closed" else v < 0.0)
-        if hit:
-            idx.append(i)
-            pv.append(pts[i].copy())
-            vv.append(ExtReal.finite(v) if kd == KIND_FINITE else MINUS_INF)
+    keys = _to_keys(vals, kinds)
+    idx = np.flatnonzero(keys <= 0.0 if mode == "closed" else keys < 0.0)
     return SeparationVerdict(
-        disjoint=not idx, mode=mode,
-        offending_indices=tuple(idx),
-        offending_points=tuple(pv),
-        offending_values=tuple(vv),
+        disjoint=not idx.size, mode=mode,
+        offending_indices=tuple(idx.tolist()),
+        offending_points=tuple(pts[idx]),
+        offending_values=tuple(_wrap(vals[idx], kinds[idx])),
     )
 
 
@@ -536,7 +478,8 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     y* is a_j / (a_j·k) for the lowest-index row attaining the
     closed-form max at ybar. Needs a plain (possibly shifted)
     polyhedron, an interior-certified direction and a finite value at
-    ybar; anything else reports Inapplicable.
+    ybar; anything else reports Inapplicable. Every row of the certified
+    cone moves along k, so phi_cone is finite everywhere.
     """
     name = "subgradient_bound"
     unwrapped = _unwrap_polyhedron(h.set)
@@ -544,8 +487,7 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     poly, offset = unwrapped
     ybar = _as_vector(ybar, h.set.dim, "ybar")
-    _, kbar = evaluate_batch(h, ybar[None, :])
-    if kbar[0] != KIND_FINITE:
+    if not np.isfinite(_keys(h, ybar[None, :])[0]):
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     k = h.direction.k
     ak = poly.normals @ k
@@ -559,18 +501,10 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     rng = np.random.default_rng(seed)
     lo, hi = bbox
     Y = rng.uniform(lo, hi, size=(n_samples, h.set.dim))
-    rhs, rkinds = evaluate_batch(rec, Y - ybar)
+    rhs = _keys(rec, Y - ybar)
     lhs = (Y - ybar) @ ystar
-    tally = _Tally(1e-7)
-    applicable = 0
-    for y, lv, rv, rk in zip(Y, lhs, rhs, rkinds):
-        if rk == KIND_NU:
-            continue
-        applicable += 1
-        defect = 0.0 if rk == KIND_MINUS_INF else max(0.0, lv - rv)
-        tally.note(defect, {
-            "inputs": {"y": y.tolist(), "ybar": ybar.tolist()},
-            "values": {"linear": float(lv), "cone_bound": _ext_json(rv, rk),
-                       "subgradient": ystar.tolist()},
-        })
-    return _report(name, seed, n_samples, applicable, tally)
+    return _verdict(name, seed, n_samples, _le_defect(lhs, rhs), 1e-7, lambda i: {
+        "inputs": {"y": Y[i].tolist(), "ybar": ybar.tolist()},
+        "values": {"linear": float(lhs[i]), "cone_bound": _ext_json(rhs[i]),
+                   "subgradient": ystar.tolist()},
+    })

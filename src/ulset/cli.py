@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, norms, scalarization
-from .errors import UlsetError
+from .errors import InvalidInput, UlsetError
 from .evaluator import (
     DEFAULT_T_MAX,
     DEFAULT_TOL,
@@ -161,7 +161,11 @@ def _load_cone(args, dim: int) -> OrderCone:
             raise UlsetError(f"cannot read cone file: {exc}") from exc
         from .geometry import HalfSpace, Polyhedron
 
-        rows = tuple(HalfSpace(h["a"], h.get("b", 0.0)) for h in doc["halfspaces"])
+        try:
+            rows = tuple(HalfSpace(h["a"], h.get("b", 0.0)) for h in doc["halfspaces"])
+        except (KeyError, TypeError) as exc:
+            raise InvalidInput("cone file needs 'halfspaces': a list of rows "
+                               f"{{\"a\": [...], \"b\": ...}} ({exc!r})") from exc
         gens = tuple(np.asarray(g, dtype=float) for g in doc.get("generators", [])) or None
         return OrderCone(Polyhedron(rows), generators=gens)
     if args.cone == "nonneg":

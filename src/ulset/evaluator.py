@@ -309,6 +309,12 @@ def _from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(kinds == KIND_FINITE, keys, 0.0), kinds
 
 
+def _to_keys(vals: np.ndarray, kinds: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_from_keys`: finite values as themselves, -inf, nu as +inf."""
+    return np.where(kinds == KIND_FINITE, vals,
+                    np.where(kinds == KIND_MINUS_INF, -np.inf, np.inf))
+
+
 # ---------------------------------------------------------------------------
 # bisection
 
@@ -447,12 +453,14 @@ def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
     return FunctionalHandle(comp, direction, Strategy.CLOSED_FORM, t_max=h.t_max, tol=h.tol)
 
 
-def evaluate_dual_many(h: FunctionalHandle, Y) -> list[ExtReal]:
+def _dual_keys(h: FunctionalHandle, Y) -> np.ndarray:
+    """Lattice keys of the dual route: negated finite values, nu everywhere else."""
     vals, kinds = evaluate_batch(_dual_handle(h), Y)
-    out = []
-    for v, kd in zip(vals, kinds):
-        out.append(ExtReal.finite(-v) if kd == KIND_FINITE else NU)
-    return out
+    return np.where(kinds == KIND_FINITE, -vals, np.inf)
+
+
+def evaluate_dual_many(h: FunctionalHandle, Y) -> list[ExtReal]:
+    return _wrap(*_from_keys(_dual_keys(h, Y)))
 
 
 def evaluate_dual(h: FunctionalHandle, y) -> ExtReal:

@@ -414,10 +414,12 @@ def _node_from_json(node: Mapping, dim: int) -> SetExpr:
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"bad polyhedron node: {exc}") from exc
         return Polyhedron(hs)
-    if kind == "union":
-        return SetUnion(tuple(_node_from_json(m, dim) for m in node.get("members", [])))
-    if kind == "intersection":
-        return SetIntersection(tuple(_node_from_json(m, dim) for m in node.get("members", [])))
+    if kind in ("union", "intersection"):
+        members = node.get("members", [])
+        if not isinstance(members, list):
+            raise InvalidInput(f"{kind} node needs a list of 'members', got {members!r}")
+        members = tuple(_node_from_json(m, dim) for m in members)
+        return SetUnion(members) if kind == "union" else SetIntersection(members)
     if kind == "shift":
         try:
             base = _node_from_json(node["base"], dim)

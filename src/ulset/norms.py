@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DirectionRejected, InvalidInput, PreconditionFailed
-from .evaluator import KIND_FINITE, KIND_MINUS_INF, evaluate_batch, make_handle
+from .evaluator import KIND_FINITE, KIND_MINUS_INF, evaluate_batch, make_handle, _to_keys
 from .geometry import INTERIOR_MARGIN, Shift, _as_vector
-from .analysis import PropertyReport, _Tally, _report
+from .analysis import PropertyReport, _eq_defect, _verdict
 from .scalarization import OrderCone
 
 
@@ -84,7 +84,7 @@ def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
     """Sampled identity ||y - a||_{C,k} = score of y against reference a, on a + C.
 
     Samples y = a + (nonnegative combination of the cone generators);
-    generators are required.
+    generators are required. A score that is not finite costs 1 + norm.
     """
     if not C.generators:
         raise InvalidInput("cone generators are required to sample a + C")
@@ -96,14 +96,10 @@ def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
     Y = a + lam @ G
     lhs = order_unit_norm(C, k, Y - a)
     h = make_handle(Shift(C.negated(), a), k)
-    rhs, rkinds = evaluate_batch(h, Y)
-    tally = _Tally(1e-7)
-    applicable = 0
-    for y, l, r, rk in zip(Y, lhs, rhs, rkinds):
-        applicable += 1
-        defect = abs(l - r) if rk == KIND_FINITE else 1.0 + abs(l)
-        tally.note(defect, {
-            "inputs": {"y": y.tolist(), "a": a.tolist()},
-            "values": {"norm": float(l), "score": float(r) if rk == KIND_FINITE else "nonfinite"},
-        })
-    return _report("norm_identity_on_shifted_cone", seed, n_samples, applicable, tally)
+    rhs = _to_keys(*evaluate_batch(h, Y))
+    defects = _eq_defect(lhs, rhs, mismatch=1.0 + np.abs(lhs))
+    return _verdict("norm_identity_on_shifted_cone", seed, n_samples, defects, 1e-7, lambda i: {
+        "inputs": {"y": Y[i].tolist(), "a": a.tolist()},
+        "values": {"norm": float(lhs[i]),
+                   "score": float(rhs[i]) if np.isfinite(rhs[i]) else "nonfinite"},
+    })

@@ -7,7 +7,9 @@ from ulset import (
     Polyhedron,
     SetUnion,
     make_handle,
+    recession_cone,
 )
+from ulset.evaluator import KIND_FINITE, evaluate_batch
 
 
 def three_quadrant_union() -> SetUnion:
@@ -30,6 +32,27 @@ def three_quadrant_value(y1: float, y2: float):
     if y2 <= 0.0:
         return y1
     return y1 + 1.0
+
+
+def biased_eval(bias_scale=0.05):
+    """Fault injector: adds bias_scale * ||y||^2 to every finite value.
+
+    Checks are expected to call it in place of
+    ``ulset.analysis.evaluate_batch`` (monkeypatched there).
+    """
+
+    def patched(h, Y):
+        vals, kinds = evaluate_batch(h, Y)
+        pts = np.atleast_2d(np.asarray(Y, dtype=float))
+        bump = bias_scale * (pts ** 2).sum(axis=1)
+        vals = np.where(kinds == KIND_FINITE, vals + bump, vals)
+        return vals, kinds
+
+    return patched
+
+
+def rec_handle_for(h):
+    return make_handle(recession_cone(h.set).to_polyhedron(), h.direction.k)
 
 
 def neg_orthant(n: int = 2) -> Polyhedron:

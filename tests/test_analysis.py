@@ -22,28 +22,9 @@ from ulset import (
     classify_convexity,
     estimate_lipschitz,
     make_handle,
-    recession_cone,
     separate,
 )
-from ulset.evaluator import KIND_FINITE, evaluate_batch
-from conftest import neg_orthant
-
-
-def biased_eval(bias_scale=0.05):
-    """Fault injector: adds bias_scale * ||y||^2 to every finite value."""
-
-    def patched(h, Y):
-        vals, kinds = evaluate_batch(h, Y)
-        pts = np.atleast_2d(np.asarray(Y, dtype=float))
-        bump = bias_scale * (pts ** 2).sum(axis=1)
-        vals = np.where(kinds == KIND_FINITE, vals + bump, vals)
-        return vals, kinds
-
-    return patched
-
-
-def rec_handle_for(h):
-    return make_handle(recession_cone(h.set).to_polyhedron(), h.direction.k)
+from conftest import biased_eval, neg_orthant, rec_handle_for
 
 
 class TestSublevelIdentity:
@@ -68,6 +49,16 @@ class TestSublevelIdentity:
         r = check_sublevel_identity(cone_edge, 200, seed=42, bbox=(5.0, 10.0))
         assert r.verdict == INAPPLICABLE
         assert r.applicable == 0
+
+
+    @pytest.mark.parametrize("scale", [1e-1, 1e-4, 1e-5, 1e-7])
+    def test_small_row_scale_holds(self, scale):
+        # a·k = 2*scale < 1: a membership slack on a·y - b would be a band
+        # of slack / (a·k) in t, wider than the excluded |phi - t| <= 1e-6
+        p = Polyhedron((HalfSpace([scale, 0.0], 0.0), HalfSpace([0.0, scale], 0.0)))
+        r = check_sublevel_identity(make_handle(p, [1.0, 1.0]), 2000, seed=0)
+        assert r.verdict == HOLDS
+        assert r.applicable == 2000
 
 
 class TestTranslationInvariance:

@@ -197,6 +197,34 @@ class TestNorm:
         assert capsys.readouterr().out == "2.0\n"
 
 
+class TestMalformedInput:
+    """Malformed input exits 2 with one stderr line, never 1 with a traceback."""
+
+    @staticmethod
+    def _assert_rejected(argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["norm", "pareto"])
+    def test_cone_file_without_halfspaces(self, command, tmp_path, capsys):
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"generators": [[1, 0], [0, 1]]}))
+        pts = tmp_path / "f.csv"
+        pts.write_text("0,3\n1,1\n")
+        args = ["--point", "2,1"] if command == "norm" else ["--points", str(pts)]
+        self._assert_rejected([command, "--cone-file", str(cone), "--k", "1,1", *args], capsys)
+
+    @pytest.mark.parametrize("node_type", ["union", "intersection"])
+    def test_members_not_a_list(self, node_type, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"dim": 2, "k": [1.0, 0.0],
+                                   "set": {"type": node_type, "members": 5}}))
+        self._assert_rejected(["eval", str(cfg), "--point", "0,0"], capsys)
+
+
 class TestEnvOverride:
     def test_tmax_env_respected(self, cone_config, monkeypatch, capsys):
         monkeypatch.setenv("ULSET_TMAX", "1e3")
