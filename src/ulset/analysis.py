@@ -186,6 +186,8 @@ def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
     that rejection does not disturb the pairing. Oversampling is capped
     at 10x.
     """
+    if n < 1:
+        raise InvalidInput(f"cannot draw {n} samples: the sample count must be at least 1")
     lo, hi = bbox
     dim = h.set.dim
     kept_p, kept_v, kept_e = [], [], []

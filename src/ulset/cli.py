@@ -21,10 +21,13 @@ from .errors import InvalidInput, UlsetError
 from .evaluator import (
     DEFAULT_T_MAX,
     DEFAULT_TOL,
+    KIND_FINITE,
+    KIND_MINUS_INF,
+    KIND_NU,
     ExtReal,
     Strategy,
     contour2d,
-    evaluate_many,
+    evaluate_batch,
     make_handle,
 )
 from .geometry import recession_cone, set_from_json
@@ -33,10 +36,12 @@ from .scalarization import OrderCone, load_points_csv
 CHECK_SUITES = ("sublevel", "translation", "recession", "dual", "convexity")
 
 
+#: How the output spells the kinds that have no finite value.
+NONFINITE_TEXT = {KIND_MINUS_INF: "-inf", KIND_NU: "nu"}
+
+
 def format_value(v: ExtReal) -> str:
-    if v.is_finite:
-        return repr(v.value)
-    return "-inf" if v.is_minus_inf else "nu"
+    return repr(v.value) if v.is_finite else NONFINITE_TEXT[v.kind]
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -82,8 +87,10 @@ def _cmd_eval(args) -> int:
         pts = load_points_csv(args.points).points
     else:
         raise UlsetError("pass --point or --points")
-    for i, v in enumerate(evaluate_many(h, pts)):
-        print(f"{i},{format_value(v)}")
+    vals, kinds = evaluate_batch(h, pts)
+    sys.stdout.write("".join(
+        f"{i},{v!r}\n" if kd == KIND_FINITE else f"{i},{NONFINITE_TEXT[kd]}\n"
+        for i, (v, kd) in enumerate(zip(vals.tolist(), kinds.tolist()))))
     return 0
 
 

@@ -392,6 +392,11 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate_many(h: FunctionalHandle, Y) -> list[ExtReal]:
+    """Evaluate at many points as a list of :class:`ExtReal`.
+
+    Builds one ExtReal per point; bulk callers should use
+    :func:`evaluate_batch` and work on its arrays.
+    """
     vals, kinds = evaluate_batch(h, Y)
     return _wrap(vals, kinds)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -200,12 +199,44 @@ def trace_front(F, C: OrderCone, k, refs) -> dict[int, tuple[int, ...]]:
 
 
 def load_points_csv(path) -> PointCloud:
-    """Read one point per row, comma-separated, optional trailing label."""
+    """Read one point per row, comma-separated, optional trailing label.
+
+    A numeric-only file is read in one pass by :func:`_read_numeric`;
+    anything it refuses (labels, ragged rows, no data, spellings only
+    Python's ``float`` accepts) goes through :func:`_parse_lines`, which
+    gives the same points and reports malformed lines. ``#`` does not
+    start a comment.
+    """
+    with open(path) as f:
+        pts = _read_numeric(f)
+        if pts is not None:
+            return PointCloud(pts)
+        f.seek(0)
+        return _parse_lines(f.read(), path)
+
+
+def _read_numeric(f) -> np.ndarray | None:
+    """The open file as an (n, m) float array in one C pass, or None where it refuses it."""
+    with warnings.catch_warnings():
+        # "input contained no data": _parse_lines reports an empty file
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            pts = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return pts if pts.size else None
+
+
+def _parse_lines(text: str, path) -> PointCloud:
+    """Parse line by line with ``float``: the path for labelled or malformed files.
+
+    A line ends only at a newline, as it does for the one-pass read (the
+    file is read with universal newlines, so "\\r\\n" and "\\r" count too).
+    """
     rows: list[list[float]] = []
     labels: list[str] = []
     any_label = False
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -217,6 +248,8 @@ def load_points_csv(path) -> PointCloud:
             label = tokens[-1]
             tokens = tokens[:-1]
             any_label = True
+        if not tokens:
+            raise InvalidInput(f"line {lineno}: no coordinates")
         try:
             rows.append([float(t) for t in tokens])
         except ValueError as exc:

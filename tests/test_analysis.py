@@ -7,6 +7,7 @@ from ulset import (
     INAPPLICABLE,
     VIOLATED,
     HalfSpace,
+    InvalidInput,
     MonotoneCone,
     NU,
     Polyhedron,
@@ -255,3 +256,20 @@ class TestReproducibility:
         assert doc["verdict"] == r.verdict
         assert doc["samples"] == 100
         assert doc["seed"] == 42
+
+
+class TestSampleCount:
+    """Every check that draws from the domain refuses a count below 1."""
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    @pytest.mark.parametrize("run", [
+        lambda h, n: check_sublevel_identity(h, n),
+        lambda h, n: check_translation_invariance(h, n),
+        lambda h, n: check_monotone(h, MonotoneCone((np.array([1.0, 0.0]),)), n_samples=n),
+        lambda h, n: classify_convexity(h, n),
+        lambda h, n: check_recession_inequality(h, rec_handle_for(h), n),
+        lambda h, n: check_dual_relation(h, n),
+    ], ids=["sublevel", "translation", "monotone", "convexity", "recession", "dual"])
+    def test_count_below_one_invalid(self, cone_diag, run, n_samples):
+        with pytest.raises(InvalidInput, match="sample count must be at least 1"):
+            run(cone_diag, n_samples)

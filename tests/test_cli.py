@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from ulset.cli import main
+import ulset
+import ulset.cli as cli
+import ulset.evaluator as evaluator
+from ulset.cli import format_value, main
+from ulset.evaluator import ExtReal
 
 TQ_CONFIG = {
     "dim": 2,
@@ -57,6 +61,43 @@ class TestEval:
         pts.write_text("-1,-1\n-2,0\n")
         assert main(["eval", cone_config, "--points", str(pts)]) == 0
         assert capsys.readouterr().out == "0,-1.0\n1,0.0\n"
+
+    def test_points_file_stays_on_arrays(self, tmp_path, monkeypatch, capsys):
+        """No ExtReal per point: the output is written from evaluate_batch's arrays."""
+        cfg = tmp_path / "mixed.json"
+        # -inf below y = -1, y1 up to y = 1, nu above
+        cfg.write_text(json.dumps({"dim": 2, "k": [1.0, 0.0], "set": {
+            "type": "union", "members": [
+                {"type": "polyhedron", "halfspaces": [{"a": [0, 1], "b": -1}]},
+                {"type": "polyhedron",
+                 "halfspaces": [{"a": [1, 0], "b": 0}, {"a": [0, 1], "b": 1}]},
+            ]}}))
+        P = np.random.default_rng(3).uniform(-3.0, 3.0, size=(300, 2))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in P.tolist()))
+        h = cli._load_config(str(cfg), None)
+        expected = "".join(f"{i},{format_value(v)}\n"
+                           for i, v in enumerate(evaluator.evaluate_many(h, P)))
+        assert {"-inf", "nu"} <= {line.split(",")[1] for line in expected.splitlines()}
+
+        calls = {"finite": 0, "evaluate_many": 0}
+        finite = ExtReal.finite
+        many = evaluator.evaluate_many
+
+        def counting_finite(t):
+            calls["finite"] += 1
+            return finite(t)
+
+        def counting_many(*args):
+            calls["evaluate_many"] += 1
+            return many(*args)
+
+        monkeypatch.setattr(ExtReal, "finite", staticmethod(counting_finite))
+        for mod in (evaluator, ulset, cli):
+            monkeypatch.setattr(mod, "evaluate_many", counting_many, raising=False)
+        assert main(["eval", str(cfg), "--points", str(pts)]) == 0
+        assert calls == {"finite": 0, "evaluate_many": 0}
+        assert capsys.readouterr().out == expected
 
     def test_nu_serialization(self, cone_config, capsys):
         assert main(["eval", cone_config, "--k", "1,0", "--point", "0,1"]) == 0
@@ -207,6 +248,7 @@ class TestMalformedInput:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+        return captured.err
 
     @pytest.mark.parametrize("command", ["norm", "pareto"])
     def test_cone_file_without_halfspaces(self, command, tmp_path, capsys):
@@ -216,6 +258,20 @@ class TestMalformedInput:
         pts.write_text("0,3\n1,1\n")
         args = ["--point", "2,1"] if command == "norm" else ["--points", str(pts)]
         self._assert_rejected([command, "--cone-file", str(cone), "--k", "1,1", *args], capsys)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_below_one(self, samples, cone_config, capsys):
+        err = self._assert_rejected(["check", cone_config, "--samples", samples], capsys)
+        assert "sample count must be at least 1" in err
+
+    @pytest.mark.parametrize("command", ["eval", "separate", "pareto"])
+    def test_label_only_line(self, command, cone_config, tmp_path, capsys):
+        pts = tmp_path / "f.csv"
+        pts.write_text("# note\n")
+        argv = {"eval": ["eval", cone_config, "--points", str(pts)],
+                "separate": ["separate", cone_config, "--points", str(pts)],
+                "pareto": ["pareto", "--points", str(pts), "--k", "1,1"]}[command]
+        assert self._assert_rejected(argv, capsys) == "error: line 1: no coordinates\n"
 
     @pytest.mark.parametrize("node_type", ["union", "intersection"])
     def test_members_not_a_list(self, node_type, tmp_path, capsys):

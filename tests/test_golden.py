@@ -15,6 +15,9 @@ restructured:
   translation tolerance);
 - `separate` of the same points from the three-quadrant union in closed
   and interior mode;
+- `eval` of the same points under bisection, and from a copy of the
+  points file with a trailing label on each row (some of them starting
+  with `#`), which takes the line-by-line CSV parser;
 - `reports.jsonl`: library-level reports of the checks the CLI does not
   run (monotone, subgradient bound, norm identity) and fault-injected
   reports whose Violated witnesses pin the witness selection.
@@ -66,6 +69,10 @@ def _path(name: str) -> str:
     (["separate", _path("three_quadrant.json"), "--points", _path("points.csv"),
       "--mode", "interior"],
      "three_quadrant_separate_interior.out", 1),
+    (["eval", _path("three_quadrant_bisection.json"), "--points", _path("points.csv")],
+     "three_quadrant_bisection_eval.out", 0),
+    (["eval", _path("three_quadrant.json"), "--points", _path("points_labelled.csv")],
+     "three_quadrant_labelled_eval.out", 0),
 ])
 def test_cli_output_matches_golden(argv, expected, code, capsys):
     assert main(argv) == code

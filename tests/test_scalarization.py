@@ -15,6 +15,7 @@ from ulset import (
     trace_front,
     weakly_efficient,
 )
+from ulset.scalarization import _parse_lines, _read_numeric
 
 
 def random_cloud(rng, m, n_max=50):
@@ -178,3 +179,75 @@ class TestCsv:
         path.write_text("0,3\n1,1,2\n")
         with pytest.raises(InvalidInput):
             load_points_csv(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("abc\n", 1),
+        ("# note\n", 1),
+        ("1,2\n\nabc\n", 3),
+    ])
+    def test_label_only_line_invalid(self, tmp_path, text, line):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInput, match=f"^line {line}: no coordinates$"):
+            load_points_csv(path)
+
+
+#: (file text, whether the one-pass read accepts it)
+PARSER_CASES = {
+    "minus-zero": ("-0,0\n", True),
+    "plus-sign": ("+1.5,2\n", True),
+    "padded": (" 2.5 , 3\n", True),
+    "tab": ("\t3,4\n", True),
+    "trailing-dot": ("1.,2\n", True),
+    "leading-dot": (".5,2\n", True),
+    "upper-exponent": ("1E5,2\n", True),
+    "subnormal-and-min-normal": ("4.9e-324,2.2250738585072011e-308\n", True),
+    "30-digit-integer": ("123456789012345678901234567890,1\n", True),
+    "long-decimal": ("0.1000000000000000055511151231257827,1\n", True),
+    "inf-nan": ("inf,-Infinity,nan\n", True),
+    "underscore": ("1_0,2\n", False),
+    "arabic-indic-digits": ("١٢,2\n", False),
+    "empty-field": ("1,,2\n", False),
+    "trailing-comma": ("1,2,\n", False),
+    "crlf": ("1,2\r\n3,4\r\n", True),
+    "cr": ("1,2\r3,4\r", True),
+    "blank-lines": ("\n1,2\n\n3,4\n\n", True),
+    "whitespace-line": ("1,2\n   \n3,4\n", False),
+    "single-column": ("5\n6\n7\n", True),
+    "single-row": ("1,2,3\n", True),
+    "empty": ("", False),
+    "ragged": ("1,2\n3\n", False),
+    "labels": ("1,2,a\n3,4,b\n", False),
+    "hash-label": ("1,2,# note\n", False),
+    "hash-after-number": ("1,2 # note\n", False),
+    "label-only": ("abc\n", False),
+    # a line break to str.splitlines, not to either parser
+    "file-separator": ("1,\x1c2\n", True),
+}
+
+
+@pytest.mark.parametrize("text, one_pass", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+def test_one_pass_read_agrees_with_line_parser(tmp_path, text, one_pass):
+    """Same bits (sign of zero included), labels and errors on either path."""
+    path = tmp_path / "pts.csv"
+    path.write_text(text, newline="")
+    with open(path) as f:
+        fast = _read_numeric(f)
+    assert (fast is not None) == one_pass
+
+    def attempt(load):
+        try:
+            return load()
+        except InvalidInput as exc:
+            return exc
+
+    expected = attempt(lambda: _parse_lines(path.read_text(), path))
+    got = attempt(lambda: load_points_csv(path))
+    if isinstance(expected, InvalidInput):
+        assert fast is None
+        assert isinstance(got, InvalidInput) and str(got) == str(expected)
+        return
+    assert got.labels == expected.labels
+    for pts in ([got.points] if fast is None else [got.points, fast]):
+        assert pts.shape == expected.points.shape
+        assert pts.tobytes() == expected.points.tobytes()
