@@ -30,17 +30,16 @@ import numpy as np
 
 from .errors import InvalidInput, PreconditionFailed, UlsetError
 from .evaluator import (
-    KIND_FINITE,
     NU,
     ExtReal,
     FunctionalHandle,
     Strategy,
     evaluate_batch,
+    key_text,
     make_handle,
     _dual_handle,
     _dual_keys,
     _to_keys,
-    _wrap,
 )
 from .geometry import Polyhedron, SetExpr, Shift, contains_many, _as_vector
 
@@ -123,10 +122,8 @@ class LipschitzEstimate:
 
 
 def _ext_json(key: float):
-    """A lattice key as a witness entry: the float itself, "-inf" or "nu"."""
-    if np.isfinite(key):
-        return float(key)
-    return "-inf" if key < 0 else "nu"
+    """A lattice key as a witness entry: a finite value as a float, else its text."""
+    return float(key) if np.isfinite(key) else key_text(key)
 
 
 def _le_defect(lhs: np.ndarray, rhs: np.ndarray, slack: float = 0.0) -> np.ndarray:
@@ -178,6 +175,11 @@ def _keys(h: FunctionalHandle, Y) -> np.ndarray:
     return _to_keys(*evaluate_batch(h, Y))
 
 
+def _sample_count(n: int) -> None:
+    if n < 1:
+        raise InvalidInput(f"cannot draw {n} samples: the sample count must be at least 1")
+
+
 def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
     """Rejection-sample up to n domain points (value not nu) from the box.
 
@@ -186,8 +188,7 @@ def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
     that rejection does not disturb the pairing. Oversampling is capped
     at 10x.
     """
-    if n < 1:
-        raise InvalidInput(f"cannot draw {n} samples: the sample count must be at least 1")
+    _sample_count(n)
     lo, hi = bbox
     dim = h.set.dim
     kept_p, kept_v, kept_e = [], [], []
@@ -413,14 +414,13 @@ def separate(h: FunctionalHandle, points, mode: str = "closed") -> SeparationVer
     pts = np.asarray(getattr(points, "points", points), dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    vals, kinds = evaluate_batch(h, pts)
-    keys = _to_keys(vals, kinds)
+    keys = _keys(h, pts)
     idx = np.flatnonzero(keys <= 0.0 if mode == "closed" else keys < 0.0)
     return SeparationVerdict(
         disjoint=not idx.size, mode=mode,
         offending_indices=tuple(idx.tolist()),
         offending_points=tuple(pts[idx]),
-        offending_values=tuple(_wrap(vals[idx], kinds[idx])),
+        offending_values=tuple(map(ExtReal.from_key, keys[idx].tolist())),
     )
 
 
@@ -437,6 +437,7 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
     is nu. The sampled slope must not exceed the bound; if it does, the
     evaluation machinery is inconsistent and this raises.
     """
+    _sample_count(n_pairs)
     rows = h.direction.cert.halfspaces
     if not rows:
         raise PreconditionFailed("a certified recession cone is required")
@@ -450,11 +451,10 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
     lo, hi = bbox
     A = rng.uniform(lo, hi, size=(n_pairs, h.set.dim))
     B = rng.uniform(lo, hi, size=(n_pairs, h.set.dim))
-    va, ka = evaluate_batch(h, A)
-    vb, kb = evaluate_batch(h, B)
+    va, vb = _keys(h, A), _keys(h, B)
     dist = np.linalg.norm(A - B, axis=1)
-    good = (ka == KIND_FINITE) & (kb == KIND_FINITE) & (dist > 1e-12)
-    l_emp = float((np.abs(va - vb)[good] / dist[good]).max(initial=0.0))
+    good = np.isfinite(va) & np.isfinite(vb) & (dist > 1e-12)
+    l_emp = float((np.abs(va[good] - vb[good]) / dist[good]).max(initial=0.0))
     if h.direction.interior and l_emp > l_bound.value + 1e-6:
         raise UlsetError(
             f"sampled slope {l_emp} exceeds the certified bound {l_bound.value}; "
@@ -483,6 +483,7 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     ybar; anything else reports Inapplicable. Every row of the certified
     cone moves along k, so phi_cone is finite everywhere.
     """
+    _sample_count(n_samples)
     name = "subgradient_bound"
     unwrapped = _unwrap_polyhedron(h.set)
     if unwrapped is None or not h.direction.interior:

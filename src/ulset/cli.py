@@ -21,14 +21,12 @@ from .errors import InvalidInput, UlsetError
 from .evaluator import (
     DEFAULT_T_MAX,
     DEFAULT_TOL,
-    KIND_FINITE,
-    KIND_MINUS_INF,
-    KIND_NU,
-    ExtReal,
     Strategy,
     contour2d,
     evaluate_batch,
+    key_text,
     make_handle,
+    _to_keys,
 )
 from .geometry import recession_cone, set_from_json
 from .scalarization import OrderCone, load_points_csv
@@ -36,19 +34,26 @@ from .scalarization import OrderCone, load_points_csv
 CHECK_SUITES = ("sublevel", "translation", "recession", "dual", "convexity")
 
 
-#: How the output spells the kinds that have no finite value.
-NONFINITE_TEXT = {KIND_MINUS_INF: "-inf", KIND_NU: "nu"}
-
-
-def format_value(v: ExtReal) -> str:
-    return repr(v.value) if v.is_finite else NONFINITE_TEXT[v.kind]
-
-
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(t) for t in text.split(",")], dtype=float)
     except ValueError as exc:
         raise UlsetError(f"cannot parse vector {text!r}: {exc}") from exc
+
+
+def _setting(doc: dict, key: str, convert, default=None):
+    """The config value at key (default where the key is missing) through
+    convert; a value convert refuses is invalid input naming the key."""
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"config key {key!r}: {exc}") from exc
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):  # float() would read true as 1.0
+        raise TypeError(f"a number is required, not {value!r}")
+    return float(value)
 
 
 def _load_config(path: str, k_flag: str | None):
@@ -63,19 +68,20 @@ def _load_config(path: str, k_flag: str | None):
     if k_flag is not None:
         k = _parse_vector(k_flag)
     elif "k" in doc:
-        k = np.asarray(doc["k"], dtype=float)
+        k = _setting(doc, "k", lambda v: np.asarray(v, dtype=float))
     else:
         raise UlsetError("no direction given: pass --k or put \"k\" in the config")
-    t_max = float(doc.get("t_max", DEFAULT_T_MAX))
+    t_max = _setting(doc, "t_max", _real, DEFAULT_T_MAX)
     env = os.environ.get("ULSET_TMAX")
     if env is not None:
         t_max = float(env)
     return make_handle(
         s,
         k,
-        strategy=doc.get("strategy") or Strategy.CLOSED_FORM,
+        strategy=_setting(doc, "strategy",
+                          lambda v: Strategy.CLOSED_FORM if v is None else Strategy(v)),
         t_max=t_max,
-        tol=float(doc.get("tol", DEFAULT_TOL)),
+        tol=_setting(doc, "tol", _real, DEFAULT_TOL),
     )
 
 
@@ -87,10 +93,8 @@ def _cmd_eval(args) -> int:
         pts = load_points_csv(args.points).points
     else:
         raise UlsetError("pass --point or --points")
-    vals, kinds = evaluate_batch(h, pts)
-    sys.stdout.write("".join(
-        f"{i},{v!r}\n" if kd == KIND_FINITE else f"{i},{NONFINITE_TEXT[kd]}\n"
-        for i, (v, kd) in enumerate(zip(vals.tolist(), kinds.tolist()))))
+    keys = _to_keys(*evaluate_batch(h, pts))
+    sys.stdout.write("".join(f"{i},{key_text(v)}\n" for i, v in enumerate(keys.tolist())))
     return 0
 
 
@@ -150,7 +154,7 @@ def _cmd_separate(args) -> int:
         "disjoint": verdict.disjoint,
         "mode": verdict.mode,
         "offending": [
-            {"index": i, "point": p.tolist(), "value": format_value(v)}
+            {"index": i, "point": p.tolist(), "value": str(v)}
             for i, p, v in zip(verdict.offending_indices, verdict.offending_points,
                                verdict.offending_values)
         ],
@@ -173,7 +177,10 @@ def _load_cone(args, dim: int) -> OrderCone:
         except (KeyError, TypeError) as exc:
             raise InvalidInput("cone file needs 'halfspaces': a list of rows "
                                f"{{\"a\": [...], \"b\": ...}} ({exc!r})") from exc
-        gens = tuple(np.asarray(g, dtype=float) for g in doc.get("generators", [])) or None
+        try:
+            gens = tuple(np.asarray(g, dtype=float) for g in doc.get("generators", [])) or None
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"cone file 'generators' must be a list of vectors ({exc})") from exc
         return OrderCone(Polyhedron(rows), generators=gens)
     if args.cone == "nonneg":
         return OrderCone.nonneg(dim)
@@ -186,10 +193,8 @@ def _cmd_pareto(args) -> int:
     k = _parse_vector(args.k)
     refs = load_points_csv(args.refs).points if args.refs else cloud.points
     lines = ["ref_index,point_index,value"]
-    for r, a in enumerate(refs):
-        arg, val = scalarization.scalarize(cloud, cone, k, a)
-        for i in arg:
-            lines.append(f"{r},{i},{format_value(val)}")
+    for r, (arg, val) in enumerate(scalarization._minimize(cloud, cone, k, refs)):
+        lines.extend(f"{r},{i},{val}" for i in arg)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -63,117 +64,119 @@ KIND_NU = 2
 MINUS_INF_SENTINEL = -1e30
 
 
-@dataclass(frozen=True)
+def key_text(key: float) -> str:
+    """A lattice key as written in CLI output and report witnesses: the
+    repr of a finite value, "-inf", or "nu" for +inf."""
+    if math.isinf(key):
+        return "-inf" if key < 0 else "nu"
+    return repr(float(key))
+
+
+@dataclass(frozen=True, eq=False)
 class ExtReal:
     """Value lattice {finite, -inf, nu} with the nu-is-incomparable order.
 
-    MinusInf < Finite(s) < Finite(t) for s < t. Every order predicate
-    involving Nu is false; Nu == Nu is true. Arithmetic with Nu raises
-    UlsetError since no calculus for it is defined here.
+    A value is held as its lattice key (a finite value as itself, -inf
+    as -inf, nu as +inf) and ordered by it: MinusInf < Finite(s) <
+    Finite(t) for s < t. Every order predicate involving Nu is false;
+    Nu == Nu is true. Arithmetic with Nu raises UlsetError since no
+    calculus for it is defined here.
     """
 
-    kind: int
-    _value: float = 0.0
+    _key: float
 
     @staticmethod
     def finite(t: float) -> "ExtReal":
         t = float(t)
         if not math.isfinite(t):
             raise InvalidInput(f"finite value required, got {t}")
-        return ExtReal(KIND_FINITE, t)
+        return ExtReal(t)
+
+    @staticmethod
+    def from_key(key: float) -> "ExtReal":
+        """The value with this lattice key: MINUS_INF, NU or a finite value."""
+        key = float(key)
+        if math.isinf(key):
+            return MINUS_INF if key < 0 else NU
+        return ExtReal.finite(key)
+
+    @property
+    def kind(self) -> int:
+        if self.is_finite:
+            return KIND_FINITE
+        return KIND_MINUS_INF if self.is_minus_inf else KIND_NU
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == KIND_FINITE
+        return math.isfinite(self._key)
 
     @property
     def is_minus_inf(self) -> bool:
-        return self.kind == KIND_MINUS_INF
+        return self._key == -math.inf
 
     @property
     def is_nu(self) -> bool:
-        return self.kind == KIND_NU
+        return self._key == math.inf
 
     @property
     def value(self) -> float:
-        if self.kind != KIND_FINITE:
+        if not self.is_finite:
             raise UlsetError(f"{self} has no finite value")
-        return self._value
+        return self._key
 
     def as_float(self) -> float:
         """Finite value, or -inf; raises for nu."""
-        if self.kind == KIND_FINITE:
-            return self._value
-        if self.kind == KIND_MINUS_INF:
-            return float("-inf")
-        raise UlsetError("nu has no float representation")
+        if self.is_nu:
+            raise UlsetError("nu has no float representation")
+        return self._key
 
     # -- order ------------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
+    def _other_key(self, other) -> float | None:
         if isinstance(other, ExtReal):
-            return other
+            return other._key
         if isinstance(other, (int, float)) and not isinstance(other, bool):
-            return ExtReal.finite(other)
+            return ExtReal.finite(other)._key
         return None
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.kind != o.kind:
-            return False
-        return self.kind != KIND_FINITE or self._value == o._value
+        o = self._other_key(other)
+        return NotImplemented if o is None else self._key == o
 
     def __hash__(self):
-        return hash((self.kind, self._value if self.kind == KIND_FINITE else 0.0))
+        return hash(self._key)
+
+    def _order(self, other, op):
+        o = self._other_key(other)
+        if o is None:
+            return NotImplemented
+        return op(self._key, o) and math.inf not in (self._key, o)
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.kind == KIND_NU or o.kind == KIND_NU:
-            return False
-        if self.kind == KIND_MINUS_INF:
-            return o.kind != KIND_MINUS_INF
-        if o.kind == KIND_MINUS_INF:
-            return False
-        return self._value < o._value
+        return self._order(other, operator.lt)
 
     def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.kind == KIND_NU or o.kind == KIND_NU:
-            return False
-        return self < o or self == o
+        return self._order(other, operator.le)
 
     def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o < self
+        return self._order(other, operator.gt)
 
     def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o <= self
+        return self._order(other, operator.ge)
 
     # -- arithmetic (nu raises) --------------------------------------------
 
     def _require_not_nu(self):
-        if self.kind == KIND_NU:
+        if self.is_nu:
             raise UlsetError("arithmetic with nu is undefined")
 
     def __add__(self, other):
         self._require_not_nu()
         if not isinstance(other, (int, float)) or isinstance(other, bool):
             return NotImplemented
-        if self.kind == KIND_MINUS_INF:
+        if self.is_minus_inf:
             return self
-        return ExtReal.finite(self._value + float(other))
+        return ExtReal.finite(self._key + float(other))
 
     __radd__ = __add__
 
@@ -184,35 +187,21 @@ class ExtReal:
 
     def __neg__(self):
         self._require_not_nu()
-        if self.kind == KIND_MINUS_INF:
+        if self.is_minus_inf:
             raise UlsetError("negation of -inf is not representable (no +inf in this lattice)")
-        return ExtReal.finite(-self._value)
+        return ExtReal.finite(-self._key)
 
     def __repr__(self):
-        if self.kind == KIND_FINITE:
-            return f"ExtReal.finite({self._value!r})"
-        return "MINUS_INF" if self.kind == KIND_MINUS_INF else "NU"
+        if self.is_finite:
+            return f"ExtReal.finite({self._key!r})"
+        return "MINUS_INF" if self.is_minus_inf else "NU"
 
     def __str__(self):
-        if self.kind == KIND_FINITE:
-            return repr(self._value)
-        return "-inf" if self.kind == KIND_MINUS_INF else "nu"
+        return key_text(self._key)
 
 
-MINUS_INF = ExtReal(KIND_MINUS_INF)
-NU = ExtReal(KIND_NU)
-
-
-def _wrap(vals: np.ndarray, kinds: np.ndarray) -> list[ExtReal]:
-    out = []
-    for v, kd in zip(vals, kinds):
-        if kd == KIND_FINITE:
-            out.append(ExtReal.finite(v))
-        elif kd == KIND_MINUS_INF:
-            out.append(MINUS_INF)
-        else:
-            out.append(NU)
-    return out
+MINUS_INF = ExtReal(-math.inf)
+NU = ExtReal(math.inf)
 
 
 class Strategy(str, enum.Enum):
@@ -303,6 +292,7 @@ def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys as :func:`evaluate_batch`'s (values, kind codes)."""
     kinds = np.full(keys.shape, KIND_FINITE, dtype=np.int8)
     kinds[keys == -np.inf] = KIND_MINUS_INF
     kinds[keys == np.inf] = KIND_NU
@@ -319,10 +309,11 @@ def _to_keys(vals: np.ndarray, kinds: np.ndarray) -> np.ndarray:
 # bisection
 
 
-def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
+    """Keys by bracketing and bisection: nu (+inf) for a point still outside
+    the set at +t_max, -inf for one still inside it at -t_max."""
     s, k = h.set, h.direction.k
     n = Y.shape[0]
-    kinds = np.full(n, KIND_FINITE, dtype=np.int8)
     lo = np.zeros(n)
     hi = np.zeros(n)
 
@@ -338,7 +329,7 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> tuple[np.ndarray, np.nd
         misses = active[~m]
         lo[misses] = t_now
         if t_now == h.t_max:
-            kinds[misses] = KIND_NU
+            hi[misses] = np.inf
             active = misses[:0]
         else:
             active = misses
@@ -354,13 +345,13 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> tuple[np.ndarray, np.nd
         stays = active[m]
         hi[stays] = t_now
         if t_now == -h.t_max:
-            kinds[stays] = KIND_MINUS_INF
+            hi[stays] = -np.inf
             active = stays[:0]
         else:
             active = stays
         t *= 2.0
 
-    bracketed = np.where(kinds == KIND_FINITE)[0]
+    bracketed = np.flatnonzero(np.isfinite(hi))
     while bracketed.size:
         gap = hi[bracketed] - lo[bracketed]
         todo = bracketed[gap > h.tol * (1.0 + np.abs(hi[bracketed]))]
@@ -370,9 +361,7 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> tuple[np.ndarray, np.nd
         m = contains_many(s, Y[todo] - mid[:, None] * k, EPS_MEMBERSHIP)
         hi[todo[m]] = mid[m]
         lo[todo[~m]] = mid[~m]
-
-    vals = np.where(kinds == KIND_FINITE, hi, 0.0)
-    return vals, kinds
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +376,10 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = _as_points(Y, h.set.dim)
     if h.strategy == Strategy.CLOSED_FORM:
-        return _from_keys(_closed_batch(h.set, h.direction.k, pts))
-    return _bisect_batch(h, pts)
+        keys = _closed_batch(h.set, h.direction.k, pts)
+    else:
+        keys = _bisect_batch(h, pts)
+    return _from_keys(keys)
 
 
 def evaluate_many(h: FunctionalHandle, Y) -> list[ExtReal]:
@@ -397,8 +388,7 @@ def evaluate_many(h: FunctionalHandle, Y) -> list[ExtReal]:
     Builds one ExtReal per point; bulk callers should use
     :func:`evaluate_batch` and work on its arrays.
     """
-    vals, kinds = evaluate_batch(h, Y)
-    return _wrap(vals, kinds)
+    return list(map(ExtReal.from_key, _to_keys(*evaluate_batch(h, Y)).tolist()))
 
 
 def evaluate(h: FunctionalHandle, y) -> ExtReal:
@@ -460,12 +450,12 @@ def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
 
 def _dual_keys(h: FunctionalHandle, Y) -> np.ndarray:
     """Lattice keys of the dual route: negated finite values, nu everywhere else."""
-    vals, kinds = evaluate_batch(_dual_handle(h), Y)
-    return np.where(kinds == KIND_FINITE, -vals, np.inf)
+    keys = _to_keys(*evaluate_batch(_dual_handle(h), Y))
+    return np.where(np.isfinite(keys), -keys, np.inf)
 
 
 def evaluate_dual_many(h: FunctionalHandle, Y) -> list[ExtReal]:
-    return _wrap(*_from_keys(_dual_keys(h, Y)))
+    return list(map(ExtReal.from_key, _dual_keys(h, Y).tolist()))
 
 
 def evaluate_dual(h: FunctionalHandle, y) -> ExtReal:
@@ -522,12 +512,16 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
 
     The functional is sampled on a grid_n x grid_n grid over
     bbox = (x0, y0, x1, y1). Cells touching a nu corner are skipped;
-    -inf corners enter the sign tests as a large negative sentinel.
+    -inf corners enter the sign tests as a large negative sentinel. The
+    level must be finite.
     Each returned polyline is an (m, 2) array of points; segments are
     emitted per cell in row-major cell order without stitching.
     """
     if h.set.dim != 2:
         raise InvalidInput("contour extraction needs a 2-d set")
+    level = float(level)
+    if not math.isfinite(level):
+        raise InvalidInput(f"contour level must be finite, got {level}")
     grid_n = int(grid_n)
     if not (8 <= grid_n <= 4096):
         raise InvalidInput("grid_n must lie in [8, 4096]")
@@ -539,11 +533,9 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     ys = np.linspace(y0, y1, grid_n)
     X, Yg = np.meshgrid(xs, ys)
     pts = np.stack([X.ravel(), Yg.ravel()], axis=1)
-    vals, kinds = evaluate_batch(h, pts)
-    F = np.where(
-        kinds == KIND_FINITE, vals - float(level),
-        np.where(kinds == KIND_MINUS_INF, MINUS_INF_SENTINEL, np.nan),
-    ).reshape(grid_n, grid_n)
+    keys = _to_keys(*evaluate_batch(h, pts))
+    F = np.where(keys == np.inf, np.nan,
+                 np.where(keys == -np.inf, MINUS_INF_SENTINEL, keys - level)).reshape(grid_n, grid_n)
 
     polylines: list[np.ndarray] = []
     usable_cells = 0

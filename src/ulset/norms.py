@@ -13,19 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DirectionRejected, InvalidInput, PreconditionFailed
-from .evaluator import KIND_FINITE, KIND_MINUS_INF, evaluate_batch, make_handle, _to_keys
+from .evaluator import evaluate_batch, make_handle, _to_keys
 from .geometry import INTERIOR_MARGIN, Shift, _as_vector
-from .analysis import PropertyReport, _eq_defect, _verdict
+from .analysis import PropertyReport, _eq_defect, _ext_json, _sample_count, _verdict
 from .scalarization import OrderCone
 
 
 def _gauge_values(handle, Y) -> np.ndarray:
-    vals, kinds = evaluate_batch(handle, Y)
-    bad = (kinds != KIND_FINITE) & (kinds != KIND_MINUS_INF)
-    if bad.any():
+    """Lattice keys of the handle at Y, which callers clip at 0; nu is refused."""
+    keys = _to_keys(*evaluate_batch(handle, Y))
+    if (keys == np.inf).any():
         raise PreconditionFailed("gauge evaluation left the domain; cone rows "
                                  "do not certify the direction strictly")
-    return np.where(kinds == KIND_FINITE, vals, 0.0)
+    return keys
 
 
 def gauge_cone_shift(C: OrderCone, k, y) -> float | np.ndarray:
@@ -86,6 +86,7 @@ def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
     Samples y = a + (nonnegative combination of the cone generators);
     generators are required. A score that is not finite costs 1 + norm.
     """
+    _sample_count(n_samples)
     if not C.generators:
         raise InvalidInput("cone generators are required to sample a + C")
     k = _as_vector(k, C.dim, "order unit")
@@ -101,5 +102,5 @@ def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
     return _verdict("norm_identity_on_shifted_cone", seed, n_samples, defects, 1e-7, lambda i: {
         "inputs": {"y": Y[i].tolist(), "a": a.tolist()},
         "values": {"norm": float(lhs[i]),
-                   "score": float(rhs[i]) if np.isfinite(rhs[i]) else "nonfinite"},
+                   "score": _ext_json(rhs[i])},
     })

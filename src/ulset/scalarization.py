@@ -17,18 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .evaluator import (
-    DEFAULT_T_MAX,
-    DEFAULT_TOL,
-    KIND_FINITE,
-    KIND_MINUS_INF,
-    MINUS_INF,
-    NU,
-    ExtReal,
-    make_handle,
-    evaluate_batch,
-)
-from .geometry import HalfSpace, Polyhedron, Shift, contains, _as_vector
+from .evaluator import NU, ExtReal, make_handle, evaluate_batch, _to_keys
+from .geometry import HalfSpace, Polyhedron, contains, _as_vector
 
 #: Strict margin for interior-of-cone (weak domination) tests.
 INT_CONE_MARGIN = 1e-9
@@ -133,8 +123,7 @@ def _cloud(points) -> PointCloud:
     return PointCloud(np.asarray(points, dtype=float))
 
 
-def scalarize(F, C: OrderCone, k, a, t_max: float = DEFAULT_T_MAX,
-              tol: float = DEFAULT_TOL) -> tuple[list[int], ExtReal]:
+def scalarize(F, C: OrderCone, k, a) -> tuple[list[int], ExtReal]:
     """Minimize the reference-point score over the cloud.
 
     Returns (indices of all minimizers within 1e-9 of the minimum over
@@ -142,21 +131,32 @@ def scalarize(F, C: OrderCone, k, a, t_max: float = DEFAULT_T_MAX,
     every point scores nu the argmin is empty and the value is nu. A
     -inf score short-circuits the minimum.
     """
+    return _minimize(F, C, k, _as_vector(a, C.dim, "reference point")[None, :])[0]
+
+
+def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], ExtReal]]:
+    """:func:`scalarize` against each row of refs, an (r, m) array, in order.
+
+    One handle on -C serves every reference point a: the score against
+    a is its value at the points F - a, the same subtraction a handle on
+    the shifted cone a - C does.
+    """
     F = _cloud(F)
-    a = _as_vector(a, C.dim, "reference point")
     if F.dim != C.dim:
         raise InvalidInput(f"cloud has dimension {F.dim}, cone has {C.dim}")
-    h = make_handle(Shift(C.negated(), a), k, t_max=t_max, tol=tol)
-    vals, kinds = evaluate_batch(h, F.points)
-    neg = np.where(kinds == KIND_MINUS_INF)[0]
-    if neg.size:
-        return list(map(int, neg)), MINUS_INF
-    fin = np.where(kinds == KIND_FINITE)[0]
-    if not fin.size:
-        return [], NU
-    vmin = float(vals[fin].min())
-    arg = fin[vals[fin] <= vmin + ARGMIN_TOL]
-    return list(map(int, arg)), ExtReal.finite(vmin)
+    if refs.ndim != 2 or refs.shape[1] != C.dim:
+        raise InvalidInput(f"reference points have shape {refs.shape}, cone has dimension {C.dim}")
+    if not np.isfinite(refs).all():
+        raise InvalidInput("reference points have non-finite entries")
+    h = make_handle(C.negated(), k)
+    out = []
+    for a in refs:
+        keys = _to_keys(*evaluate_batch(h, F.points - a))
+        low = keys.min()
+        # -inf is the least key, so it wins; a cloud scoring nu everywhere has no minimizer
+        out.append(([], NU) if low == np.inf else
+                   (np.flatnonzero(keys <= low + ARGMIN_TOL).tolist(), ExtReal.from_key(low)))
+    return out
 
 
 def weakly_efficient(F, C: OrderCone) -> list[int]:
@@ -183,15 +183,7 @@ def trace_front(F, C: OrderCone, k, refs) -> dict[int, tuple[int, ...]]:
     ref_pts = refs.points if isinstance(refs, PointCloud) else np.asarray(refs, dtype=float)
     if ref_pts.size == 0:
         return {}
-    if ref_pts.ndim == 1:
-        ref_pts = ref_pts[None, :]
-    if ref_pts.shape[1] != C.dim:
-        raise InvalidInput(f"reference points have dimension {ref_pts.shape[1]}, cone has {C.dim}")
-    out: dict[int, tuple[int, ...]] = {}
-    for r, a in enumerate(ref_pts):
-        arg, _ = scalarize(F, C, k, a)
-        out[r] = tuple(arg)
-    return out
+    return {r: tuple(arg) for r, (arg, _) in enumerate(_minimize(F, C, k, np.atleast_2d(ref_pts)))}
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from ulset import (
     InvalidInput,
     MonotoneCone,
     NU,
+    OrderCone,
     Polyhedron,
     PreconditionFailed,
     SetIntersection,
     Shift,
     check_dual_relation,
     check_monotone,
+    check_norm_score_identity,
     check_recession_inequality,
     check_sublevel_identity,
     check_subgradient_bound,
@@ -269,7 +271,11 @@ class TestSampleCount:
         lambda h, n: classify_convexity(h, n),
         lambda h, n: check_recession_inequality(h, rec_handle_for(h), n),
         lambda h, n: check_dual_relation(h, n),
-    ], ids=["sublevel", "translation", "monotone", "convexity", "recession", "dual"])
+        lambda h, n: check_subgradient_bound(h, [2.0, 1.0], n),
+        lambda h, n: check_norm_score_identity(OrderCone.nonneg(2), [1.0, 1.0], [0.0, 0.0], n),
+        lambda h, n: estimate_lipschitz(h, n),
+    ], ids=["sublevel", "translation", "monotone", "convexity", "recession", "dual",
+            "subgradient", "norm", "lipschitz"])
     def test_count_below_one_invalid(self, cone_diag, run, n_samples):
         with pytest.raises(InvalidInput, match="sample count must be at least 1"):
             run(cone_diag, n_samples)

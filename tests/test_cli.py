@@ -6,7 +6,7 @@ import pytest
 import ulset
 import ulset.cli as cli
 import ulset.evaluator as evaluator
-from ulset.cli import format_value, main
+from ulset.cli import main
 from ulset.evaluator import ExtReal
 
 TQ_CONFIG = {
@@ -76,7 +76,7 @@ class TestEval:
         pts = tmp_path / "pts.csv"
         pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in P.tolist()))
         h = cli._load_config(str(cfg), None)
-        expected = "".join(f"{i},{format_value(v)}\n"
+        expected = "".join(f"{i},{v}\n"
                            for i, v in enumerate(evaluator.evaluate_many(h, P)))
         assert {"-inf", "nu"} <= {line.split(",")[1] for line in expected.splitlines()}
 
@@ -130,6 +130,12 @@ class TestContour:
     def test_all_nu_region_exit_2(self, cone_config):
         assert main(["contour", cone_config, "--k", "1,0", "--level", "0",
                      "--bbox", "2,2,5,5", "--grid", "16"]) == 2
+
+    def test_nan_level_exit_2(self, cone_config, capsys):
+        assert main(["contour", cone_config, "--level", "nan", "--bbox=-2,-2,2,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: contour level must be finite, got nan\n"
 
 
 class TestCheck:
@@ -272,6 +278,34 @@ class TestMalformedInput:
                 "separate": ["separate", cone_config, "--points", str(pts)],
                 "pareto": ["pareto", "--points", str(pts), "--k", "1,1"]}[command]
         assert self._assert_rejected(argv, capsys) == "error: line 1: no coordinates\n"
+
+    def test_non_finite_reference_point(self, tmp_path, capsys):
+        pts = tmp_path / "f.csv"
+        pts.write_text("0,3\n1,1\n")
+        refs = tmp_path / "r.csv"
+        refs.write_text("0,0\ninf,1\n")
+        err = self._assert_rejected(["pareto", "--points", str(pts), "--k", "1,1",
+                                     "--refs", str(refs)], capsys)
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol", None), ("tol", {}), ("tol", True), ("t_max", None), ("t_max", [1]),
+        ("k", {"a": 1}), ("strategy", []), ("strategy", False), ("strategy", 0),
+    ], ids=["tol-null", "tol-object", "tol-true", "t_max-null", "t_max-list", "k-object",
+            "strategy-list", "strategy-false", "strategy-0"])
+    def test_config_value_of_wrong_type(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**CONE_CONFIG, key: value}))
+        err = self._assert_rejected(["eval", str(cfg), "--point", "0,0"], capsys)
+        assert f"config key '{key}'" in err
+
+    def test_cone_generators_not_a_list(self, tmp_path, capsys):
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"halfspaces": [{"a": [1, 0]}, {"a": [0, 1]}],
+                                    "generators": 5}))
+        err = self._assert_rejected(["norm", "--cone-file", str(cone), "--k", "1,1",
+                                     "--point", "2,1", "--mode", "gauge"], capsys)
+        assert "'generators'" in err
 
     @pytest.mark.parametrize("node_type", ["union", "intersection"])
     def test_members_not_a_list(self, node_type, tmp_path, capsys):

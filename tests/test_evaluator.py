@@ -350,6 +350,11 @@ class TestContour:
         with pytest.raises(EmptyContour):
             contour2d(cone_edge, 0.0, (2.0, 2.0, 5.0, 5.0), 16)
 
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_level_rejected(self, cone_diag, level):
+        with pytest.raises(InvalidInput, match="level must be finite"):
+            contour2d(cone_diag, level, (-1.0, -1.0, 1.0, 1.0), 16)
+
     def test_grid_bounds_validated(self, cone_diag):
         with pytest.raises(InvalidInput):
             contour2d(cone_diag, 0.0, (-1.0, -1.0, 1.0, 1.0), 7)

@@ -62,6 +62,13 @@ def test_arithmetic_on_finite_and_minus_inf():
     assert (-ExtReal.finite(2.0)) == ExtReal.finite(-2.0)
 
 
+def test_from_key():
+    assert ExtReal.from_key(-math.inf) is MINUS_INF
+    assert ExtReal.from_key(math.inf) is NU
+    assert ExtReal.from_key(2.5) == ExtReal.finite(2.5)
+    assert [str(v) for v in (MINUS_INF, NU, ExtReal.from_key(-0.0))] == ["-inf", "nu", "-0.0"]
+
+
 def test_finite_constructor_rejects_nonfinite():
     with pytest.raises(InvalidInput):
         ExtReal.finite(math.inf)

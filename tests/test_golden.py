@@ -18,6 +18,14 @@ restructured:
 - `eval` of the same points under bisection, and from a copy of the
   points file with a trailing label on each row (some of them starting
   with `#`), which takes the line-by-line CSV parser;
+- `pareto` of the same points against `pareto_refs.csv`, on the
+  nonnegative orthant (finite scores with ties) and on the half-plane
+  cone `half_plane_cone.json` with k=(1, 0), whose only row is static
+  (scores -inf and nu; one reference scores nu everywhere and has no
+  minimizer);
+- `contour` of the three-quadrant union, whose -inf corners enter the
+  sign tests as a sentinel, and of the negative orthant under k=(1, 0),
+  which is nu above y2 = 0;
 - `reports.jsonl`: library-level reports of the checks the CLI does not
   run (monotone, subgradient bound, norm identity) and fault-injected
   reports whose Violated witnesses pin the witness selection.
@@ -73,6 +81,17 @@ def _path(name: str) -> str:
      "three_quadrant_bisection_eval.out", 0),
     (["eval", _path("three_quadrant.json"), "--points", _path("points_labelled.csv")],
      "three_quadrant_labelled_eval.out", 0),
+    (["pareto", "--points", _path("points.csv"), "--k", "1,1", "--refs", _path("pareto_refs.csv")],
+     "pareto_nonneg.out", 0),
+    (["pareto", "--points", _path("points.csv"), "--cone-file", _path("half_plane_cone.json"),
+      "--k", "1,0", "--refs", _path("pareto_refs.csv")],
+     "pareto_half_plane.out", 0),
+    (["contour", _path("three_quadrant.json"), "--level", "0.5", "--bbox=-2,-2,2,2",
+      "--grid", "41"],
+     "three_quadrant_contour.out", 0),
+    (["contour", _path("neg_orthant.json"), "--level", "-0.5", "--bbox=-2,-2,2,2",
+      "--grid", "41"],
+     "neg_orthant_contour.out", 0),
 ])
 def test_cli_output_matches_golden(argv, expected, code, capsys):
     assert main(argv) == code

@@ -10,7 +10,10 @@ from ulset import (
     OrderCone,
     PointCloud,
     Polyhedron,
+    Shift,
+    evaluate_batch,
     load_points_csv,
+    make_handle,
     scalarize,
     trace_front,
     weakly_efficient,
@@ -54,6 +57,15 @@ class TestScalarize:
         with pytest.raises(DirectionRejected):
             scalarize(pareto_cloud, orthant2, [1.0, -1.0], [0.0, 0.0])
 
+    def test_static_cone_scores_minus_inf_and_nu(self, pareto_cloud):
+        # -C = {y2 <= 0} does not move along k = (1, 0): a point scores -inf
+        # where y2 <= a2 and nu where y2 > a2
+        C = OrderCone(Polyhedron((HalfSpace([0.0, -1.0], 0.0),)))
+        arg, val = scalarize(pareto_cloud, C, [1.0, 0.0], [0.0, 1.5])
+        assert (arg, val) == ([1, 2], MINUS_INF) and val is MINUS_INF
+        arg, val = scalarize(pareto_cloud, C, [1.0, 0.0], [0.0, -1.0])
+        assert arg == [] and val is NU
+
     def test_ties_all_returned(self, orthant2):
         F = PointCloud(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
         arg, val = scalarize(F, orthant2, [1.0, 1.0], [0.0, 0.0])
@@ -88,6 +100,20 @@ class TestTraceFront:
         front = trace_front(pareto_cloud, orthant2, [1.0, 1.0], pareto_cloud)
         union = sorted(set(i for arg in front.values() for i in arg))
         assert union == weakly_efficient(pareto_cloud, orthant2)
+
+    def test_one_handle_matches_shifted_handles(self):
+        """Scores through one handle on -C at F - a are bitwise those of a
+        handle on the shifted cone a - C."""
+        rng = np.random.default_rng(11)
+        C = OrderCone(Polyhedron((HalfSpace([-1.0, 0.25, 0.0], 0.0), HalfSpace([0.5, -1.0, 0.0], 0.0),
+                                  HalfSpace([0.0, 0.0, -1.0], 0.0))))
+        k = np.array([1.0, 2.0, 0.5])
+        F = rng.normal(size=(200, 3))
+        one = make_handle(C.negated(), k)
+        for a in rng.normal(size=(20, 3)):
+            shifted = evaluate_batch(make_handle(Shift(C.negated(), a), k), F)
+            for got, want in zip(evaluate_batch(one, F - a), shifted):
+                assert got.tobytes() == want.tobytes()
 
     def test_empty_refs_empty_map(self, pareto_cloud, orthant2):
         assert trace_front(pareto_cloud, orthant2, [1.0, 1.0], np.zeros((0, 2))) == {}
