@@ -26,6 +26,13 @@ restructured:
 - `contour` of the three-quadrant union, whose -inf corners enter the
   sign tests as a sentinel, and of the negative orthant under k=(1, 0),
   which is nu above y2 = 0;
+- `contour` of three random polyhedral unions and complements
+  (`CONTOUR_CASES`), chosen so that between them their grids hold saddle
+  cells of both kinds with the centre on each side of the level, corners
+  exactly at the level, crossing cells with an edge of equal corner
+  values, -inf corners and nu cells; `test_contour_golden_covers`
+  recomputes these features so that no golden silently stops covering
+  what it names;
 - `reports.jsonl`: library-level reports of the checks the CLI does not
   run (monotone, subgradient bound, norm identity) and fault-injected
   reports whose Violated witnesses pin the witness selection.
@@ -51,13 +58,34 @@ from ulset import (
     check_translation_invariance,
     make_handle,
 )
-from ulset.cli import main
+from ulset.cli import _load_config, main
+from ulset.evaluator import KIND_MINUS_INF, KIND_NU, MINUS_INF_SENTINEL, evaluate_batch
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def _path(name: str) -> str:
     return str(GOLDEN / name)
+
+
+#: Contour goldens: config and output name, level, bbox, grid and the
+#: features (names of :func:`_contour_features`) the grid must contain.
+CONTOUR_CASES = [
+    ("contour_saddles", -0.64,
+     (-5.786110366543817, -3.0522952908447327, 3.776201255385616, 5.090185318111704), 41,
+     {"saddle5_above", "saddle10_above", "saddle10_below"}),
+    ("contour_minus_inf", -5.7147336530186275,
+     (-2.201232684020497, -1.6399400357940905, 5.33659657769879, 1.4978351881887377), 13,
+     {"saddle5_below", "zero_corner", "equal_edge", "minus_inf_corner"}),
+    ("contour_nu", 1.8082005299968156,
+     (-5.759996316364414, -2.730286685200664, -0.3192605834770248, 3.1464449742179004), 9,
+     {"saddle10_below", "zero_corner", "equal_edge", "minus_inf_corner", "nu_cell"}),
+]
+
+
+def _contour_argv(name, level, bbox, grid) -> list[str]:
+    return ["contour", _path(f"{name}.json"), "--level", repr(level),
+            "--bbox=" + ",".join(map(repr, bbox)), "--grid", str(grid)]
 
 
 @pytest.mark.parametrize("argv, expected, code", [
@@ -92,10 +120,50 @@ def _path(name: str) -> str:
     (["contour", _path("neg_orthant.json"), "--level", "-0.5", "--bbox=-2,-2,2,2",
       "--grid", "41"],
      "neg_orthant_contour.out", 0),
+    *[(_contour_argv(name, level, bbox, grid), f"{name}.out", 0)
+      for name, level, bbox, grid, _ in CONTOUR_CASES],
 ])
 def test_cli_output_matches_golden(argv, expected, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / expected).read_bytes()
+
+
+def _contour_features(h, level, bbox, grid) -> set[str]:
+    """Marching-squares features of the contour grid, from evaluate_batch.
+
+    Corner values are phi - level with -inf as the sentinel; a cell with
+    a nu corner is a nu cell, and every other feature is counted on the
+    crossing cells (no nu corner, some but not all corners >= 0).
+    """
+    xs = np.linspace(bbox[0], bbox[2], grid)
+    ys = np.linspace(bbox[1], bbox[3], grid)
+    X, Y = np.meshgrid(xs, ys)
+    vals, kinds = evaluate_batch(h, np.stack([X.ravel(), Y.ravel()], axis=1))
+    F = np.where(kinds == KIND_MINUS_INF, MINUS_INF_SENTINEL, vals - level)
+    F = np.where(kinds == KIND_NU, np.nan, F).reshape(grid, grid)
+    c = np.stack([F[:-1, :-1], F[:-1, 1:], F[1:, 1:], F[1:, :-1]])  # corners 00, 10, 11, 01
+    nu = np.isnan(c).any(axis=0)
+    case = ((c >= 0) * np.array([1, 2, 4, 8])[:, None, None]).sum(axis=0)
+    centre = 0.25 * (((c[0] + c[1]) + c[3]) + c[2])
+    crossing = ~nu & (case != 0) & (case != 15)
+    cells = {
+        "saddle5_above": (case == 5) & (centre >= 0),
+        "saddle5_below": (case == 5) & (centre < 0),
+        "saddle10_above": (case == 10) & (centre >= 0),
+        "saddle10_below": (case == 10) & (centre < 0),
+        "zero_corner": (c == 0).any(axis=0),
+        "equal_edge": (c == np.roll(c, 1, axis=0)).any(axis=0),
+        "minus_inf_corner": (c == MINUS_INF_SENTINEL).any(axis=0),
+    }
+    found = {name for name, mask in cells.items() if (crossing & mask).any()}
+    return found | ({"nu_cell"} if nu.any() else set())
+
+
+@pytest.mark.parametrize("name, level, bbox, grid, features", CONTOUR_CASES,
+                         ids=[case[0] for case in CONTOUR_CASES])
+def test_contour_golden_covers(name, level, bbox, grid, features):
+    h = _load_config(_path(f"{name}.json"), None)
+    assert features <= _contour_features(h, level, bbox, grid)
 
 
 def library_reports() -> list[str]:
