@@ -33,7 +33,6 @@ from .geometry import (
     recession_cone,
     set_from_json,
     set_to_json,
-    shift_set,
 )
 from .evaluator import (
     MINUS_INF,
@@ -87,7 +86,7 @@ __all__ = [
     "HalfSpace", "SetExpr", "Polyhedron", "SetUnion", "SetIntersection",
     "Shift", "ComplementClosure", "RecessionCone", "Direction",
     "contains", "contains_many", "recession_cone", "certify_direction",
-    "shift_set", "complement_closure",
+    "complement_closure",
     "set_from_json", "set_to_json",
     "ExtReal", "MINUS_INF", "NU", "FunctionalHandle", "Strategy",
     "make_handle",

@@ -175,9 +175,18 @@ def _keys(h: FunctionalHandle, Y) -> np.ndarray:
     return _to_keys(*evaluate_batch(h, Y))
 
 
+#: The most samples one call draws (classify_convexity draws two per
+#: requested sample). Samples are drawn in one array, so a larger count
+#: is refused rather than left to exhaust memory.
+MAX_SAMPLES = 10**6
+
+
 def _sample_count(n: int) -> None:
     if n < 1:
         raise InvalidInput(f"cannot draw {n} samples: the sample count must be at least 1")
+    if n > MAX_SAMPLES:
+        raise InvalidInput(f"cannot draw {n} samples: the sample count must be at most "
+                           f"{MAX_SAMPLES}")
 
 
 def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):

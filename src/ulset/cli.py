@@ -3,8 +3,8 @@
 Subcommands: eval, contour, check, separate, pareto, norm. Exit codes:
 0 success (all checks Hold or are Inapplicable, cloud disjoint), 1 a
 property was Violated or the cloud is not disjoint, 2 invalid input or
-configuration. The ULSET_TMAX environment variable overrides the
-bracketing horizon t_max of every handle the CLI builds.
+configuration, or memory ran out. The ULSET_TMAX environment variable
+overrides the bracketing horizon t_max of every handle the CLI builds.
 """
 
 from __future__ import annotations
@@ -85,6 +85,15 @@ def _load_config(path: str, k_flag: str | None):
     )
 
 
+def _write_output(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_eval(args) -> int:
     h = _load_config(args.config, args.k)
     if args.point:
@@ -103,17 +112,11 @@ def _cmd_contour(args) -> int:
     bbox = _parse_vector(args.bbox)
     if bbox.shape[0] != 4:
         raise UlsetError("--bbox needs x0,y0,x1,y1")
-    polylines = contour2d(h, args.level, tuple(bbox), args.grid)
-    lines = ["polyline_id,x,y"]
-    for pid, poly in enumerate(polylines):
-        for x, y in poly:
-            lines.append(f"{pid},{float(x)!r},{float(y)!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    segments = contour2d(h, args.level, tuple(bbox), args.grid)
+    # every polyline is one two-point segment, so row r belongs to polyline r // 2
+    rows = np.reshape(segments, (-1, 2)).tolist()
+    _write_output("polyline_id,x,y\n" + "".join(
+        f"{r // 2},{x!r},{y!r}\n" for r, (x, y) in enumerate(rows)), args.out)
     return 0
 
 
@@ -195,12 +198,7 @@ def _cmd_pareto(args) -> int:
     lines = ["ref_index,point_index,value"]
     for r, (arg, val) in enumerate(scalarization._minimize(cloud, cone, k, refs)):
         lines.extend(f"{r},{i},{val}" for i in arg)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -284,6 +282,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -471,51 +471,44 @@ def evaluate_dual(h: FunctionalHandle, y) -> ExtReal:
 # ---------------------------------------------------------------------------
 # 2-d contour extraction
 
+#: Cell edges as the (row, column) offsets of their two corners from the
+#: cell's lower-left corner: 0 bottom, 1 right, 2 top, 3 left.
+_EDGE_CORNERS = np.array([[[0, 0], [0, 1]], [[0, 1], [1, 1]],
+                          [[1, 0], [1, 1]], [[0, 0], [1, 0]]])
 
-_SEGMENTS = {
-    1: (("left", "bottom"),),
-    2: (("bottom", "right"),),
-    3: (("left", "right"),),
-    4: (("right", "top"),),
-    6: (("bottom", "top"),),
-    7: (("left", "top"),),
-    8: (("top", "left"),),
-    9: (("bottom", "top"),),
-    11: (("right", "top"),),
-    12: (("left", "right"),),
-    13: (("bottom", "right"),),
-    14: (("left", "bottom"),),
-}
-
-
-def _edge_point(edge, x0, x1, y0, y1, f00, f10, f11, f01):
-    if edge == "bottom":
-        fa, fb = f00, f10
-        pa, pb = (x0, y0), (x1, y0)
-    elif edge == "right":
-        fa, fb = f10, f11
-        pa, pb = (x1, y0), (x1, y1)
-    elif edge == "top":
-        fa, fb = f01, f11
-        pa, pb = (x0, y1), (x1, y1)
-    else:
-        fa, fb = f00, f01
-        pa, pb = (x0, y0), (x0, y1)
-    denom = fa - fb
-    t = 0.5 if denom == 0.0 else fa / denom
-    t = min(max(t, 0.0), 1.0)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+#: Edge pairs of each cell case's segments in emission order, padded with
+#: -1. Rows 0-15 are the cases; rows 16 and 17 are the saddles 5 and 10
+#: with their centre below the level.
+_CASE_EDGES = np.array([
+    [-1, -1, -1, -1], [3, 0, -1, -1], [0, 1, -1, -1], [3, 1, -1, -1],
+    [1, 2, -1, -1], [0, 1, 2, 3], [0, 2, -1, -1], [3, 2, -1, -1],
+    [2, 3, -1, -1], [0, 2, -1, -1], [0, 3, 1, 2], [1, 2, -1, -1],
+    [3, 1, -1, -1], [0, 1, -1, -1], [3, 0, -1, -1], [-1, -1, -1, -1],
+    [0, 3, 1, 2], [0, 1, 2, 3],
+])
 
 
 def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.ndarray]:
-    """Marching-squares polylines of the level set {y : phi(y) = level}.
+    """Marching-squares segments of the level set {y : phi(y) = level}.
 
     The functional is sampled on a grid_n x grid_n grid over
-    bbox = (x0, y0, x1, y1). Cells touching a nu corner are skipped;
-    -inf corners enter the sign tests as a large negative sentinel. The
-    level must be finite.
-    Each returned polyline is an (m, 2) array of points; segments are
-    emitted per cell in row-major cell order without stitching.
+    bbox = (x0, y0, x1, y1); each grid point holds f = phi - level, with
+    -inf as the sentinel MINUS_INF_SENTINEL. Cells touching a nu corner
+    are skipped. The level must be finite.
+
+    A corner is above the level when f >= 0, so a corner exactly at the
+    level is above. The corners 00, 10, 11, 01 (x index first) give the
+    bits 1, 2, 4, 8 of the cell's case, and ``_CASE_EDGES`` lists the
+    edges each case joins: none for cases 0 and 15, two for the saddles
+    5 and 10 and one otherwise. A saddle whose centre
+    0.25 * (((f00 + f10) + f01) + f11) is >= 0 cuts off its two corners
+    below the level, any other saddle its two corners above it. On the
+    edge from corner a to b the segment end is pa + t*(pb - pa), with
+    t = fa / (fa - fb) clamped to [0, 1], or 0.5 where fa == fb.
+
+    Returns one (2, 2) array per segment, in row-major cell order (y
+    index outer) and within a cell in table order, without stitching.
+    Raises EmptyContour when no cell is usable.
     """
     if h.set.dim != 2:
         raise InvalidInput("contour extraction needs a 2-d set")
@@ -531,44 +524,25 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
 
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)
-    X, Yg = np.meshgrid(xs, ys)
-    pts = np.stack([X.ravel(), Yg.ravel()], axis=1)
-    keys = _to_keys(*evaluate_batch(h, pts))
+    keys = _to_keys(*evaluate_batch(h, np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)))
     F = np.where(keys == np.inf, np.nan,
                  np.where(keys == -np.inf, MINUS_INF_SENTINEL, keys - level)).reshape(grid_n, grid_n)
 
-    polylines: list[np.ndarray] = []
-    usable_cells = 0
-    for j in range(grid_n - 1):
-        for i in range(grid_n - 1):
-            f00, f10 = F[j, i], F[j, i + 1]
-            f01, f11 = F[j + 1, i], F[j + 1, i + 1]
-            if math.isnan(f00) or math.isnan(f10) or math.isnan(f01) or math.isnan(f11):
-                continue
-            usable_cells += 1
-            case = (
-                (1 if f00 >= 0 else 0)
-                | (2 if f10 >= 0 else 0)
-                | (4 if f11 >= 0 else 0)
-                | (8 if f01 >= 0 else 0)
-            )
-            if case in (0, 15):
-                continue
-            if case in (5, 10):
-                center = 0.25 * (f00 + f10 + f01 + f11)
-                if case == 5:
-                    segs = ((("bottom", "right"), ("top", "left")) if center >= 0
-                            else (("bottom", "left"), ("right", "top")))
-                else:
-                    segs = ((("bottom", "left"), ("right", "top")) if center >= 0
-                            else (("bottom", "right"), ("top", "left")))
-            else:
-                segs = _SEGMENTS[case]
-            for ea, eb in segs:
-                pa = _edge_point(ea, xs[i], xs[i + 1], ys[j], ys[j + 1], f00, f10, f11, f01)
-                pb = _edge_point(eb, xs[i], xs[i + 1], ys[j], ys[j + 1], f00, f10, f11, f01)
-                polylines.append(np.array([pa, pb]))
-
-    if usable_cells == 0:
+    nu = np.isnan(F)
+    usable = ~(nu[:-1, :-1] | nu[:-1, 1:] | nu[1:, 1:] | nu[1:, :-1])
+    if not usable.any():
         raise EmptyContour("every grid cell touches a point outside the domain")
-    return polylines
+    above = (F >= 0).astype(np.int8)
+    case = above[:-1, :-1] + 2 * above[:-1, 1:] + 4 * above[1:, 1:] + 8 * above[1:, :-1]
+    j, i = np.nonzero(usable & (case != 0) & (case != 15))
+    case = case[j, i]
+    centre = 0.25 * (((F[j, i] + F[j, i + 1]) + F[j + 1, i]) + F[j + 1, i + 1])
+    edges = _CASE_EDGES[np.where(((case == 5) | (case == 10)) & ~(centre >= 0),
+                                 16 + (case == 10), case)]
+    cell, slot = np.nonzero(edges >= 0)
+    corners = _EDGE_CORNERS[edges[cell, slot]] + np.stack([j[cell], i[cell]], axis=1)[:, None]
+    (ja, ia), (jb, ib) = corners[:, 0].T, corners[:, 1].T
+    fa, fb = F[ja, ia], F[jb, ib]
+    t = np.clip(np.divide(fa, fa - fb, out=np.full(fa.shape, 0.5), where=fa != fb), 0.0, 1.0)
+    ends = np.stack([xs[ia] + t * (xs[ib] - xs[ia]), ys[ja] + t * (ys[jb] - ys[ja])], axis=1)
+    return list(ends.reshape(-1, 2, 2))

@@ -364,11 +364,6 @@ def certify_direction(s: SetExpr, k) -> Direction:
     return Direction(kv, cone, interior)
 
 
-def shift_set(s: SetExpr, y0) -> SetExpr:
-    """Translate a set by y0 (structural wrapper)."""
-    return Shift(s, y0)
-
-
 def complement_closure(s: SetExpr) -> SetUnion:
     """De Morgan expansion of the closed complement into a union of polyhedra.
 

@@ -34,15 +34,10 @@ def gauge_cone_shift(C: OrderCone, k, y) -> float | np.ndarray:
     Requires a·k above the strict interior margin on every row of the
     cone's halfspace form. Accepts a single point or an (n, m) batch.
     """
-    k = _as_vector(k, C.dim, "direction")
-    ak = C.rep.normals @ k
-    if not (ak > INTERIOR_MARGIN).all():
-        i = int(np.argmin(ak))
-        raise DirectionRejected(
-            f"row {i} has a·k = {float(ak[i]):.3g} <= {INTERIOR_MARGIN:g}; "
-            "the direction is not strictly interior to the negated cone"
-        )
-    h = make_handle(C.rep, k)
+    h = make_handle(C.rep, _as_vector(k, C.dim, "direction"))
+    if not h.direction.interior:
+        raise DirectionRejected(f"some cone row has a·k <= {INTERIOR_MARGIN:g}; "
+                                "the direction is not strictly interior to the negated cone")
     pts = np.asarray(y, dtype=float)
     single = pts.ndim == 1
     vals = np.maximum(_gauge_values(h, pts), 0.0)
@@ -60,15 +55,10 @@ def order_unit_norm(C: OrderCone, k, y) -> float | np.ndarray:
     if not C.maybe_pointed():
         raise PreconditionFailed("cone generators indicate a non-pointed cone; "
                                  "the order interval gauge would only be a seminorm")
-    neg = C.negated()
-    ak = neg.normals @ k
-    if not (ak > INTERIOR_MARGIN).all():
-        i = int(np.argmin(ak))
-        raise DirectionRejected(
-            f"row {i} of the negated cone has a·k = {float(ak[i]):.3g} <= "
-            f"{INTERIOR_MARGIN:g}; the order unit must lie strictly inside the cone"
-        )
-    h = make_handle(neg, k)
+    h = make_handle(C.negated(), k)
+    if not h.direction.interior:
+        raise DirectionRejected(f"some row of the negated cone has a·k <= {INTERIOR_MARGIN:g}; "
+                                "the order unit must lie strictly inside the cone")
     pts = np.asarray(y, dtype=float)
     single = pts.ndim == 1
     if single:

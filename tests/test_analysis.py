@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ulset.analysis as analysis
+from ulset.analysis import MAX_SAMPLES
 from ulset import (
     HOLDS,
     INAPPLICABLE,
@@ -261,10 +262,9 @@ class TestReproducibility:
 
 
 class TestSampleCount:
-    """Every check that draws from the domain refuses a count below 1."""
+    """Every check that draws from the domain refuses a count below 1 or above the cap."""
 
-    @pytest.mark.parametrize("n_samples", [0, -3])
-    @pytest.mark.parametrize("run", [
+    runs = pytest.mark.parametrize("run", [
         lambda h, n: check_sublevel_identity(h, n),
         lambda h, n: check_translation_invariance(h, n),
         lambda h, n: check_monotone(h, MonotoneCone((np.array([1.0, 0.0]),)), n_samples=n),
@@ -276,6 +276,14 @@ class TestSampleCount:
         lambda h, n: estimate_lipschitz(h, n),
     ], ids=["sublevel", "translation", "monotone", "convexity", "recession", "dual",
             "subgradient", "norm", "lipschitz"])
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    @runs
     def test_count_below_one_invalid(self, cone_diag, run, n_samples):
         with pytest.raises(InvalidInput, match="sample count must be at least 1"):
             run(cone_diag, n_samples)
+
+    @runs
+    def test_count_above_cap_invalid(self, cone_diag, run):
+        with pytest.raises(InvalidInput, match=f"sample count must be at most {MAX_SAMPLES}"):
+            run(cone_diag, MAX_SAMPLES + 1)

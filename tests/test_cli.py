@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import ulset.cli as cli
 import ulset.evaluator as evaluator
 from ulset.cli import main
 from ulset.evaluator import ExtReal
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TQ_CONFIG = {
     "dim": 2,
@@ -122,6 +125,10 @@ class TestContour:
         lines = out.read_text().splitlines()
         assert lines[0] == "polyline_id,x,y"
         assert len(lines) > 10
+
+    def test_no_crossing_writes_header_only(self, cone_config, capsys):
+        assert main(["contour", cone_config, "--level", "100", "--bbox=-2,-2,2,2"]) == 0
+        assert capsys.readouterr().out == "polyline_id,x,y\n"
 
     def test_small_grid_exit_2(self, cone_config):
         assert main(["contour", cone_config, "--level", "0", "--bbox=-2,-2,2,2",
@@ -269,6 +276,20 @@ class TestMalformedInput:
     def test_sample_count_below_one(self, samples, cone_config, capsys):
         err = self._assert_rejected(["check", cone_config, "--samples", samples], capsys)
         assert "sample count must be at least 1" in err
+
+    def test_sample_count_above_cap(self, capsys):
+        # the count once went to a single 14.9 GiB draw: a traceback and exit 1
+        err = self._assert_rejected(["check", str(GOLDEN / "three_quadrant.json"),
+                                     "--samples", "1000000000"], capsys)
+        assert "sample count must be at most 1000000" in err
+
+    def test_memory_error(self, cone_config, monkeypatch, capsys):
+        def exhausted(h, Y):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+        monkeypatch.setattr(cli, "evaluate_batch", exhausted)
+        err = self._assert_rejected(["eval", cone_config, "--point", "0,0"], capsys)
+        assert err == "error: out of memory: Unable to allocate 14.9 GiB for an array\n"
 
     @pytest.mark.parametrize("command", ["eval", "separate", "pareto"])
     def test_label_only_line(self, command, cone_config, tmp_path, capsys):

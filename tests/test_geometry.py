@@ -19,7 +19,6 @@ from ulset import (
     recession_cone,
     set_from_json,
     set_to_json,
-    shift_set,
 )
 from conftest import neg_orthant, three_quadrant_union
 
@@ -174,14 +173,14 @@ class TestCertifyDirection:
 
 class TestShift:
     def test_shifted_orthant_contains_new_apex(self):
-        s = shift_set(neg_orthant(2), [1.0, 1.0])
+        s = Shift(neg_orthant(2), [1.0, 1.0])
         assert contains(s, [1.0, 1.0])
         assert not contains(s, [1.1, 1.0])
 
     def test_zero_shift_is_identity_on_membership(self):
         rng = np.random.default_rng(3)
         s = three_quadrant_union()
-        shifted = shift_set(s, [0.0, 0.0])
+        shifted = Shift(s, [0.0, 0.0])
         pts = rng.uniform(-4, 4, size=(100, 2))
         assert (contains_many(s, pts) == contains_many(shifted, pts)).all()
 
@@ -189,7 +188,7 @@ class TestShift:
         rng = np.random.default_rng(4)
         y0 = np.array([2.0, -1.0])
         s = three_quadrant_union()
-        shifted = shift_set(s, y0)
+        shifted = Shift(s, y0)
         pts = rng.uniform(-4, 4, size=(100, 2))
         assert (contains_many(shifted, pts) == contains_many(s, pts - y0)).all()
 

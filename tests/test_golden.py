@@ -26,11 +26,12 @@ restructured:
 - `contour` of the three-quadrant union, whose -inf corners enter the
   sign tests as a sentinel, and of the negative orthant under k=(1, 0),
   which is nu above y2 = 0;
-- `contour` of three random polyhedral unions and complements
-  (`CONTOUR_CASES`), chosen so that between them their grids hold saddle
-  cells of both kinds with the centre on each side of the level, corners
+- `contour` of three random polyhedral unions and complements and of a
+  hand-built union whose grid has a saddle centred exactly at the level
+  (`CONTOUR_CASES`); between them their grids hold saddle cells of both
+  kinds with the centre on each side of the level and on it, corners
   exactly at the level, crossing cells with an edge of equal corner
-  values, -inf corners and nu cells; `test_contour_golden_covers`
+  values, -inf corners and nu cells. `test_contour_golden_covers`
   recomputes these features so that no golden silently stops covering
   what it names;
 - `reports.jsonl`: library-level reports of the checks the CLI does not
@@ -80,6 +81,7 @@ CONTOUR_CASES = [
     ("contour_nu", 1.8082005299968156,
      (-5.759996316364414, -2.730286685200664, -0.3192605834770248, 3.1464449742179004), 9,
      {"saddle10_below", "zero_corner", "equal_edge", "minus_inf_corner", "nu_cell"}),
+    ("contour_centre_zero", -0.25, (-4.0, -4.0, 4.0, 4.0), 9, {"saddle_centre_at_level"}),
 ]
 
 
@@ -128,6 +130,18 @@ def test_cli_output_matches_golden(argv, expected, code, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / expected).read_bytes()
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (_contour_argv(*CONTOUR_CASES[0][:4]), "contour_saddles.out"),
+    (["pareto", "--points", _path("points.csv"), "--k", "1,1", "--refs", _path("pareto_refs.csv")],
+     "pareto_nonneg.out"),
+], ids=["contour", "pareto"])
+def test_out_file_matches_golden(argv, expected, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (GOLDEN / expected).read_bytes()
+
+
 def _contour_features(h, level, bbox, grid) -> set[str]:
     """Marching-squares features of the contour grid, from evaluate_batch.
 
@@ -151,6 +165,7 @@ def _contour_features(h, level, bbox, grid) -> set[str]:
         "saddle5_below": (case == 5) & (centre < 0),
         "saddle10_above": (case == 10) & (centre >= 0),
         "saddle10_below": (case == 10) & (centre < 0),
+        "saddle_centre_at_level": ((case == 5) | (case == 10)) & (centre == 0),
         "zero_corner": (c == 0).any(axis=0),
         "equal_edge": (c == np.roll(c, 1, axis=0)).any(axis=0),
         "minus_inf_corner": (c == MINUS_INF_SENTINEL).any(axis=0),
