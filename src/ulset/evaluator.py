@@ -270,13 +270,20 @@ def _halfspace_keys(g: np.ndarray, ak: float) -> np.ndarray:
 
 
 def _rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarray:
-    """Keys of the intersection (or union) of the halfspaces with rows G, a·k."""
-    return _lattice((_halfspace_keys(g, a) for g, a in zip(G, ak)), union)
+    """Keys of the intersection (or union) of the halfspaces whose a·y - b
+    are the rows of G (axis -2), with a·k in ak."""
+    return _lattice((_halfspace_keys(g, a) for g, a in zip(np.swapaxes(G, 0, -2), ak)), union)
 
 
 def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Keys at the points Y, an (n, m) array or a (B, n, m) stack of them.
+
+    A stack goes slice by slice through the same matrix product a 2-d
+    call makes, so each slice's keys are bitwise those of the 2-d call.
+    """
     if isinstance(s, Polyhedron):
-        return _rows_keys(s.normals @ Y.T - s.offsets[:, None], s.normals @ k, union=False)
+        return _rows_keys(s.normals @ np.swapaxes(Y, -1, -2) - s.offsets[:, None],
+                          s.normals @ k, union=False)
     if isinstance(s, Shift):
         return _closed_batch(s.base, k, Y - s.offset)
     if isinstance(s, (SetUnion, SetIntersection)):
@@ -286,7 +293,7 @@ def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
         # a member's reversed rows (-a)·y <= -b go through one matrix
         # product, so they round as the pieces of complement_closure do
         reversed_rows = ((-m.normals, -m.offsets) for m in s.polyhedra)
-        return _lattice((_rows_keys(R @ Y.T - c[:, None], R @ k, union=True)
+        return _lattice((_rows_keys(R @ np.swapaxes(Y, -1, -2) - c[:, None], R @ k, union=True)
                          for R, c in reversed_rows), union=False)
     raise InvalidInput(f"closed form does not cover {type(s).__name__}")
 
@@ -504,7 +511,7 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     0.25 * (((f00 + f10) + f01) + f11) is >= 0 cuts off its two corners
     below the level, any other saddle its two corners above it. On the
     edge from corner a to b the segment end is pa + t*(pb - pa), with
-    t = fa / (fa - fb) clamped to [0, 1], or 0.5 where fa == fb.
+    t = fa / (fa - fb) clamped to [0, 1].
 
     Returns one (2, 2) array per segment, in row-major cell order (y
     index outer) and within a cell in table order, without stitching.
@@ -543,6 +550,6 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     corners = _EDGE_CORNERS[edges[cell, slot]] + np.stack([j[cell], i[cell]], axis=1)[:, None]
     (ja, ia), (jb, ib) = corners[:, 0].T, corners[:, 1].T
     fa, fb = F[ja, ia], F[jb, ib]
-    t = np.clip(np.divide(fa, fa - fb, out=np.full(fa.shape, 0.5), where=fa != fb), 0.0, 1.0)
+    t = np.clip(fa / (fa - fb), 0.0, 1.0)  # one of fa, fb is >= 0, the other < 0
     ends = np.stack([xs[ia] + t * (xs[ib] - xs[ia]), ys[ja] + t * (ys[jb] - ys[ja])], axis=1)
     return list(ends.reshape(-1, 2, 2))

@@ -17,14 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .evaluator import NU, ExtReal, make_handle, evaluate_batch, _to_keys
-from .geometry import HalfSpace, Polyhedron, contains, _as_vector
+from .evaluator import NU, ExtReal, make_handle, _closed_batch
+from .geometry import HalfSpace, Polyhedron, contains, _as_points, _as_vector
 
 #: Strict margin for interior-of-cone (weak domination) tests.
 INT_CONE_MARGIN = 1e-9
 
 #: Minimizers within this of the minimum are all returned.
 ARGMIN_TOL = 1e-9
+
+#: Float64 elements in the largest temporary of one scoring block of
+#: :func:`_minimize`: 128 KiB, glibc's default mmap threshold.
+_SCORE_BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +143,13 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], Ext
 
     One handle on -C serves every reference point a: the score against
     a is its value at the points F - a, the same subtraction a handle on
-    the shifted cone a - C does.
+    the shifted cone a - C does. References are scored in blocks of B
+    on the closed-form kernel's lattice keys. B is the largest count
+    that keeps the block's largest temporary, B * n * max(m, rows of C)
+    floats, within _SCORE_BLOCK, and at least 1: larger temporaries are
+    fresh mappings whose page faults cost more than the per-block
+    overhead they save. Each slice of a block goes through the matrix
+    product one reference alone would, so the keys are bitwise equal.
     """
     F = _cloud(F)
     if F.dim != C.dim:
@@ -149,13 +159,18 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], Ext
     if not np.isfinite(refs).all():
         raise InvalidInput("reference points have non-finite entries")
     h = make_handle(C.negated(), k)
+    n, m = F.points.shape
+    block = max(1, _SCORE_BLOCK // (n * max(m, len(C.rep.halfspaces))))
     out = []
-    for a in refs:
-        keys = _to_keys(*evaluate_batch(h, F.points - a))
-        low = keys.min()
+    for start in range(0, refs.shape[0], block):
+        D = F.points - refs[start:start + block, None]
+        _as_points(D.reshape(-1, m), m)  # rejects differences that overflow
+        keys = _closed_batch(h.set, h.direction.k, D)
+        low = keys.min(axis=1)
+        hits = keys <= (low + ARGMIN_TOL)[:, None]
         # -inf is the least key, so it wins; a cloud scoring nu everywhere has no minimizer
-        out.append(([], NU) if low == np.inf else
-                   (np.flatnonzero(keys <= low + ARGMIN_TOL).tolist(), ExtReal.from_key(low)))
+        out.extend(([], NU) if lo == np.inf else (np.flatnonzero(hit).tolist(), ExtReal.from_key(lo))
+                   for lo, hit in zip(low.tolist(), hits))
     return out
 
 

@@ -25,7 +25,7 @@ from ulset import (
     evaluate_scaled,
     make_handle,
 )
-from ulset.evaluator import KIND_FINITE, KIND_MINUS_INF, KIND_NU
+from ulset.evaluator import KIND_FINITE, KIND_MINUS_INF, KIND_NU, _closed_batch
 from conftest import three_quadrant_value, neg_orthant, random_polyhedral_fixture, three_quadrant_union
 
 
@@ -84,6 +84,57 @@ class TestClosedFormValues:
         h = make_handle(Polyhedron((HalfSpace([1.0, 0.0], 0.0),)), [1e-8, 1.0])
         with pytest.raises(InvalidInput), np.errstate(over="ignore"):
             evaluate_batch(h, [[1e305, 0.0]])
+
+
+class TestStackedKernel:
+    """The closed form on a (B, n, m) stack of point sets equals the 2-d
+    call on each slice, bit for bit."""
+
+    K = np.array([1.0, 2.0, 0.5])
+
+    @classmethod
+    def sets(cls, rng):
+        def poly(b):
+            rows = []
+            for _ in range(3):
+                a = rng.normal(size=3)
+                if a @ cls.K < 0:
+                    a = -a
+                rows.append(HalfSpace(a * rng.uniform(0.5, 3.0), b()))
+            rows.append(HalfSpace([0.5, 0.0, -1.0], b()))  # static: a·k == 0
+            return Polyhedron(tuple(rows))
+
+        # p's rows pass through the origin, so points at 0 give signed-zero keys
+        p, q = poly(lambda: 0.0), poly(lambda: float(rng.uniform(-1.0, 1.0)))
+        static_only = Polyhedron((HalfSpace([2.0, -1.0, 0.0], 0.5),))
+        return {
+            "polyhedron": p,
+            "shift": Shift(p, rng.normal(size=3)),
+            "union": SetUnion((p, q, static_only)),
+            "intersection": SetIntersection((p, Shift(q, rng.normal(size=3)))),
+            "complement": ComplementClosure(SetUnion((p, q))),
+        }
+
+    @pytest.mark.parametrize("kind", ["polyhedron", "shift", "union", "intersection", "complement"])
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_stack_matches_slices(self, kind, n):
+        rng = np.random.default_rng(n)
+        s = self.sets(rng)[kind]
+        Y = np.round(rng.normal(scale=2.0, size=(6, n, 3)), 1)
+        Y[0] = 0.0  # on every row of p
+        Y[1] = self.K  # on p's static row
+        got = _closed_batch(s, self.K, Y)
+        want = np.stack([_closed_batch(s, self.K, y) for y in Y])
+        assert got.shape == (6, n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_stacks_reach_every_kind(self):
+        rng = np.random.default_rng(5)
+        sets = self.sets(rng)
+        Y = rng.normal(scale=2.0, size=(4, 50, 3))
+        union, poly = (_closed_batch(sets[name], self.K, Y) for name in ("union", "polyhedron"))
+        assert np.isfinite(union).any() and (union == -np.inf).any()
+        assert np.isfinite(poly).any() and (poly == np.inf).any()
 
 
 class TestBisectionAgainstClosedForm:

@@ -23,6 +23,11 @@ restructured:
   cone `half_plane_cone.json` with k=(1, 0), whose only row is static
   (scores -inf and nu; one reference scores nu everywhere and has no
   minimizer);
+- `pareto` of a one-point cloud against 64 references, and of a
+  300-point 3-d cloud against 50 references on `pareto_blocks_cone.json`,
+  whose four rows are not unit vectors and one of which is static under
+  k=(1, 2, 0.5): the references span several scoring blocks and their
+  count is not a multiple of the block size;
 - `contour` of the three-quadrant union, whose -inf corners enter the
   sign tests as a sentinel, and of the negative orthant under k=(1, 0),
   which is nu above y2 = 0;
@@ -124,6 +129,12 @@ def _contour_argv(name, level, bbox, grid) -> list[str]:
      "neg_orthant_contour.out", 0),
     *[(_contour_argv(name, level, bbox, grid), f"{name}.out", 0)
       for name, level, bbox, grid, _ in CONTOUR_CASES],
+    (["pareto", "--points", _path("pareto_one_point.csv"), "--k", "1,1",
+      "--refs", _path("pareto_one_point_refs.csv")],
+     "pareto_one_point.out", 0),
+    (["pareto", "--points", _path("pareto_blocks.csv"), "--cone-file",
+      _path("pareto_blocks_cone.json"), "--k", "1,2,0.5", "--refs", _path("pareto_blocks_refs.csv")],
+     "pareto_blocks.out", 0),
 ])
 def test_cli_output_matches_golden(argv, expected, code, capsys):
     assert main(argv) == code

@@ -18,7 +18,8 @@ from ulset import (
     trace_front,
     weakly_efficient,
 )
-from ulset.scalarization import _parse_lines, _read_numeric
+from ulset.evaluator import _to_keys
+from ulset.scalarization import ARGMIN_TOL, _minimize, _parse_lines, _read_numeric
 
 
 def random_cloud(rng, m, n_max=50):
@@ -89,6 +90,83 @@ class TestWeaklyEfficient:
         # (0,1) vs (0,2): difference (0,1) is on the orthant boundary, not interior
         F = PointCloud(np.array([[0.0, 1.0], [0.0, 2.0]]))
         assert weakly_efficient(F, orthant2) == [0, 1]
+
+
+class TestMinimizeBlocks:
+    """Blocked scoring gives, bit for bit, what one evaluate_batch call per
+    reference gives: the minimum key and the indices within ARGMIN_TOL."""
+
+    @staticmethod
+    def per_reference(F, C, k, refs):
+        h = make_handle(C.negated(), k)
+        out = []
+        for a in refs:
+            keys = _to_keys(*evaluate_batch(h, F - a))
+            low = keys.min()
+            out.append(([], np.inf) if low == np.inf else
+                       (np.flatnonzero(keys <= low + ARGMIN_TOL).tolist(), low))
+        return out
+
+    @classmethod
+    def assert_bitwise(cls, F, C, k, refs):
+        got = _minimize(F, C, k, refs)
+        want = cls.per_reference(F, C, k, refs)
+        assert [arg for arg, _ in got] == [arg for arg, _ in want]
+        assert (np.array([val._key for _, val in got]).tobytes()
+                == np.array([low for _, low in want]).tobytes())
+
+    @staticmethod
+    def random_cone(rng, m, k):
+        """Rows a with a·k <= 0, the last one static (a·k == 0 up to rounding)."""
+        rows = []
+        for _ in range(int(rng.integers(1, 4))):
+            a = rng.normal(size=m) * rng.uniform(0.5, 3.0)
+            rows.append(-a if a @ k > 0 else a)
+        a = rng.normal(size=m)
+        rows.append(a - (a @ k) / (k @ k) * k)
+        return OrderCone(Polyhedron(tuple(HalfSpace(a, 0.0) for a in rows)))
+
+    def test_random_cones_with_static_row(self):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            m = int(rng.integers(2, 5))
+            k = rng.uniform(0.2, 2.0, size=m)
+            C = self.random_cone(rng, m, k)
+            # coarse coordinates give ties; references on the cloud give zeros
+            F = np.round(rng.normal(size=(int(rng.integers(1, 400)), m)), 1)
+            refs = np.concatenate([F[:5], np.round(rng.normal(size=(40, m)), 1)])
+            self.assert_bitwise(F, C, k, refs)
+
+    def test_one_point_clouds(self):
+        rng = np.random.default_rng(32)
+        for m in (1, 2, 3):
+            k = rng.uniform(0.2, 2.0, size=m)
+            C = OrderCone.nonneg(m) if m == 1 else self.random_cone(rng, m, k)
+            F = rng.normal(size=(1, m))
+            self.assert_bitwise(F, C, k, np.concatenate([F, rng.normal(size=(70, m))]))
+
+    def test_cloud_above_the_block_budget(self):
+        # 3000 points by 6 rows exceed the budget: one reference per block
+        rng = np.random.default_rng(33)
+        k = np.array([1.0, 2.0, 0.5])
+        C = OrderCone(Polyhedron(tuple(HalfSpace(a, 0.0) for a in (
+            [-1.0, 0.25, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -1.0],
+            [2.0, -1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, -1.0, -1.0]))))
+        F = np.round(rng.normal(size=(3000, 3)), 2)
+        self.assert_bitwise(F, C, k, np.concatenate([F[:3], rng.normal(size=(4, 3))]))
+
+    @pytest.mark.parametrize("budget", [1, 100, 777])
+    def test_block_edges(self, budget, monkeypatch):
+        # small budgets put block edges at 1, 16 and 129 references of 6 points by 1 row
+        monkeypatch.setattr("ulset.scalarization._SCORE_BLOCK", budget)
+        rng = np.random.default_rng(budget)
+        k = np.array([1.0])
+        F = np.round(rng.normal(size=(6, 1)), 1)
+        self.assert_bitwise(F, OrderCone.nonneg(1), k, np.round(rng.normal(size=(300, 1)), 1))
+
+    def test_non_finite_difference_rejected(self, orthant2):
+        with pytest.raises(InvalidInput, match="finite coordinates"), np.errstate(over="ignore"):
+            _minimize(np.array([[1e308, 0.0]]), orthant2, [1.0, 1.0], np.array([[-1e308, 0.0]]))
 
 
 class TestTraceFront:
