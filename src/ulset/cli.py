@@ -26,12 +26,18 @@ from .evaluator import (
     evaluate_batch,
     key_text,
     make_handle,
+    _block_bounds,
     _to_keys,
 )
 from .geometry import recession_cone, set_from_json
 from .scalarization import OrderCone, load_points_csv
 
 CHECK_SUITES = ("sublevel", "translation", "recession", "dual", "convexity")
+
+#: A line of `ulset eval` output takes about 30 bytes, four floats' worth,
+#: so a block of lines for this many floats per point is written in about
+#: the evaluator's block budget.
+_LINE_FLOATS = 4
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -102,8 +108,12 @@ def _cmd_eval(args) -> int:
         pts = load_points_csv(args.points).points
     else:
         raise UlsetError("pass --point or --points")
+    # every point is evaluated before the first write, so an error leaves stdout empty
     keys = _to_keys(*evaluate_batch(h, pts))
-    sys.stdout.write("".join(f"{i},{key_text(v)}\n" for i, v in enumerate(keys.tolist())))
+    bounds = _block_bounds(keys.shape[0], _LINE_FLOATS)
+    for a, b in zip(bounds, bounds[1:]):
+        lines = (f"{i},{key_text(v)}\n" for i, v in enumerate(keys[a:b].tolist(), a))
+        sys.stdout.write("".join(lines))
     return 0
 
 
@@ -276,7 +286,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # a value that overflows, or the nan of inf - inf it leads to, is
+        # reported as InvalidInput where it is found; numpy's warning
+        # would add lines to the one-line error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UlsetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,13 +15,13 @@ intersection is the max, a polyhedron is the intersection of its
 halfspaces and a complement closure the intersection, over the base's
 members, of the union of that member's reversed halfspaces. Bisection
 is the independent oracle, opt in with ``strategy="bisection"``: it
-goes through the membership oracle only, brackets the threshold by
-exponential doubling from t=0 out to +-t_max and refines to a mixed
-tolerance tol*(1+|t|). A bisection result of MinusInf means membership
-persisted at -t_max; that is a bounded numerical certificate, not a
-proof that the whole line lies in the set. Ties at the bracket edge
-resolve toward membership, matching the fact that the infimum is
-attained for closed sets.
+goes through membership tests of y - t*k only, which never divide by
+a·k, brackets the threshold by exponential doubling from t=0 out to
++-t_max and refines to a mixed tolerance tol*(1+|t|). A bisection
+result of MinusInf means membership persisted at -t_max; that is a
+bounded numerical certificate, not a proof that the whole line lies in
+the set. Ties at the bracket edge resolve toward membership, matching
+the fact that the infimum is attained for closed sets.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import EmptyContour, InvalidInput, PreconditionFailed, UlsetError
 from .geometry import (
+    AK_POSITIVE_MIN,
     EPS_MEMBERSHIP,
     ComplementClosure,
     Direction,
@@ -46,11 +47,9 @@ from .geometry import (
     Shift,
     certify_direction,
     contains_many,
+    contains_translates,
     _as_points,
 )
-
-#: Rows with a·k above this threshold contribute to the closed-form max.
-AK_POSITIVE_MIN = 1e-9
 
 DEFAULT_T_MAX = 1e12
 DEFAULT_TOL = 1e-9
@@ -62,6 +61,12 @@ KIND_NU = 2
 
 #: Stand-in value for -inf when a finite float is needed (contour sign tests).
 MINUS_INF_SENTINEL = -1e30
+
+#: Float64 elements in the largest temporary of one block of points, in
+#: the closed form of :func:`evaluate_batch` and in the reference blocks
+#: of ``scalarization._minimize``: 128 KiB, glibc's default mmap
+#: threshold, so a block's temporaries are reused heap, not fresh pages.
+_BLOCK_FLOATS = 2**14
 
 
 def key_text(key: float) -> str:
@@ -255,24 +260,30 @@ def _lattice(parts, union: bool) -> np.ndarray:
     return reduce(np.minimum if union else np.maximum, parts)
 
 
-def _halfspace_keys(g: np.ndarray, ak: float) -> np.ndarray:
-    """Keys of one halfspace a·y <= b, given g = a·y - b at every point.
-
-    A row moving along k (a·k > 0) is reached at t = g / a·k. A static
-    row is -inf where the point satisfies it and nu where it does not.
-    """
-    if ak <= AK_POSITIVE_MIN:
-        return np.where(g > EPS_MEMBERSHIP, np.inf, -np.inf)
-    t = g / ak
-    if not np.isfinite(t).all():
-        raise InvalidInput("a value of the functional overflows the float range")
-    return t
-
-
 def _rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarray:
     """Keys of the intersection (or union) of the halfspaces whose a·y - b
-    are the rows of G (axis -2), with a·k in ak."""
-    return _lattice((_halfspace_keys(g, a) for g, a in zip(np.swapaxes(G, 0, -2), ak)), union)
+    are the rows of G (axis -2), with a·k in ak.
+
+    A row moving along k (a·k > AK_POSITIVE_MIN) is reached at
+    t = (a·y - b) / a·k, and the moving rows combine in one max (min)
+    along the row axis, which folds them in row order. A static row is
+    -inf where the point satisfies it and nu where it does not. G is a
+    temporary of the caller's and is divided in place, so that a block
+    holds one array of its size, not two.
+    """
+    moving = ak > AK_POSITIVE_MIN
+    parts = []
+    if moving.any():
+        T = G if moving.all() else G[..., moving, :]
+        T /= ak[moving, None]
+        if not np.isfinite(T).all():
+            raise InvalidInput("a value of the functional overflows the float range")
+        parts.append(T.min(axis=-2) if union else T.max(axis=-2))
+    if not moving.all():
+        violated = G[..., ~moving, :] > EPS_MEMBERSHIP
+        parts.append(np.where(violated.all(axis=-2) if union else violated.any(axis=-2),
+                              np.inf, -np.inf))
+    return _lattice(parts, union)
 
 
 def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -298,6 +309,33 @@ def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
     raise InvalidInput(f"closed form does not cover {type(s).__name__}")
 
 
+def _max_rows(s: SetExpr) -> int:
+    """Rows of the largest polyhedron in s: per point, the floats of the
+    largest temporary :func:`_closed_batch` makes besides the points."""
+    if isinstance(s, Polyhedron):
+        return len(s.halfspaces)
+    if isinstance(s, ComplementClosure):
+        return max(len(m.halfspaces) for m in s.polyhedra)
+    if isinstance(s, Shift):
+        return _max_rows(s.base)
+    if isinstance(s, (SetUnion, SetIntersection)):
+        return max(map(_max_rows, s.members))
+    return 1  # _closed_batch refuses any other node
+
+
+def _block_bounds(n: int, floats_per_point: int) -> list[int]:
+    """Edges of consecutive blocks of n points, near-equal in size.
+
+    A block holds at most _BLOCK_FLOATS // floats_per_point points, and
+    never one point unless n is 1: a one-column matrix product goes
+    through gemv and can round differently from the same column of a
+    wider product.
+    """
+    cap = max(1, _BLOCK_FLOATS // floats_per_point)
+    count = max(1, min(-(-n // cap), n // 2))
+    return [n * i // count for i in range(count + 1)]
+
+
 def _from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keys as :func:`evaluate_batch`'s (values, kind codes)."""
     kinds = np.full(keys.shape, KIND_FINITE, dtype=np.int8)
@@ -318,7 +356,8 @@ def _to_keys(vals: np.ndarray, kinds: np.ndarray) -> np.ndarray:
 
 def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
     """Keys by bracketing and bisection: nu (+inf) for a point still outside
-    the set at +t_max, -inf for one still inside it at -t_max."""
+    the set at +t_max, -inf for one still inside it at -t_max. Each test
+    of y - t*k goes through :func:`contains_translates`, row by row."""
     s, k = h.set, h.direction.k
     n = Y.shape[0]
     lo = np.zeros(n)
@@ -331,7 +370,7 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
     t = 1.0
     while active.size:
         t_now = min(t, h.t_max)
-        m = contains_many(s, Y[active] - t_now * k, EPS_MEMBERSHIP)
+        m = contains_translates(s, Y[active], t_now, k)
         hi[active[m]] = t_now
         misses = active[~m]
         lo[misses] = t_now
@@ -347,7 +386,7 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
     t = -1.0
     while active.size:
         t_now = max(t, -h.t_max)
-        m = contains_many(s, Y[active] - t_now * k, EPS_MEMBERSHIP)
+        m = contains_translates(s, Y[active], t_now, k)
         lo[active[~m]] = t_now
         stays = active[m]
         hi[stays] = t_now
@@ -365,7 +404,7 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
         if not todo.size:
             break
         mid = 0.5 * (lo[todo] + hi[todo])
-        m = contains_many(s, Y[todo] - mid[:, None] * k, EPS_MEMBERSHIP)
+        m = contains_translates(s, Y[todo], mid, k)
         hi[todo[m]] = mid[m]
         lo[todo[~m]] = mid[~m]
     return hi
@@ -380,12 +419,23 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
 
     Kind codes are KIND_FINITE / KIND_MINUS_INF / KIND_NU; values are
     meaningful only where the kind is finite.
+
+    The closed form runs on consecutive blocks of the points (see
+    :func:`_block_bounds`), each within _BLOCK_FLOATS floats of
+    temporaries, and fills one key array, so memory grows with the
+    points and not with rows times points. A point's key depends on
+    that point alone, and no block holds a single point unless the input
+    is one point, so the keys are bitwise those of one pass over all the
+    points. Bisection makes one pass.
     """
     pts = _as_points(Y, h.set.dim)
-    if h.strategy == Strategy.CLOSED_FORM:
-        keys = _closed_batch(h.set, h.direction.k, pts)
-    else:
-        keys = _bisect_batch(h, pts)
+    if h.strategy == Strategy.BISECTION:
+        return _from_keys(_bisect_batch(h, pts))
+    n, m = pts.shape
+    bounds = _block_bounds(n, max(m, _max_rows(h.set)))
+    keys = np.empty(n)
+    for a, b in zip(bounds, bounds[1:]):
+        keys[a:b] = _closed_batch(h.set, h.direction.k, pts[a:b])
     return _from_keys(keys)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,6 +39,10 @@ CERT_SLACK = 1e-9
 
 #: Strict margin on a·k for an interior certificate.
 INTERIOR_MARGIN = 1e-9
+
+#: Rows with a·k at or below this do not move along k: the closed form
+#: and the translate test treat them as static.
+AK_POSITIVE_MIN = 1e-9
 
 
 def _as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -277,6 +281,42 @@ def contains_many(s: SetExpr, Y, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
 def contains(s: SetExpr, y, eps: float = EPS_MEMBERSHIP) -> bool:
     """Membership of a single point, with absolute slack eps on every row."""
     return bool(contains_many(s, np.asarray(y, dtype=float)[None, :], eps)[0])
+
+
+def contains_translates(s: SetExpr, Y, t, k, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
+    """Membership of y - t*k for each row y of Y, with t one value per row
+    (or one for all).
+
+    Each halfspace is tested as a·y - b - t·(a·k) <= eps, so a large t
+    is not subtracted from y first, where it would round away y's
+    distance to a static row. Rows with a·k <= AK_POSITIVE_MIN are
+    static, as in the closed form: their t term is dropped.
+    """
+    pts = _as_points(Y, s.dim)
+    return _translates(s, pts, np.asarray(t, dtype=float), _as_vector(k, s.dim, "direction"), eps)
+
+
+def _rows_hold(R: np.ndarray, c: np.ndarray, pts: np.ndarray, t, k, eps: float) -> np.ndarray:
+    """(rows, n) mask of a·y - b - t·(a·k) <= eps for the rows (a, b) of (R, c)."""
+    ak = R @ k
+    ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
+    return R @ pts.T - c[:, None] - ak[:, None] * t <= eps
+
+
+def _translates(s: SetExpr, pts: np.ndarray, t, k: np.ndarray, eps: float) -> np.ndarray:
+    if isinstance(s, Polyhedron):
+        return _rows_hold(s.normals, s.offsets, pts, t, k, eps).all(axis=0)
+    if isinstance(s, (SetUnion, SetIntersection)):
+        parts = (_translates(m, pts, t, k, eps) for m in s.members)
+        return reduce(np.logical_or if isinstance(s, SetUnion) else np.logical_and, parts)
+    if isinstance(s, Shift):
+        return _translates(s.base, pts - s.offset, t, k, eps)
+    if isinstance(s, ComplementClosure):
+        # reversed rows (-a)·y <= -b, as the closed form builds them
+        parts = (_rows_hold(-p.normals, -p.offsets, pts, t, k, eps).any(axis=0)
+                 for p in s.polyhedra)
+        return reduce(np.logical_and, parts)
+    raise Unsupported(f"membership not implemented for {type(s).__name__}")
 
 
 def _contains(s: SetExpr, pts: np.ndarray, eps: float) -> np.ndarray:

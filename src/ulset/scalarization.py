@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .evaluator import NU, ExtReal, make_handle, _closed_batch
+from .evaluator import NU, ExtReal, make_handle, _BLOCK_FLOATS, _closed_batch
 from .geometry import HalfSpace, Polyhedron, contains, _as_points, _as_vector
 
 #: Strict margin for interior-of-cone (weak domination) tests.
@@ -25,10 +25,6 @@ INT_CONE_MARGIN = 1e-9
 
 #: Minimizers within this of the minimum are all returned.
 ARGMIN_TOL = 1e-9
-
-#: Float64 elements in the largest temporary of one scoring block of
-#: :func:`_minimize`: 128 KiB, glibc's default mmap threshold.
-_SCORE_BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +142,7 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], Ext
     the shifted cone a - C does. References are scored in blocks of B
     on the closed-form kernel's lattice keys. B is the largest count
     that keeps the block's largest temporary, B * n * max(m, rows of C)
-    floats, within _SCORE_BLOCK, and at least 1: larger temporaries are
+    floats, within _BLOCK_FLOATS, and at least 1: larger temporaries are
     fresh mappings whose page faults cost more than the per-block
     overhead they save. Each slice of a block goes through the matrix
     product one reference alone would, so the keys are bitwise equal.
@@ -160,7 +156,7 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], Ext
         raise InvalidInput("reference points have non-finite entries")
     h = make_handle(C.negated(), k)
     n, m = F.points.shape
-    block = max(1, _SCORE_BLOCK // (n * max(m, len(C.rep.halfspaces))))
+    block = max(1, _BLOCK_FLOATS // (n * max(m, len(C.rep.halfspaces))))
     out = []
     for start in range(0, refs.shape[0], block):
         D = F.points - refs[start:start + block, None]

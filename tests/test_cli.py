@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +293,29 @@ class TestMalformedInput:
         monkeypatch.setattr(cli, "evaluate_batch", exhausted)
         err = self._assert_rejected(["eval", cone_config, "--point", "0,0"], capsys)
         assert err == "error: out of memory: Unable to allocate 14.9 GiB for an array\n"
+
+    @pytest.mark.parametrize("node, k, last", [
+        # t = 1e305 / 1e-8 overflows
+        ({"type": "polyhedron", "halfspaces": [{"a": [1, 0], "b": 0}]}, [1e-8, 1.0], "1e305,0"),
+        # y - y0 overflows to (-inf, inf), so a·(y - y0) is inf - inf
+        ({"type": "shift", "y0": [1e308, -1e308],
+          "base": {"type": "polyhedron", "halfspaces": [{"a": [1, 1], "b": 0}]}},
+         [1.0, 1.0], "-1e308,1e308"),
+    ], ids=["overflow", "inf_minus_inf"])
+    def test_overflow_in_a_late_block(self, node, k, last, tmp_path):
+        """A value that overflows in the last of many blocks: nothing on
+        stdout and one stderr line, also outside pytest's warning capture."""
+        cfg = tmp_path / "set.json"
+        cfg.write_text(json.dumps({"dim": 2, "k": k, "set": node}))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.5,0\n" * 999 + last + "\n")
+        code = ("import sys, ulset.evaluator as e; e._BLOCK_FLOATS = 4; "
+                "from ulset.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(ulset.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code, "eval", str(cfg), "--points", str(pts)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: a value of the functional overflows the float range\n"
 
     @pytest.mark.parametrize("command", ["eval", "separate", "pareto"])
     def test_label_only_line(self, command, cone_config, tmp_path, capsys):

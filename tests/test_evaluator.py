@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ from ulset import (
     evaluate_scaled,
     make_handle,
 )
-from ulset.evaluator import KIND_FINITE, KIND_MINUS_INF, KIND_NU, _closed_batch
+from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
+                             KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _max_rows,
+                             _rows_keys, _to_keys)
 from conftest import three_quadrant_value, neg_orthant, random_polyhedral_fixture, three_quadrant_union
 
 
@@ -137,6 +141,61 @@ class TestStackedKernel:
         assert np.isfinite(poly).any() and (poly == np.inf).any()
 
 
+class TestRowsKernel:
+    """_rows_keys combines all rows of a polyhedron at once; it equals the
+    per-row keys folded pairwise in row order, bit for bit."""
+
+    @staticmethod
+    def row_fold(G, ak, union):
+        rows = [np.where(g > EPS_MEMBERSHIP, np.inf, -np.inf) if a <= AK_POSITIVE_MIN else g / a
+                for g, a in zip(np.swapaxes(G, 0, -2), ak)]
+        return reduce(np.minimum if union else np.maximum, rows)
+
+    @pytest.mark.parametrize("union", [False, True], ids=["intersection", "union"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stack"])
+    def test_rows_match_pairwise_fold(self, union, stacked):
+        rng = np.random.default_rng(10 * union + stacked)
+        values = np.array([0.0, -0.0, 1e-10, -1e-10, 2e-9, 1.5, -1.5, 3.0])
+        for _ in range(200):
+            rows = int(rng.integers(1, 7))
+            ak = rng.choice([0.0, -1e-10, 5e-10, 1e-9, 0.3, 1.0, 2.5], size=rows)
+            shape = (int(rng.integers(1, 4)), rows, 50) if stacked else (rows, 50)
+            G = np.where(rng.uniform(size=shape) < 0.5, rng.choice(values, size=shape),
+                         rng.normal(size=shape))
+            want = self.row_fold(G, ak, union)
+            assert _rows_keys(G, ak, union).tobytes() == want.tobytes()  # consumes G
+
+
+class TestBlockedEvaluation:
+    """evaluate_batch runs the closed form on blocks of points; the keys
+    equal one _closed_batch call over all of them, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["polyhedron", "shift", "union", "intersection", "complement"])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["1", "2", "block-1", "block", "block+1", "2block+1"])
+    def test_blocks_match_one_pass(self, kind, blocks, extra):
+        rng = np.random.default_rng(3 * blocks + extra)
+        s = TestStackedKernel.sets(rng)[kind]
+        k = -TestStackedKernel.K if kind == "complement" else TestStackedKernel.K
+        n = blocks * (_BLOCK_FLOATS // max(3, _max_rows(s))) + extra
+        Y = np.round(rng.normal(scale=2.0, size=(n, 3)), 1)
+        Y[:n // 3] = 0.0  # on every row of the sets' first polyhedron
+        Y[n // 3:n // 2] = TestStackedKernel.K  # on its static row
+        keys = _to_keys(*evaluate_batch(make_handle(s, k), Y))
+        assert keys.tobytes() == _closed_batch(s, k, Y).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3, 4, 5000, 2**14, 2**15])
+    def test_block_bounds(self, width):
+        cap = max(1, _BLOCK_FLOATS // width)
+        for n in [*range(0, 40), cap - 1, cap, cap + 1, 2 * cap + 1, 5 * cap + 3]:
+            bounds = _block_bounds(n, width)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert sizes.max() - sizes.min() <= 1  # near-equal
+            assert n <= 1 or sizes.min() >= 2  # no one-point block
+            assert sizes.max() <= max(cap, 3)
+
+
 class TestBisectionAgainstClosedForm:
     def test_three_quadrant_grid(self, tq_set):
         hc = make_handle(tq_set, [1.0, 0.0])
@@ -172,6 +231,46 @@ class TestBisectionAgainstClosedForm:
             fin = kc == KIND_FINITE
             if fin.any():
                 assert np.abs(vc[fin] - vb[fin]).max() < 1e-6
+
+    @staticmethod
+    def near_plane(rng, a, b, n):
+        """n points 1e-8 to 1e-4 off the plane a·y = b, on either side."""
+        u = np.asarray(a, dtype=float) / np.linalg.norm(a)
+        Y = rng.uniform(-5.0, 5.0, size=(n, u.shape[0]))
+        Y -= np.outer(Y @ u - b / np.linalg.norm(a), u)
+        return Y + np.outer(10.0 ** rng.uniform(-8, -4, n) * rng.choice([-1, 1], n), u)
+
+    @pytest.mark.parametrize("case", ["repro", "near_static", "slow_row", "union_shift",
+                                      "intersection"])
+    def test_points_near_static_rows(self, case):
+        # y - t*k once rounded a point's distance to a static row away at
+        # large t, so bisection found the set where the closed form says nu
+        rng = np.random.default_rng(7)
+        wedge = Polyhedron((HalfSpace([1, -1], 0.0), HalfSpace([1, 1], 0.0)))
+        s, k, Y = {
+            "repro": lambda: (wedge, [1, 1], np.array([[1e-5, 0.0], [3e-5, 0.0]])),
+            "near_static": lambda: (wedge, [1, 1], self.near_plane(rng, [1, -1], 0.0, 200)),
+            # a·k = 5e-10 is static for the closed form, so it is for bisection
+            "slow_row": lambda: (Polyhedron((HalfSpace([1, -1 + 5e-10], 0.0),
+                                             HalfSpace([1, 1], 0.0))),
+                                 [1, 1], self.near_plane(rng, [1, -1], 0.0, 200)),
+            "union_shift": lambda: (
+                SetUnion((Shift(Polyhedron((HalfSpace([1, -1, 0], 0.5), HalfSpace([1, 1, 1], 0.0))),
+                                [1.0, 2.0, -1.0]),
+                          Polyhedron((HalfSpace([0, 1, -1], -2.0), HalfSpace([0, 0, 1], 1.0))))),
+                [1, 1, 1], np.concatenate([self.near_plane(rng, [1, -1, 0], -0.5, 100),
+                                           self.near_plane(rng, [0, 1, -1], -2.0, 100)])),
+            "intersection": lambda: (
+                SetIntersection((wedge, Polyhedron((HalfSpace([0, 1], 3.0),)))),
+                [1, 1], self.near_plane(rng, [1, -1], 0.0, 200)),
+        }[case]()
+        vc, kc = evaluate_batch(make_handle(s, k), Y)
+        vb, kb = evaluate_batch(make_handle(s, k, strategy="bisection"), Y)
+        assert (kc == KIND_NU).any()
+        assert (kc == kb).all()
+        fin = kc == KIND_FINITE
+        if fin.any():
+            assert np.abs(vc[fin] - vb[fin]).max() < 1e-6
 
     def test_intersection_of_polyhedra_is_exact(self):
         # the max rule reproduces the polyhedron with all rows concatenated,

@@ -42,6 +42,9 @@ restructured:
 - `reports.jsonl`: library-level reports of the checks the CLI does not
   run (monotone, subgradient bound, norm identity) and fault-injected
   reports whose Violated witnesses pin the witness selection.
+
+Every CLI case runs a second time with the block budget at one float,
+so that evaluation and Pareto scoring go through many small blocks.
 """
 
 from pathlib import Path
@@ -95,7 +98,8 @@ def _contour_argv(name, level, bbox, grid) -> list[str]:
             "--bbox=" + ",".join(map(repr, bbox)), "--grid", str(grid)]
 
 
-@pytest.mark.parametrize("argv, expected, code", [
+#: CLI calls and their golden output file and exit code.
+CLI_CASES = [
     (["check", _path("strict_union.json"), "--suite", "all", "--seed", "42"],
      "strict_union_check.out", 1),
     (["eval", _path("three_quadrant.json"), "--points", _path("points.csv")],
@@ -135,8 +139,20 @@ def _contour_argv(name, level, bbox, grid) -> list[str]:
     (["pareto", "--points", _path("pareto_blocks.csv"), "--cone-file",
       _path("pareto_blocks_cone.json"), "--k", "1,2,0.5", "--refs", _path("pareto_blocks_refs.csv")],
      "pareto_blocks.out", 0),
-])
+]
+
+
+@pytest.mark.parametrize("argv, expected, code", CLI_CASES)
 def test_cli_output_matches_golden(argv, expected, code, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / expected).read_bytes()
+
+
+@pytest.mark.parametrize("argv, expected, code", CLI_CASES, ids=[case[1] for case in CLI_CASES])
+def test_cli_output_in_small_blocks(argv, expected, code, monkeypatch, capsys):
+    # a budget of one float: blocks of two or three points, one reference each
+    monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 1)
+    monkeypatch.setattr("ulset.scalarization._BLOCK_FLOATS", 1)
     assert main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / expected).read_bytes()
 

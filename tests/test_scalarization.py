@@ -158,7 +158,7 @@ class TestMinimizeBlocks:
     @pytest.mark.parametrize("budget", [1, 100, 777])
     def test_block_edges(self, budget, monkeypatch):
         # small budgets put block edges at 1, 16 and 129 references of 6 points by 1 row
-        monkeypatch.setattr("ulset.scalarization._SCORE_BLOCK", budget)
+        monkeypatch.setattr("ulset.scalarization._BLOCK_FLOATS", budget)
         rng = np.random.default_rng(budget)
         k = np.array([1.0])
         F = np.round(rng.normal(size=(6, 1)), 1)
