@@ -34,7 +34,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import EmptyContour, InvalidInput, PreconditionFailed, UlsetError
+from .errors import EmptyContour, InvalidInput, PreconditionFailed, Unsupported, UlsetError
 from .geometry import (
     AK_POSITIVE_MIN,
     EPS_MEMBERSHIP,
@@ -48,6 +48,7 @@ from .geometry import (
     certify_direction,
     contains_many,
     contains_translates,
+    fold_rows,
     _as_points,
 )
 
@@ -67,6 +68,9 @@ MINUS_INF_SENTINEL = -1e30
 #: of ``scalarization._minimize``: 128 KiB, glibc's default mmap
 #: threshold, so a block's temporaries are reused heap, not fresh pages.
 _BLOCK_FLOATS = 2**14
+
+#: Message of the InvalidInput for a row value or key that is not finite.
+_OVERFLOW = "a value of the functional overflows the float range"
 
 
 def key_text(key: float) -> str:
@@ -104,12 +108,6 @@ class ExtReal:
         if math.isinf(key):
             return MINUS_INF if key < 0 else NU
         return ExtReal.finite(key)
-
-    @property
-    def kind(self) -> int:
-        if self.is_finite:
-            return KIND_FINITE
-        return KIND_MINUS_INF if self.is_minus_inf else KIND_NU
 
     @property
     def is_finite(self) -> bool:
@@ -255,11 +253,6 @@ def make_handle(
 # (-inf wins) and an intersection the elementwise max (nu wins).
 
 
-def _lattice(parts, union: bool) -> np.ndarray:
-    """Combine the keys of the members of a union (min) or an intersection (max)."""
-    return reduce(np.minimum if union else np.maximum, parts)
-
-
 def _rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarray:
     """Keys of the intersection (or union) of the halfspaces whose a·y - b
     are the rows of G (axis -2), with a·k in ak.
@@ -267,23 +260,27 @@ def _rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarray:
     A row moving along k (a·k > AK_POSITIVE_MIN) is reached at
     t = (a·y - b) / a·k, and the moving rows combine in one max (min)
     along the row axis, which folds them in row order. A static row is
-    -inf where the point satisfies it and nu where it does not. G is a
+    -inf where the point satisfies it and nu where it does not. A value
+    that is not finite, on either kind of row, is refused. G is a
     temporary of the caller's and is divided in place, so that a block
     holds one array of its size, not two.
     """
     moving = ak > AK_POSITIVE_MIN
     parts = []
+    if not moving.all():
+        S = G[..., ~moving, :]
+        if not np.isfinite(S).all():
+            raise InvalidInput(_OVERFLOW)
+        violated = S > EPS_MEMBERSHIP
+        parts.append(np.where(violated.all(axis=-2) if union else violated.any(axis=-2),
+                              np.inf, -np.inf))
     if moving.any():
         T = G if moving.all() else G[..., moving, :]
         T /= ak[moving, None]
         if not np.isfinite(T).all():
-            raise InvalidInput("a value of the functional overflows the float range")
+            raise InvalidInput(_OVERFLOW)
         parts.append(T.min(axis=-2) if union else T.max(axis=-2))
-    if not moving.all():
-        violated = G[..., ~moving, :] > EPS_MEMBERSHIP
-        parts.append(np.where(violated.all(axis=-2) if union else violated.any(axis=-2),
-                              np.inf, -np.inf))
-    return _lattice(parts, union)
+    return reduce(np.minimum if union else np.maximum, parts)
 
 
 def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -292,21 +289,8 @@ def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
     A stack goes slice by slice through the same matrix product a 2-d
     call makes, so each slice's keys are bitwise those of the 2-d call.
     """
-    if isinstance(s, Polyhedron):
-        return _rows_keys(s.normals @ np.swapaxes(Y, -1, -2) - s.offsets[:, None],
-                          s.normals @ k, union=False)
-    if isinstance(s, Shift):
-        return _closed_batch(s.base, k, Y - s.offset)
-    if isinstance(s, (SetUnion, SetIntersection)):
-        return _lattice((_closed_batch(m, k, Y) for m in s.members),
-                        union=isinstance(s, SetUnion))
-    if isinstance(s, ComplementClosure):
-        # a member's reversed rows (-a)·y <= -b go through one matrix
-        # product, so they round as the pieces of complement_closure do
-        reversed_rows = ((-m.normals, -m.offsets) for m in s.polyhedra)
-        return _lattice((_rows_keys(R @ np.swapaxes(Y, -1, -2) - c[:, None], R @ k, union=True)
-                         for R, c in reversed_rows), union=False)
-    raise InvalidInput(f"closed form does not cover {type(s).__name__}")
+    return fold_rows(s, Y, lambda R, c, P, union:
+                     _rows_keys(R @ np.swapaxes(P, -1, -2) - c[:, None], R @ k, union))
 
 
 def _max_rows(s: SetExpr) -> int:
@@ -476,19 +460,15 @@ def evaluate_level_shifted(h: FunctionalHandle, c: float, y) -> ExtReal:
 # -- dual route --------------------------------------------------------------
 
 
-def _dual_route_children(s: SetExpr) -> list[Polyhedron]:
-    if isinstance(s, Polyhedron):
-        return [s]
-    if isinstance(s, SetUnion) and all(isinstance(m, Polyhedron) for m in s.members):
-        return list(s.members)
-    raise PreconditionFailed(
-        "dual evaluation needs a polyhedron or a union of polyhedra"
-    )
-
-
-def _require_strict_recession(s: SetExpr, k: np.ndarray) -> None:
-    for ci, child in enumerate(_dual_route_children(s)):
-        ak = child.normals @ k
+def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
+    try:
+        comp = ComplementClosure(h.set)
+    except Unsupported as exc:
+        raise PreconditionFailed(
+            "dual evaluation needs a polyhedron or a union of polyhedra"
+        ) from exc
+    for ci, child in enumerate(comp.polyhedra):
+        ak = child.normals @ h.direction.k
         bad = np.where(ak <= AK_POSITIVE_MIN)[0]
         if bad.size:
             i = int(bad[0])
@@ -496,11 +476,6 @@ def _require_strict_recession(s: SetExpr, k: np.ndarray) -> None:
                 f"row {i} of member {ci} has a·k = {float(ak[i]):.3g} <= {AK_POSITIVE_MIN:g}; "
                 "the boundary would not move strictly inward along k"
             )
-
-
-def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
-    _require_strict_recession(h.set, h.direction.k)
-    comp = ComplementClosure(h.set)
     direction = certify_direction(comp, -h.direction.k)
     return FunctionalHandle(comp, direction, Strategy.CLOSED_FORM, t_max=h.t_max, tol=h.tol)
 

@@ -5,6 +5,9 @@ intersections (:class:`Polyhedron`) and whose inner nodes are finite
 unions, finite intersections, translations (:class:`Shift`) and the
 closure of a polyhedron complement (:class:`ComplementClosure`).
 Every node answers membership queries with an absolute tolerance.
+One fold over the tree, :func:`fold_rows`, defines the shift, union,
+intersection and complement rules, both for the evaluator's lattice
+keys and for membership and the translate test.
 Polyhedral structure additionally yields recession cones, which
 certify admissible translation directions: a vector k is admissible
 for a set A when moving any point of A along -k stays inside A.
@@ -270,12 +273,46 @@ class Direction:
 # membership
 
 
+def fold_rows(s: SetExpr, Y: np.ndarray, rows) -> np.ndarray:
+    """The one walk of the set grammar, folding per-point arrays.
+
+    ``rows(R, c, Y, union)`` gives the array of a block of halfspace rows
+    R·y <= c at the points Y (axis -1 is the coordinate): a polyhedron's
+    rows with ``union=False``, meaning all must hold, and each complement
+    member's reversed rows (-a)·y <= -b with ``union=True``, meaning one
+    must. A shift moves Y; a union folds its members with the elementwise
+    min, an intersection and a complement closure with the max. That is
+    the closed form on lattice keys (-inf < finite < nu) and membership
+    on an outside mask, where min is logical and, max logical or.
+    """
+    if isinstance(s, Polyhedron):
+        return rows(s.normals, s.offsets, Y, False)
+    if isinstance(s, Shift):
+        return fold_rows(s.base, Y - s.offset, rows)
+    if isinstance(s, (SetUnion, SetIntersection)):
+        parts = (fold_rows(m, Y, rows) for m in s.members)
+        return reduce(np.minimum if isinstance(s, SetUnion) else np.maximum, parts)
+    if isinstance(s, ComplementClosure):
+        return reduce(np.maximum, (rows(-p.normals, -p.offsets, Y, True) for p in s.polyhedra))
+    raise Unsupported(f"set grammar does not cover {type(s).__name__}")
+
+
+def _outside(s: SetExpr, pts: np.ndarray, holds) -> np.ndarray:
+    """Mask of the points outside s, where holds(R, c, pts) is the (rows, n)
+    mask of the rows R·y <= c that each point satisfies."""
+    return fold_rows(s, pts, lambda R, c, Y, union:
+                     ~(holds(R, c, Y).any(0) if union else holds(R, c, Y).all(0)))
+
+
 def contains_many(s: SetExpr, Y, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
-    """Vectorized membership test; returns a boolean array, one per row of Y."""
+    """Vectorized membership test; returns a boolean array, one per row of Y.
+
+    Each halfspace is tested as a·y <= b + eps.
+    """
     if eps < 0:
         raise InvalidInput("membership tolerance must be nonnegative")
     pts = _as_points(Y, s.dim)
-    return _contains(s, pts, eps)
+    return ~_outside(s, pts, lambda R, c, P: R @ P.T <= c[:, None] + eps)
 
 
 def contains(s: SetExpr, y, eps: float = EPS_MEMBERSHIP) -> bool:
@@ -293,54 +330,15 @@ def contains_translates(s: SetExpr, Y, t, k, eps: float = EPS_MEMBERSHIP) -> np.
     static, as in the closed form: their t term is dropped.
     """
     pts = _as_points(Y, s.dim)
-    return _translates(s, pts, np.asarray(t, dtype=float), _as_vector(k, s.dim, "direction"), eps)
+    t = np.asarray(t, dtype=float)
+    k = _as_vector(k, s.dim, "direction")
 
+    def holds(R, c, P):
+        ak = R @ k
+        ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
+        return R @ P.T - c[:, None] - ak[:, None] * t <= eps
 
-def _rows_hold(R: np.ndarray, c: np.ndarray, pts: np.ndarray, t, k, eps: float) -> np.ndarray:
-    """(rows, n) mask of a·y - b - t·(a·k) <= eps for the rows (a, b) of (R, c)."""
-    ak = R @ k
-    ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
-    return R @ pts.T - c[:, None] - ak[:, None] * t <= eps
-
-
-def _translates(s: SetExpr, pts: np.ndarray, t, k: np.ndarray, eps: float) -> np.ndarray:
-    if isinstance(s, Polyhedron):
-        return _rows_hold(s.normals, s.offsets, pts, t, k, eps).all(axis=0)
-    if isinstance(s, (SetUnion, SetIntersection)):
-        parts = (_translates(m, pts, t, k, eps) for m in s.members)
-        return reduce(np.logical_or if isinstance(s, SetUnion) else np.logical_and, parts)
-    if isinstance(s, Shift):
-        return _translates(s.base, pts - s.offset, t, k, eps)
-    if isinstance(s, ComplementClosure):
-        # reversed rows (-a)·y <= -b, as the closed form builds them
-        parts = (_rows_hold(-p.normals, -p.offsets, pts, t, k, eps).any(axis=0)
-                 for p in s.polyhedra)
-        return reduce(np.logical_and, parts)
-    raise Unsupported(f"membership not implemented for {type(s).__name__}")
-
-
-def _contains(s: SetExpr, pts: np.ndarray, eps: float) -> np.ndarray:
-    if isinstance(s, Polyhedron):
-        return (s.normals @ pts.T <= s.offsets[:, None] + eps).all(axis=0)
-    if isinstance(s, SetUnion):
-        out = _contains(s.members[0], pts, eps)
-        for m in s.members[1:]:
-            out = out | _contains(m, pts, eps)
-        return out
-    if isinstance(s, SetIntersection):
-        out = _contains(s.members[0], pts, eps)
-        for m in s.members[1:]:
-            out = out & _contains(m, pts, eps)
-        return out
-    if isinstance(s, Shift):
-        return _contains(s.base, pts - s.offset, eps)
-    if isinstance(s, ComplementClosure):
-        out = None
-        for m in s.polyhedra:
-            part = (m.normals @ pts.T >= m.offsets[:, None] - eps).any(axis=0)
-            out = part if out is None else (out & part)
-        return out
-    raise Unsupported(f"membership not implemented for {type(s).__name__}")
+    return ~_outside(s, pts, holds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from ulset import (
+    ComplementClosure,
     HalfSpace,
     OrderCone,
     Polyhedron,
+    SetIntersection,
     SetUnion,
+    Shift,
     make_handle,
     recession_cone,
 )
@@ -32,6 +37,24 @@ def three_quadrant_value(y1: float, y2: float):
     if y2 <= 0.0:
         return y1
     return y1 + 1.0
+
+
+def reference_contains(s, pts: np.ndarray, eps: float) -> np.ndarray:
+    """Membership of the rows of pts, written out node by node: a·y <= b + eps
+    on a polyhedron's rows, a·y >= b - eps on one row of each complement
+    member, or over a union's members, and over an intersection's."""
+    if isinstance(s, Polyhedron):
+        return (s.normals @ pts.T <= s.offsets[:, None] + eps).all(axis=0)
+    if isinstance(s, SetUnion):
+        return reduce(np.logical_or, (reference_contains(m, pts, eps) for m in s.members))
+    if isinstance(s, SetIntersection):
+        return reduce(np.logical_and, (reference_contains(m, pts, eps) for m in s.members))
+    if isinstance(s, Shift):
+        return reference_contains(s.base, pts - s.offset, eps)
+    if isinstance(s, ComplementClosure):
+        return reduce(np.logical_and, ((p.normals @ pts.T >= p.offsets[:, None] - eps).any(axis=0)
+                                       for p in s.polyhedra))
+    raise TypeError(f"no reference for {type(s).__name__}")
 
 
 def biased_eval(bias_scale=0.05):

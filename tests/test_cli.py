@@ -294,6 +294,16 @@ class TestMalformedInput:
         err = self._assert_rejected(["eval", cone_config, "--point", "0,0"], capsys)
         assert err == "error: out of memory: Unable to allocate 14.9 GiB for an array\n"
 
+    def test_non_finite_static_row(self, tmp_path, capsys):
+        """a·y - b of the static row 10y1 + 10y2 <= 0 (a·k = 0) comes out
+        -inf; it was read as satisfied and the point got the value 1e308."""
+        cfg = tmp_path / "set.json"
+        cfg.write_text(json.dumps({"dim": 2, "k": [1, -1], "set": {
+            "type": "polyhedron",
+            "halfspaces": [{"a": [10, 10], "b": 0}, {"a": [1, 0], "b": 0}]}}))
+        err = self._assert_rejected(["eval", str(cfg), "--point", "1e308,-1e308"], capsys)
+        assert err == "error: a value of the functional overflows the float range\n"
+
     @pytest.mark.parametrize("node, k, last", [
         # t = 1e305 / 1e-8 overflows
         ({"type": "polyhedron", "halfspaces": [{"a": [1, 0], "b": 0}]}, [1e-8, 1.0], "1e305,0"),

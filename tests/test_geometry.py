@@ -20,7 +20,8 @@ from ulset import (
     set_from_json,
     set_to_json,
 )
-from conftest import neg_orthant, three_quadrant_union
+from ulset.geometry import contains_translates
+from conftest import neg_orthant, reference_contains, three_quadrant_union
 
 
 class TestMembership:
@@ -70,6 +71,81 @@ class TestMembership:
         pts = rng.uniform(-3, 3, size=(200, 2))
         vec = contains_many(s, pts)
         assert all(bool(v) == contains(s, p) for v, p in zip(vec, pts))
+
+
+def _poly(*rows):
+    return Polyhedron(tuple(HalfSpace(a, b) for a, b in rows))
+
+
+_P1 = _poly(([1.0, 0.0], 1.0), ([0.0, 1.0], 0.5), ([1.0, 1.0], 1.25))
+_P2 = _poly(([1.0, -1.0], 0.5), ([0.0, 1.0], 2.0))
+_P3 = _poly(([1.0, -1.0], 0.0), ([2.0, 0.0], 3.0))
+
+#: Sets of every node type, each with a direction it certifies.
+MEMBERSHIP_CASES = {
+    "polyhedron": (_P1, [1.0, 1.0]),
+    "union": (SetUnion((_P1, _P3)), [1.0, 1.0]),
+    "intersection": (SetIntersection((_P1, _P2)), [1.0, 1.0]),
+    "shift": (Shift(_P1, [0.25, -0.5]), [1.0, 1.0]),
+    "complement": (ComplementClosure(_P1), [-1.0, -1.0]),
+    "complement_of_union": (ComplementClosure(SetUnion((_P1, _P3))), [-1.0, -1.0]),
+    "nested": (Shift(SetUnion((SetIntersection((_P1, _P2)),
+                               SetIntersection((Shift(_P3, [-1.0, 0.5]), _P2)))),
+                     [0.5, 0.25]), [1.0, 1.0]),
+}
+
+
+def _boundary_points(eps: float) -> np.ndarray:
+    """Points with one coordinate at +-(b + d) or half of it, for every row
+    offset b of the cases and d in (-eps, 0, eps), moved by every shift
+    component, against a few values of the other coordinate; plus random
+    points. Each case has a row a·y - b that some of them put exactly at
+    eps."""
+    vals = np.array(sorted({o + sign * scale * (b + d)
+                            for b in (0.0, 0.5, 1.0, 1.25, 2.0, 3.0) for d in (-eps, 0.0, eps)
+                            for sign in (1.0, -1.0) for scale in (1.0, 0.5)
+                            for o in (0.0, 0.25, -0.5, -1.0, 0.5, 0.75)}))
+    other = np.repeat([0.0, -0.5, 1.0, -3.0, 3.0], len(vals))
+    vals = np.tile(vals, 5)
+    rand = np.random.default_rng(3).uniform(-3.0, 3.0, (200, 2))
+    return np.concatenate([np.stack([vals, other], 1), np.stack([other, vals], 1), rand])
+
+
+def _row_sides(s, X: np.ndarray):
+    """(rows, n) values a·x and (rows, 1) offsets b of every row a·x <= b of
+    s at X, complement rows reversed."""
+    if isinstance(s, Polyhedron):
+        return s.normals @ X.T, s.offsets[:, None]
+    if isinstance(s, Shift):
+        return _row_sides(s.base, X - s.offset)
+    if isinstance(s, ComplementClosure):
+        sides = [(-p.normals @ X.T, -p.offsets[:, None]) for p in s.polyhedra]
+    else:
+        sides = [_row_sides(m, X) for m in s.members]
+    return tuple(np.vstack(side) for side in zip(*sides))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6])
+@pytest.mark.parametrize("case", list(MEMBERSHIP_CASES))
+def test_membership_fold_matches_per_node_rules(case, eps):
+    """contains_many equals the node-by-node rules bit for bit, also on
+    points exactly at a·y = b + eps; contains_translates equals
+    contains_many on explicit translates y - t*k away from every row's
+    eps."""
+    s, k = MEMBERSHIP_CASES[case]
+    Y = _boundary_points(eps)
+    ay, b = _row_sides(s, Y)
+    assert (ay == b + eps).any()
+    got = contains_many(s, Y, eps)
+    assert got.any() and not got.all()
+    assert got.tobytes() == reference_contains(s, Y, eps).tobytes()
+
+    t = np.random.default_rng(5).uniform(-2.0, 2.0, len(Y))
+    X = Y - t[:, None] * np.array(k)
+    ax, b = _row_sides(s, X)
+    clear = (np.abs(ax - b - eps) >= 1e-6).all(axis=0)
+    assert clear.mean() > 0.9
+    assert (contains_translates(s, Y, t, k, eps)[clear] == contains_many(s, X, eps)[clear]).all()
 
 
 class TestRecessionCone:
