@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, norms, scalarization
-from .errors import InvalidInput, UlsetError
+from .errors import UlsetError
 from .evaluator import (
     DEFAULT_T_MAX,
     DEFAULT_TOL,
@@ -29,7 +29,8 @@ from .evaluator import (
     _block_bounds,
     _to_keys,
 )
-from .geometry import recession_cone, set_from_json
+from .geometry import (Polyhedron, set_from_json, _CONE_FILE, _CONFIG, _field, _invalid, _list,
+                       _number, _rows, _vector)
 from .scalarization import OrderCone, load_points_csv
 
 CHECK_SUITES = ("sublevel", "translation", "recession", "dual", "convexity")
@@ -47,48 +48,27 @@ def _parse_vector(text: str) -> np.ndarray:
         raise UlsetError(f"cannot parse vector {text!r}: {exc}") from exc
 
 
-def _setting(doc: dict, key: str, convert, default=None):
-    """The config value at key (default where the key is missing) through
-    convert; a value convert refuses is invalid input naming the key."""
+def _read_json(path: str):
     try:
-        return convert(doc.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"config key {key!r}: {exc}") from exc
-
-
-def _real(value) -> float:
-    if isinstance(value, bool):  # float() would read true as 1.0
-        raise TypeError(f"a number is required, not {value!r}")
-    return float(value)
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise UlsetError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_config(path: str, k_flag: str | None):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise UlsetError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UlsetError(f"config {path} is not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     s = set_from_json(doc)
-    if k_flag is not None:
-        k = _parse_vector(k_flag)
-    elif "k" in doc:
-        k = _setting(doc, "k", lambda v: np.asarray(v, dtype=float))
-    else:
+    if k_flag is None and "k" not in doc:
         raise UlsetError("no direction given: pass --k or put \"k\" in the config")
-    t_max = _setting(doc, "t_max", _real, DEFAULT_T_MAX)
-    env = os.environ.get("ULSET_TMAX")
-    if env is not None:
-        t_max = float(env)
-    return make_handle(
-        s,
-        k,
-        strategy=_setting(doc, "strategy",
-                          lambda v: Strategy.CLOSED_FORM if v is None else Strategy(v)),
-        t_max=t_max,
-        tol=_setting(doc, "tol", _real, DEFAULT_TOL),
-    )
+    k = _parse_vector(k_flag) if k_flag is not None else _vector(*_field(doc, _CONFIG, "k"), s.dim)
+    t_max = _number(*_field(doc, _CONFIG, "t_max", DEFAULT_T_MAX))
+    t_max = float(os.environ.get("ULSET_TMAX", t_max))
+    strategy, at = _field(doc, _CONFIG, "strategy", Strategy.CLOSED_FORM)
+    if strategy not in (None, *Strategy):
+        raise _invalid(at, f"expected null or one of {', '.join(Strategy)}, got {strategy!r}")
+    return make_handle(s, k, strategy=strategy or Strategy.CLOSED_FORM, t_max=t_max,
+                       tol=_number(*_field(doc, _CONFIG, "tol", DEFAULT_TOL)))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -136,7 +116,7 @@ def _run_suite(h, name: str, samples: int, seed: int) -> list[analysis.PropertyR
     if name == "translation":
         return [analysis.check_translation_invariance(h, samples, seed)]
     if name == "recession":
-        h_rec = make_handle(recession_cone(h.set).to_polyhedron(), h.direction.k,
+        h_rec = make_handle(h.direction.cert.to_polyhedron(), h.direction.k,
                             t_max=h.t_max, tol=h.tol)
         return [analysis.check_recession_inequality(h, h_rec, samples, seed)]
     if name == "dual":
@@ -178,23 +158,10 @@ def _cmd_separate(args) -> int:
 
 def _load_cone(args, dim: int) -> OrderCone:
     if args.cone_file:
-        try:
-            with open(args.cone_file) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UlsetError(f"cannot read cone file: {exc}") from exc
-        from .geometry import HalfSpace, Polyhedron
-
-        try:
-            rows = tuple(HalfSpace(h["a"], h.get("b", 0.0)) for h in doc["halfspaces"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidInput("cone file needs 'halfspaces': a list of rows "
-                               f"{{\"a\": [...], \"b\": ...}} ({exc!r})") from exc
-        try:
-            gens = tuple(np.asarray(g, dtype=float) for g in doc.get("generators", [])) or None
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"cone file 'generators' must be a list of vectors ({exc})") from exc
-        return OrderCone(Polyhedron(rows), generators=gens)
+        doc = _read_json(args.cone_file)
+        rows = _rows(*_field(doc, _CONE_FILE, "halfspaces"), dim, 0.0)
+        gens = [_vector(g, p, dim) for g, p in _list(*_field(doc, _CONE_FILE, "generators", []))]
+        return OrderCone(Polyhedron(rows), generators=tuple(gens) or None)
     if args.cone == "nonneg":
         return OrderCone.nonneg(dim)
     raise UlsetError(f"unknown cone {args.cone!r}; use nonneg or --cone-file")
@@ -291,14 +258,14 @@ def main(argv=None) -> int:
         # would add lines to the one-line error
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except UlsetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (UlsetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -17,11 +17,12 @@ members, of the union of that member's reversed halfspaces. Bisection
 is the independent oracle, opt in with ``strategy="bisection"``: it
 goes through membership tests of y - t*k only, which never divide by
 a·k, brackets the threshold by exponential doubling from t=0 out to
-+-t_max and refines to a mixed tolerance tol*(1+|t|). A bisection
-result of MinusInf means membership persisted at -t_max; that is a
-bounded numerical certificate, not a proof that the whole line lies in
-the set. Ties at the bracket edge resolve toward membership, matching
-the fact that the infimum is attained for closed sets.
++-t_max and refines to a mixed tolerance tol*(1+|t|), or to adjacent
+floats where tol asks for less. A bisection result of MinusInf means
+membership persisted at -t_max; that is a bounded numerical
+certificate, not a proof that the whole line lies in the set. Ties at
+the bracket edge resolve toward membership, matching the fact that the
+infimum is attained for closed sets.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .geometry import (
     contains_translates,
     fold_rows,
     _as_points,
+    _OVERFLOW,
 )
 
 DEFAULT_T_MAX = 1e12
@@ -68,9 +70,6 @@ MINUS_INF_SENTINEL = -1e30
 #: of ``scalarization._minimize``: 128 KiB, glibc's default mmap
 #: threshold, so a block's temporaries are reused heap, not fresh pages.
 _BLOCK_FLOATS = 2**14
-
-#: Message of the InvalidInput for a row value or key that is not finite.
-_OVERFLOW = "a value of the functional overflows the float range"
 
 
 def key_text(key: float) -> str:
@@ -383,11 +382,12 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
 
     bracketed = np.flatnonzero(np.isfinite(hi))
     while bracketed.size:
-        gap = hi[bracketed] - lo[bracketed]
-        todo = bracketed[gap > h.tol * (1.0 + np.abs(hi[bracketed]))]
+        todo = bracketed[hi[bracketed] - lo[bracketed] > h.tol * (1.0 + np.abs(hi[bracketed]))]
+        mid = 0.5 * (lo[todo] + hi[todo])
+        inside = (lo[todo] < mid) & (mid < hi[todo])  # false for adjacent floats
+        todo, mid = todo[inside], mid[inside]
         if not todo.size:
             break
-        mid = 0.5 * (lo[todo] + hi[todo])
         m = contains_translates(s, Y[todo], mid, k)
         hi[todo[m]] = mid[m]
         lo[todo[~m]] = mid[~m]

@@ -23,6 +23,8 @@ interior (core) can be strictly larger; no operation here computes it.
 from __future__ import annotations
 
 import itertools
+import reprlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Mapping, Sequence
@@ -46,6 +48,9 @@ INTERIOR_MARGIN = 1e-9
 #: Rows with a·k at or below this do not move along k: the closed form
 #: and the translate test treat them as static.
 AK_POSITIVE_MIN = 1e-9
+
+#: Message of the InvalidInput for a row value or key that is not finite.
+_OVERFLOW = "a value of the functional overflows the float range"
 
 
 def _as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -327,7 +332,8 @@ def contains_translates(s: SetExpr, Y, t, k, eps: float = EPS_MEMBERSHIP) -> np.
     Each halfspace is tested as a·y - b - t·(a·k) <= eps, so a large t
     is not subtracted from y first, where it would round away y's
     distance to a static row. Rows with a·k <= AK_POSITIVE_MIN are
-    static, as in the closed form: their t term is dropped.
+    static, as in the closed form: their t term is dropped. A row value
+    that is not finite is refused, as in the closed form.
     """
     pts = _as_points(Y, s.dim)
     t = np.asarray(t, dtype=float)
@@ -336,7 +342,10 @@ def contains_translates(s: SetExpr, Y, t, k, eps: float = EPS_MEMBERSHIP) -> np.
     def holds(R, c, P):
         ak = R @ k
         ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
-        return R @ P.T - c[:, None] - ak[:, None] * t <= eps
+        G = R @ P.T - c[:, None] - ak[:, None] * t
+        if not np.isfinite(G).all():
+            raise InvalidInput(_OVERFLOW)
+        return G <= eps
 
     return ~_outside(s, pts, holds)
 
@@ -388,8 +397,6 @@ def certify_direction(s: SetExpr, k) -> Direction:
     and records whether all rows clear the strict interior margin.
     """
     kv = _as_vector(k, s.dim, "direction")
-    if float(np.linalg.norm(kv)) <= NORMAL_MIN:
-        raise InvalidInput("direction vector is numerically zero")
     cone = recession_cone(s)
     products = [float(h.a @ kv) for h in cone.halfspaces]
     for i, p in enumerate(products):
@@ -419,54 +426,79 @@ def complement_closure(s: SetExpr) -> SetUnion:
 
 # ---------------------------------------------------------------------------
 # JSON interchange
+#
+# One reader for set documents, CLI configs and cone files. A path is
+# (document name, dotted key path); each helper checks the value at its
+# path and refuses it with an InvalidInput that names the path.
+
+_CONFIG = ("config", "")
+_CONE_FILE = ("cone file", "")
+
+
+def _invalid(path: tuple[str, str], msg: str) -> InvalidInput:
+    return InvalidInput(f"{path[0]} key '{path[1]}': {msg}" if path[1] else f"{path[0]}: {msg}")
+
+
+def _field(obj, path, key: str, default=None):
+    """obj[key] and its path, for the JSON object obj at path; default if
+    key is missing, which is refused where no default is given."""
+    at = (path[0], f"{path[1]}.{key}".lstrip("."))
+    if not isinstance(obj, Mapping):
+        raise _invalid(path, f"expected an object, got {reprlib.repr(obj)}")
+    if key not in obj and default is None:
+        raise _invalid(at, "missing")
+    return obj.get(key, default), at
+
+
+def _list(v, path) -> list:
+    """The items of the JSON list v at path, each with its path."""
+    if not isinstance(v, list):
+        raise _invalid(path, f"expected a list, got {reprlib.repr(v)}")
+    return [(x, (path[0], f"{path[1]}[{i}]")) for i, x in enumerate(v)]
+
+
+def _number(v, path) -> float:
+    """A finite JSON number: an int or a float, not a bool, a string, NaN or inf."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise _invalid(path, f"expected a finite number, got {reprlib.repr(v)}")
+    return float(v)
+
+
+def _vector(v, path, dim: int) -> np.ndarray:
+    """A JSON list of exactly dim numbers."""
+    if not isinstance(v, list) or len(v) != dim:
+        raise _invalid(path, f"expected {dim} numbers, got {reprlib.repr(v)}")
+    return np.array([_number(x, p) for x, p in _list(v, path)])
+
+
+def _rows(v, path, dim: int, b=None) -> tuple[HalfSpace, ...]:
+    """Halfspace rows [{"a": [dim numbers], "b": number}, ...]; b stands in for a missing "b"."""
+    return tuple(HalfSpace(_vector(*_field(row, p, "a"), dim), _number(*_field(row, p, "b", b)))
+                 for row, p in _list(v, path))
 
 
 def set_from_json(doc: Mapping) -> SetExpr:
-    """Parse the {"dim": n, "set": {...}} schema into a set expression."""
-    try:
-        dim = int(doc["dim"])
-        node = doc["set"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"config must carry 'dim' and 'set': {exc}") from exc
-    if dim < 1:
-        raise InvalidInput("dim must be a positive integer")
-    s = _node_from_json(node, dim)
-    if s.dim != dim:
-        raise InvalidInput(f"set has dimension {s.dim}, header says {dim}")
-    return s
+    """Parse the {"dim": n, "set": {...}} schema; every vector is read against dim."""
+    dim, at = _field(doc, _CONFIG, "dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise _invalid(at, f"expected a positive integer, got {reprlib.repr(dim)}")
+    return _node_from_json(*_field(doc, _CONFIG, "set"), dim)
 
 
-def _node_from_json(node: Mapping, dim: int) -> SetExpr:
-    try:
-        kind = node["type"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput("set node is missing 'type'") from exc
+def _node_from_json(node, path, dim: int) -> SetExpr:
+    kind, at = _field(node, path, "type")
     if kind == "polyhedron":
-        try:
-            hs = tuple(HalfSpace(h["a"], h["b"]) for h in node["halfspaces"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidInput(f"bad polyhedron node: {exc}") from exc
-        return Polyhedron(hs)
+        return Polyhedron(_rows(*_field(node, path, "halfspaces"), dim))
     if kind in ("union", "intersection"):
-        members = node.get("members", [])
-        if not isinstance(members, list):
-            raise InvalidInput(f"{kind} node needs a list of 'members', got {members!r}")
-        members = tuple(_node_from_json(m, dim) for m in members)
+        members = tuple(_node_from_json(m, p, dim)
+                        for m, p in _list(*_field(node, path, "members")))
         return SetUnion(members) if kind == "union" else SetIntersection(members)
     if kind == "shift":
-        try:
-            base = _node_from_json(node["base"], dim)
-            y0 = node["y0"]
-        except KeyError as exc:
-            raise InvalidInput("shift node needs 'base' and 'y0'") from exc
-        return Shift(base, y0)
+        base = _node_from_json(*_field(node, path, "base"), dim)
+        return Shift(base, _vector(*_field(node, path, "y0"), dim))
     if kind == "complement":
-        try:
-            base = _node_from_json(node["base"], dim)
-        except KeyError as exc:
-            raise InvalidInput("complement node needs 'base'") from exc
-        return ComplementClosure(base)
-    raise InvalidInput(f"unknown set node type {kind!r}")
+        return ComplementClosure(_node_from_json(*_field(node, path, "base"), dim))
+    raise _invalid(at, f"unknown set node type {reprlib.repr(kind)}")
 
 
 def set_to_json(s: SetExpr) -> dict:

@@ -39,6 +39,27 @@ CONE_CONFIG = {
 }
 
 
+#: Spellings the JSON reader refuses: a shift offset that is an object
+#: (a TypeError traceback before), a fractional dim and a boolean offset
+#: (read as 2 and 1.0 before), string coefficients, and a boolean offset
+#: in a cone file; each with the key path its error names.
+_ROW = {"type": "polyhedron", "halfspaces": [{"a": [1, 0], "b": 0}]}
+MALFORMED = [
+    ("shift_y0_object", json.loads((GOLDEN / "malformed_shift.json").read_text()),
+     "config key 'set.y0'"),
+    ("dim_fraction", {"dim": 2.7, "k": [1, 0], "set": _ROW}, "config key 'dim'"),
+    ("b_true", {"dim": 2, "k": [1, 0], "set": {
+        "type": "union", "members": [_ROW, {"type": "polyhedron",
+                                            "halfspaces": [{"a": [1, 0], "b": True}]}]}},
+     "config key 'set.members[1].halfspaces[0].b'"),
+    ("a_strings", {"dim": 2, "k": [1, 0], "set": {
+        "type": "polyhedron", "halfspaces": [_ROW["halfspaces"][0], {"a": ["1", "0"], "b": 0}]}},
+     "config key 'set.halfspaces[1].a"),
+    ("cone_b_false", {"halfspaces": [{"a": [-1, 0]}, {"a": [0, -1], "b": False}]},
+     "cone file key 'halfspaces[1].b'"),
+]
+
+
 @pytest.fixture
 def tq_config(tmp_path):
     path = tmp_path / "tq.json"
@@ -303,6 +324,50 @@ class TestMalformedInput:
             "halfspaces": [{"a": [10, 10], "b": 0}, {"a": [1, 0], "b": 0}]}}))
         err = self._assert_rejected(["eval", str(cfg), "--point", "1e308,-1e308"], capsys)
         assert err == "error: a value of the functional overflows the float range\n"
+
+    def test_non_finite_static_row_under_bisection(self, tmp_path, capsys):
+        """The same point under bisection: the translate test read the NaN
+        of inf - inf as a violated row and printed 0,nu."""
+        cfg = tmp_path / "set.json"
+        cfg.write_text(json.dumps({"dim": 2, "k": [1, -1], "strategy": "bisection", "set": {
+            "type": "polyhedron",
+            "halfspaces": [{"a": [10, 10], "b": 0}, {"a": [1, 0], "b": 0}]}}))
+        err = self._assert_rejected(["eval", str(cfg), "--point", "1e308,-1e308"], capsys)
+        assert err == "error: a value of the functional overflows the float range\n"
+
+    def test_tol_below_float_spacing_under_bisection(self, tmp_path):
+        """A tol no float gap can meet: bisection stops at adjacent floats.
+        It split the same two floats forever before."""
+        cfg = tmp_path / "set.json"
+        cfg.write_text(json.dumps({**CONE_CONFIG, "strategy": "bisection", "tol": 1e-17}))
+        done = subprocess.run([sys.executable, "-m", "ulset.cli", "eval", str(cfg),
+                               "--point", "0.3,0.7", "--point=-2,-5"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(
+                                  Path(ulset.__file__).parents[1])}, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        values = [float(line.split(",")[1]) for line in done.stdout.splitlines()]
+        assert values == pytest.approx([0.7, -2.0], abs=2e-9)
+
+    def test_nested_too_deeply(self, tmp_path, capsys):
+        node = {"type": "polyhedron", "halfspaces": [{"a": [1, 0], "b": 0}]}
+        for _ in range(450):
+            node = {"type": "union", "members": [node]}
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps({"dim": 2, "k": [1.0, 0.0], "set": node}))
+        err = self._assert_rejected(["eval", str(cfg), "--point", "0.5,0.5"], capsys)
+        assert err == "error: input nested too deeply\n"
+
+    @pytest.mark.parametrize("name, doc, path", MALFORMED, ids=[m[0] for m in MALFORMED])
+    def test_refused_spelling(self, name, doc, path, tmp_path, capsys):
+        """Spellings the JSON reader refuses that were read before (or
+        crashed): one stderr line that names the value's key path."""
+        file = tmp_path / "doc.json"
+        file.write_text(json.dumps(doc))
+        if path.startswith("cone file"):
+            argv = ["norm", "--cone-file", str(file), "--k", "1,1", "--point", "2,1"]
+        else:
+            argv = ["eval", str(file), "--point", "0.5,0.5"]
+        assert path in self._assert_rejected(argv, capsys)
 
     @pytest.mark.parametrize("node, k, last", [
         # t = 1e305 / 1e-8 overflows
