@@ -4,7 +4,8 @@ Subcommands: eval, contour, check, separate, pareto, norm. Exit codes:
 0 success (all checks Hold or are Inapplicable, cloud disjoint), 1 a
 property was Violated or the cloud is not disjoint, 2 invalid input or
 configuration, or memory ran out. The ULSET_TMAX environment variable
-overrides the bracketing horizon t_max of every handle the CLI builds.
+overrides the bracketing horizon t_max of every handle the CLI builds; it
+must spell a positive finite JSON number, like the config's t_max.
 """
 
 from __future__ import annotations
@@ -56,14 +57,28 @@ def _read_json(path: str):
         raise UlsetError(f"cannot read {path}: {exc}") from exc
 
 
+def _env_json(name: str):
+    """The JSON value the environment variable name spells, or its text
+    if it spells none, for the JSON reader's rules to accept or refuse."""
+    text = os.environ[name]
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
 def _load_config(path: str, k_flag: str | None):
     doc = _read_json(path)
     s = set_from_json(doc)
     if k_flag is None and "k" not in doc:
         raise UlsetError("no direction given: pass --k or put \"k\" in the config")
     k = _parse_vector(k_flag) if k_flag is not None else _vector(*_field(doc, _CONFIG, "k"), s.dim)
-    t_max = _number(*_field(doc, _CONFIG, "t_max", DEFAULT_T_MAX))
-    t_max = float(os.environ.get("ULSET_TMAX", t_max))
+    t_max, at = _field(doc, _CONFIG, "t_max", DEFAULT_T_MAX)
+    if "ULSET_TMAX" in os.environ:
+        t_max, at = _env_json("ULSET_TMAX"), ("ULSET_TMAX", "")
+    t_max = _number(t_max, at)
+    if not t_max > 0:
+        raise _invalid(at, f"expected a positive number, got {t_max!r}")
     strategy, at = _field(doc, _CONFIG, "strategy", Strategy.CLOSED_FORM)
     if strategy not in (None, *Strategy):
         raise _invalid(at, f"expected null or one of {', '.join(Strategy)}, got {strategy!r}")

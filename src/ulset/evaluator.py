@@ -520,6 +520,29 @@ _CASE_EDGES = np.array([
 ])
 
 
+def _march(F: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Marching squares on the cells between consecutive rows of F, the
+    values f at the grid points (xs[i], ys[j]): whether any cell is
+    usable, and the segment ends as rows (x, y), two per segment, in
+    row-major cell order and within a cell in table order."""
+    nu = np.isnan(F)
+    usable = ~(nu[:-1, :-1] | nu[:-1, 1:] | nu[1:, 1:] | nu[1:, :-1])
+    above = (F >= 0).astype(np.int8)
+    case = above[:-1, :-1] + 2 * above[:-1, 1:] + 4 * above[1:, 1:] + 8 * above[1:, :-1]
+    j, i = np.nonzero(usable & (case != 0) & (case != 15))
+    case = case[j, i]
+    centre = 0.25 * (((F[j, i] + F[j, i + 1]) + F[j + 1, i]) + F[j + 1, i + 1])
+    edges = _CASE_EDGES[np.where(((case == 5) | (case == 10)) & ~(centre >= 0),
+                                 16 + (case == 10), case)]
+    cell, slot = np.nonzero(edges >= 0)
+    corners = _EDGE_CORNERS[edges[cell, slot]] + np.stack([j[cell], i[cell]], axis=1)[:, None]
+    (ja, ia), (jb, ib) = corners[:, 0].T, corners[:, 1].T
+    fa, fb = F[ja, ia], F[jb, ib]
+    t = np.clip(fa / (fa - fb), 0.0, 1.0)  # one of fa, fb is >= 0, the other < 0
+    return bool(usable.any()), np.stack([xs[ia] + t * (xs[ib] - xs[ia]),
+                                         ys[ja] + t * (ys[jb] - ys[ja])], axis=1)
+
+
 def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.ndarray]:
     """Marching-squares segments of the level set {y : phi(y) = level}.
 
@@ -537,6 +560,13 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     below the level, any other saddle its two corners above it. On the
     edge from corner a to b the segment end is pa + t*(pb - pa), with
     t = fa / (fa - fb) clamped to [0, 1].
+
+    The grid is evaluated and marched in strips of about
+    _BLOCK_FLOATS // grid_n rows (at least one). Each strip carries the
+    last row of f of the strip before it, so the cells across a strip
+    boundary are marched and every grid point is evaluated once. Memory
+    thus grows with grid_n and the segments, not with grid_n**2, and
+    the segments are those of one pass over the whole grid.
 
     Returns one (2, 2) array per segment, in row-major cell order (y
     index outer) and within a cell in table order, without stitching.
@@ -556,25 +586,25 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
 
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)
-    keys = _to_keys(*evaluate_batch(h, np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)))
-    F = np.where(keys == np.inf, np.nan,
-                 np.where(keys == -np.inf, MINUS_INF_SENTINEL, keys - level)).reshape(grid_n, grid_n)
-
-    nu = np.isnan(F)
-    usable = ~(nu[:-1, :-1] | nu[:-1, 1:] | nu[1:, 1:] | nu[1:, :-1])
-    if not usable.any():
+    step = max(1, _BLOCK_FLOATS // grid_n)
+    pts = np.empty((step, grid_n, 2))
+    pts[..., 0] = xs
+    F = np.empty((0, grid_n))
+    usable, ends = False, []
+    for r0 in range(0, grid_n, step):
+        # a strip holds whole rows of grid_n >= 8 points, so evaluate_batch
+        # never makes a one-point block and the keys are the whole grid's
+        rows = ys[r0:r0 + step]
+        strip = pts[:len(rows)]
+        strip[..., 1] = rows[:, None]
+        vals, kinds = evaluate_batch(h, strip.reshape(-1, 2))
+        f = np.where(kinds == KIND_FINITE, vals - level,
+                     np.where(kinds == KIND_MINUS_INF, MINUS_INF_SENTINEL, np.nan))
+        # F's first row is grid row r0 - 1, carried, except in the first strip
+        F = np.concatenate([F[-1:], f.reshape(len(rows), grid_n)])
+        any_usable, strip_ends = _march(F, xs, ys[max(r0 - 1, 0):])
+        usable |= any_usable
+        ends.append(strip_ends)
+    if not usable:
         raise EmptyContour("every grid cell touches a point outside the domain")
-    above = (F >= 0).astype(np.int8)
-    case = above[:-1, :-1] + 2 * above[:-1, 1:] + 4 * above[1:, 1:] + 8 * above[1:, :-1]
-    j, i = np.nonzero(usable & (case != 0) & (case != 15))
-    case = case[j, i]
-    centre = 0.25 * (((F[j, i] + F[j, i + 1]) + F[j + 1, i]) + F[j + 1, i + 1])
-    edges = _CASE_EDGES[np.where(((case == 5) | (case == 10)) & ~(centre >= 0),
-                                 16 + (case == 10), case)]
-    cell, slot = np.nonzero(edges >= 0)
-    corners = _EDGE_CORNERS[edges[cell, slot]] + np.stack([j[cell], i[cell]], axis=1)[:, None]
-    (ja, ia), (jb, ib) = corners[:, 0].T, corners[:, 1].T
-    fa, fb = F[ja, ia], F[jb, ib]
-    t = np.clip(fa / (fa - fb), 0.0, 1.0)  # one of fa, fb is >= 0, the other < 0
-    ends = np.stack([xs[ia] + t * (xs[ib] - xs[ia]), ys[ja] + t * (ys[jb] - ys[ja])], axis=1)
-    return list(ends.reshape(-1, 2, 2))
+    return list(np.concatenate(ends).reshape(-1, 2, 2))

@@ -442,3 +442,12 @@ class TestEnvOverride:
         monkeypatch.setenv("ULSET_TMAX", "1e3")
         assert main(["eval", cone_config, "--point", "0,0"]) == 0
         assert capsys.readouterr().out == "0,0.0\n"
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
+    def test_tmax_env_invalid(self, value, cone_config, monkeypatch, capsys):
+        monkeypatch.setenv("ULSET_TMAX", value)
+        assert main(["eval", cone_config, "--point", "0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ULSET_TMAX: ")

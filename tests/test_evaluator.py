@@ -1,4 +1,6 @@
+import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from ulset import (
     evaluate_scaled,
     make_handle,
 )
+from ulset.cli import _load_config
 from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
                              KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _max_rows,
                              _rows_keys, _to_keys)
@@ -495,10 +498,26 @@ class TestContour:
             d = np.min(np.linalg.norm(pts - np.asarray(q), axis=1))
             assert d <= tol
 
-    def test_all_nu_raises_empty(self, cone_edge):
-        # domain of the edge handle is {y2 <= 0}; sample far above it
+    def test_all_nu_raises_empty(self, cone_edge, monkeypatch):
+        # domain of the edge handle is {y2 <= 0}; sample far above it, in
+        # one strip and in one-row strips
         with pytest.raises(EmptyContour):
             contour2d(cone_edge, 0.0, (2.0, 2.0, 5.0, 5.0), 16)
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 1)
+        with pytest.raises(EmptyContour):
+            contour2d(cone_edge, 0.0, (2.0, 2.0, 5.0, 5.0), 16)
+
+    def test_memory_independent_of_grid_area(self):
+        # the whole 1024 x 1024 grid's points alone take 16 MiB
+        h = _load_config(str(Path(__file__).parent / "golden" / "three_quadrant.json"), None)
+        tracemalloc.start()
+        try:
+            segments = contour2d(h, 0.5, (-2.0, -2.0, 2.0, 2.0), 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert segments
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_level_rejected(self, cone_diag, level):

@@ -43,8 +43,9 @@ restructured:
   run (monotone, subgradient bound, norm identity) and fault-injected
   reports whose Violated witnesses pin the witness selection.
 
-Every CLI case runs a second time with the block budget at one float,
-so that evaluation and Pareto scoring go through many small blocks.
+Every CLI case runs again under small block budgets (`SMALL_BUDGETS`),
+so that evaluation, contour strips and Pareto scoring go through many
+small blocks.
 """
 
 from pathlib import Path
@@ -148,11 +149,20 @@ def test_cli_output_matches_golden(argv, expected, code, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / expected).read_bytes()
 
 
-@pytest.mark.parametrize("argv, expected, code", CLI_CASES, ids=[case[1] for case in CLI_CASES])
-def test_cli_output_in_small_blocks(argv, expected, code, monkeypatch, capsys):
-    # a budget of one float: blocks of two or three points, one reference each
-    monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 1)
-    monkeypatch.setattr("ulset.scalarization._BLOCK_FLOATS", 1)
+#: Small block budgets, in floats. One float gives blocks of two or three
+#: points, one reference each, and one-row contour strips. 45 floats give
+#: the 9- and 13-point contour grids strips of 5 and 3 rows, and 123 floats
+#: give the 41-point grids strips of 3 rows, so strip boundaries fall on
+#: odd rows and cut through saddle, -inf and nu cells.
+SMALL_BUDGETS = (1, 45, 123)
+
+
+@pytest.mark.parametrize("budget, argv, expected, code", [
+    pytest.param(budget, *case, id=case[1] if budget == 1 else f"{case[1]}-{budget}")
+    for budget in SMALL_BUDGETS for case in CLI_CASES])
+def test_cli_output_in_small_blocks(budget, argv, expected, code, monkeypatch, capsys):
+    monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+    monkeypatch.setattr("ulset.scalarization._BLOCK_FLOATS", budget)
     assert main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / expected).read_bytes()
 
