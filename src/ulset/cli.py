@@ -188,8 +188,8 @@ def _cmd_pareto(args) -> int:
     k = _parse_vector(args.k)
     refs = load_points_csv(args.refs).points if args.refs else cloud.points
     lines = ["ref_index,point_index,value"]
-    for r, (arg, val) in enumerate(scalarization._minimize(cloud, cone, k, refs)):
-        lines.extend(f"{r},{i},{val}" for i in arg)
+    for r, (arg, key) in enumerate(scalarization._minimize(cloud, cone, k, refs)):
+        lines.extend(f"{r},{i},{key_text(key)}" for i in arg)
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

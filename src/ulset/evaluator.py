@@ -15,14 +15,15 @@ intersection is the max, a polyhedron is the intersection of its
 halfspaces and a complement closure the intersection, over the base's
 members, of the union of that member's reversed halfspaces. Bisection
 is the independent oracle, opt in with ``strategy="bisection"``: it
-goes through membership tests of y - t*k only, which never divide by
-a·k, brackets the threshold by exponential doubling from t=0 out to
-+-t_max and refines to a mixed tolerance tol*(1+|t|), or to adjacent
-floats where tol asks for less. A bisection result of MinusInf means
-membership persisted at -t_max; that is a bounded numerical
-certificate, not a proof that the whole line lies in the set. Ties at
-the bracket edge resolve toward membership, matching the fact that the
-infimum is attained for closed sets.
+tests membership of y - t*k only, t = 0 included, each row as
+a·y - b - t·(a·k) <= eps, which never divides by a·k. The test at t = 0
+picks the direction, one loop doubles |t| out to t_max to bracket the
+threshold, and bisection refines it to a mixed tolerance tol*(1+|t|),
+or to adjacent floats where tol asks for less. A bisection result of
+MinusInf means membership persisted at -t_max; that is a bounded
+numerical certificate, not a proof that the whole line lies in the
+set. Ties at the bracket edge resolve toward membership, matching the
+fact that the infimum is attained for closed sets.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .geometry import (
     SetUnion,
     Shift,
     certify_direction,
-    contains_many,
     contains_translates,
     fold_rows,
     _as_points,
@@ -338,46 +338,34 @@ def _to_keys(vals: np.ndarray, kinds: np.ndarray) -> np.ndarray:
 
 
 def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
-    """Keys by bracketing and bisection: nu (+inf) for a point still outside
-    the set at +t_max, -inf for one still inside it at -t_max. Each test
-    of y - t*k goes through :func:`contains_translates`, row by row."""
+    """Keys by bracketing and bisection. Every test of y - t*k, t = 0
+    included, goes through :func:`contains_translates`, row by row.
+
+    The test at t = 0 picks each point's direction: up for a non-member,
+    down for a member. One loop doubles |t| out to t_max; a hit sets hi
+    and a miss lo, and a point stays active while the test gives its
+    t = 0 answer. One still active at t_max gets nu (+inf) going up and
+    -inf going down.
+    """
     s, k = h.set, h.direction.k
     n = Y.shape[0]
     lo = np.zeros(n)
     hi = np.zeros(n)
 
-    member0 = contains_many(s, Y, EPS_MEMBERSHIP)
-
-    # upward: points not yet members at t=0, so lo=0 is a known non-member
-    active = np.where(~member0)[0]
+    member0 = contains_translates(s, Y, 0.0, k)
+    sign = np.where(member0, -1.0, 1.0)
+    active = np.arange(n)
     t = 1.0
     while active.size:
         t_now = min(t, h.t_max)
-        m = contains_translates(s, Y[active], t_now, k)
-        hi[active[m]] = t_now
-        misses = active[~m]
-        lo[misses] = t_now
+        ts = sign[active] * t_now
+        m = contains_translates(s, Y[active], ts, k)
+        hi[active[m]] = ts[m]
+        lo[active[~m]] = ts[~m]
+        active = active[m == member0[active]]
         if t_now == h.t_max:
-            hi[misses] = np.inf
-            active = misses[:0]
-        else:
-            active = misses
-        t *= 2.0
-
-    # downward: points that are members at t=0, so hi=0 is a known member
-    active = np.where(member0)[0]
-    t = -1.0
-    while active.size:
-        t_now = max(t, -h.t_max)
-        m = contains_translates(s, Y[active], t_now, k)
-        lo[active[~m]] = t_now
-        stays = active[m]
-        hi[stays] = t_now
-        if t_now == -h.t_max:
-            hi[stays] = -np.inf
-            active = stays[:0]
-        else:
-            active = stays
+            hi[active] = sign[active] * np.inf
+            break
         t *= 2.0
 
     bracketed = np.flatnonzero(np.isfinite(hi))

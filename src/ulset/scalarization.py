@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .evaluator import NU, ExtReal, make_handle, _BLOCK_FLOATS, _closed_batch
+from .evaluator import ExtReal, make_handle, _BLOCK_FLOATS, _closed_batch
 from .geometry import HalfSpace, Polyhedron, contains, _as_points, _as_vector
 
 #: Strict margin for interior-of-cone (weak domination) tests.
@@ -131,11 +131,13 @@ def scalarize(F, C: OrderCone, k, a) -> tuple[list[int], ExtReal]:
     every point scores nu the argmin is empty and the value is nu. A
     -inf score short-circuits the minimum.
     """
-    return _minimize(F, C, k, _as_vector(a, C.dim, "reference point")[None, :])[0]
+    arg, key = _minimize(F, C, k, _as_vector(a, C.dim, "reference point")[None, :])[0]
+    return arg, ExtReal.from_key(key)
 
 
-def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], ExtReal]]:
-    """:func:`scalarize` against each row of refs, an (r, m) array, in order.
+def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], float]]:
+    """:func:`scalarize` against each row of refs, an (r, m) array, in order,
+    with each minimum as its lattice key.
 
     One handle on -C serves every reference point a: the score against
     a is its value at the points F - a, the same subtraction a handle on
@@ -165,7 +167,7 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], Ext
         low = keys.min(axis=1)
         hits = keys <= (low + ARGMIN_TOL)[:, None]
         # -inf is the least key, so it wins; a cloud scoring nu everywhere has no minimizer
-        out.extend(([], NU) if lo == np.inf else (np.flatnonzero(hit).tolist(), ExtReal.from_key(lo))
+        out.extend(([] if lo == np.inf else np.flatnonzero(hit).tolist(), lo)
                    for lo, hit in zip(low.tolist(), hits))
     return out
 

@@ -15,6 +15,7 @@ from ulset import (
     recession_cone,
 )
 from ulset.evaluator import KIND_FINITE, evaluate_batch
+from ulset.geometry import EPS_MEMBERSHIP, contains_many, contains_translates
 
 
 def three_quadrant_union() -> SetUnion:
@@ -55,6 +56,61 @@ def reference_contains(s, pts: np.ndarray, eps: float) -> np.ndarray:
         return reduce(np.logical_and, ((p.normals @ pts.T >= p.offsets[:, None] - eps).any(axis=0)
                                        for p in s.polyhedra))
     raise TypeError(f"no reference for {type(s).__name__}")
+
+
+def reference_bisect(h, Y: np.ndarray) -> np.ndarray:
+    """Bisection keys by two-pass bracketing: plain membership a·y <= b + eps
+    splits the points at t = 0, then one loop doubles t upward for the
+    non-members and a mirrored loop doubles it downward for the members;
+    the refinement is the evaluator's."""
+    s, k = h.set, h.direction.k
+    n = Y.shape[0]
+    lo = np.zeros(n)
+    hi = np.zeros(n)
+    member0 = contains_many(s, Y, EPS_MEMBERSHIP)
+
+    active = np.where(~member0)[0]
+    t = 1.0
+    while active.size:
+        t_now = min(t, h.t_max)
+        m = contains_translates(s, Y[active], t_now, k)
+        hi[active[m]] = t_now
+        misses = active[~m]
+        lo[misses] = t_now
+        if t_now == h.t_max:
+            hi[misses] = np.inf
+            active = misses[:0]
+        else:
+            active = misses
+        t *= 2.0
+
+    active = np.where(member0)[0]
+    t = -1.0
+    while active.size:
+        t_now = max(t, -h.t_max)
+        m = contains_translates(s, Y[active], t_now, k)
+        lo[active[~m]] = t_now
+        stays = active[m]
+        hi[stays] = t_now
+        if t_now == -h.t_max:
+            hi[stays] = -np.inf
+            active = stays[:0]
+        else:
+            active = stays
+        t *= 2.0
+
+    bracketed = np.flatnonzero(np.isfinite(hi))
+    while bracketed.size:
+        todo = bracketed[hi[bracketed] - lo[bracketed] > h.tol * (1.0 + np.abs(hi[bracketed]))]
+        mid = 0.5 * (lo[todo] + hi[todo])
+        inside = (lo[todo] < mid) & (mid < hi[todo])
+        todo, mid = todo[inside], mid[inside]
+        if not todo.size:
+            break
+        m = contains_translates(s, Y[todo], mid, k)
+        hi[todo[m]] = mid[m]
+        lo[todo[~m]] = mid[~m]
+    return hi
 
 
 def biased_eval(bias_scale=0.05):

@@ -33,7 +33,8 @@ from ulset.cli import _load_config
 from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
                              KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _max_rows,
                              _rows_keys, _to_keys)
-from conftest import three_quadrant_value, neg_orthant, random_polyhedral_fixture, three_quadrant_union
+from conftest import (three_quadrant_value, neg_orthant, random_polyhedral_fixture, reference_bisect,
+                      three_quadrant_union)
 
 
 class TestClosedFormValues:
@@ -274,6 +275,23 @@ class TestBisectionAgainstClosedForm:
         fin = kc == KIND_FINITE
         if fin.any():
             assert np.abs(vc[fin] - vb[fin]).max() < 1e-6
+
+    @pytest.mark.parametrize("kind", ["polyhedron", "shift", "union", "intersection", "complement"])
+    @pytest.mark.parametrize("t_max", [1e3, 1e6 + 0.5, 1e12])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-17])
+    def test_keys_match_two_pass_bracketing(self, kind, t_max, tol):
+        # one signed bracketing loop through the translate test gives the
+        # keys of a t = 0 split by plain membership and two mirrored loops
+        rng = np.random.default_rng(17)
+        s = TestStackedKernel.sets(rng)[kind]
+        k = -TestStackedKernel.K if kind == "complement" else TestStackedKernel.K
+        Y = rng.normal(scale=2.0, size=(60, 3))
+        # scaled copies end past the horizon of every t_max, at nu and at -inf
+        Y = np.concatenate([np.zeros((1, 3)), TestStackedKernel.K[None], Y, 1e4 * Y, 1e13 * Y])
+        h = make_handle(s, k, strategy="bisection", t_max=t_max, tol=tol)
+        keys = _to_keys(*evaluate_batch(h, Y))
+        assert keys.tobytes() == reference_bisect(h, Y).tobytes()
+        assert np.isfinite(keys).any() and (keys == np.inf).any() and (keys == -np.inf).any()
 
     def test_intersection_of_polyhedra_is_exact(self):
         # the max rule reproduces the polyhedron with all rows concatenated,

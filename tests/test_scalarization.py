@@ -112,7 +112,7 @@ class TestMinimizeBlocks:
         got = _minimize(F, C, k, refs)
         want = cls.per_reference(F, C, k, refs)
         assert [arg for arg, _ in got] == [arg for arg, _ in want]
-        assert (np.array([val._key for _, val in got]).tobytes()
+        assert (np.array([key for _, key in got]).tobytes()
                 == np.array([low for _, low in want]).tobytes())
 
     @staticmethod
