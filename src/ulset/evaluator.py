@@ -32,7 +32,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -42,14 +42,10 @@ from .geometry import (
     EPS_MEMBERSHIP,
     ComplementClosure,
     Direction,
-    Polyhedron,
     SetExpr,
-    SetIntersection,
-    SetUnion,
-    Shift,
     certify_direction,
     contains_translates,
-    fold_rows,
+    fold_plan,
     _as_points,
     _OVERFLOW,
 )
@@ -231,6 +227,11 @@ class FunctionalHandle:
         if not (self.tol > 0):
             raise InvalidInput("tol must be positive")
 
+    @cached_property
+    def motions(self) -> tuple:
+        """Per leaf of the set's plan, at its index: its rows' :func:`_motion`."""
+        return tuple(_motion(leaf.R @ self.direction.k) for leaf in self.set.plan[1])
+
 
 def make_handle(
     s: SetExpr,
@@ -252,58 +253,53 @@ def make_handle(
 # (-inf wins) and an intersection the elementwise max (nu wins).
 
 
-def _rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarray:
-    """Keys of the intersection (or union) of the halfspaces whose a·y - b
-    are the rows of G (axis -2), with a·k in ak.
-
-    A row moving along k (a·k > AK_POSITIVE_MIN) is reached at
-    t = (a·y - b) / a·k, and the moving rows combine in one max (min)
-    along the row axis, which folds them in row order. A static row is
-    -inf where the point satisfies it and nu where it does not. A value
-    that is not finite, on either kind of row, is refused. G is a
-    temporary of the caller's and is divided in place, so that a block
-    holds one array of its size, not two.
-    """
+def _motion(ak: np.ndarray) -> tuple:
+    """How rows with a·k in ak move along k: the mask of moving rows (a·k >
+    AK_POSITIVE_MIN), whether all and any move, and their a·k as a column."""
     moving = ak > AK_POSITIVE_MIN
+    return moving, bool(moving.all()), bool(moving.any()), ak[moving, None]
+
+
+def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
+    """Keys of the intersection (or union) of the halfspaces whose a·y - b
+    are the rows of G (axis -2), which move along k as ``motion`` says.
+
+    A moving row is reached at t = (a·y - b) / a·k, and the moving rows
+    combine in one max (min) along the row axis, which folds them in
+    row order. A static row is -inf where the point satisfies it and nu
+    where it does not. A value that is not finite, on either kind of
+    row, is refused. G is a temporary of the caller's and is divided in
+    place, so that a block holds one array of its size, not two.
+    """
+    moving, all_moving, any_moving, divisor = motion
     parts = []
-    if not moving.all():
+    if not all_moving:
         S = G[..., ~moving, :]
         if not np.isfinite(S).all():
             raise InvalidInput(_OVERFLOW)
         violated = S > EPS_MEMBERSHIP
         parts.append(np.where(violated.all(axis=-2) if union else violated.any(axis=-2),
                               np.inf, -np.inf))
-    if moving.any():
-        T = G if moving.all() else G[..., moving, :]
-        T /= ak[moving, None]
+    if any_moving:
+        T = G if all_moving else G[..., moving, :]
+        T /= divisor
         if not np.isfinite(T).all():
             raise InvalidInput(_OVERFLOW)
         parts.append(T.min(axis=-2) if union else T.max(axis=-2))
     return reduce(np.minimum if union else np.maximum, parts)
 
 
-def _closed_batch(s: SetExpr, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Keys at the points Y, an (n, m) array or a (B, n, m) stack of them.
+def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
+    """Keys at the points Yt, coordinate-major: an (m, n) array or a (B, m, n)
+    stack, from the set's plan and the row motions cached on h. A stack goes
+    slice by slice through the same matrix products a 2-d call makes, so
+    each slice's keys are bitwise those of the 2-d call."""
+    def leaf(rows, P):
+        G = rows.R @ P
+        G -= rows.c
+        return _rows_keys(G, h.motions[rows.i], rows.union)
 
-    A stack goes slice by slice through the same matrix product a 2-d
-    call makes, so each slice's keys are bitwise those of the 2-d call.
-    """
-    return fold_rows(s, Y, lambda R, c, P, union:
-                     _rows_keys(R @ np.swapaxes(P, -1, -2) - c[:, None], R @ k, union))
-
-
-def _max_rows(s: SetExpr) -> int:
-    """Rows of the largest polyhedron in s: per point, the floats of the
-    largest temporary :func:`_closed_batch` makes besides the points."""
-    if isinstance(s, Polyhedron):
-        return len(s.halfspaces)
-    if isinstance(s, ComplementClosure):
-        return max(len(m.halfspaces) for m in s.polyhedra)
-    if isinstance(s, Shift):
-        return _max_rows(s.base)
-    if isinstance(s, (SetUnion, SetIntersection)):
-        return max(map(_max_rows, s.members))
-    return 1  # _closed_batch refuses any other node
+    return fold_plan(h.set.plan[0], Yt, leaf)
 
 
 def _block_bounds(n: int, floats_per_point: int) -> list[int]:
@@ -395,19 +391,20 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     The closed form runs on consecutive blocks of the points (see
     :func:`_block_bounds`), each within _BLOCK_FLOATS floats of
     temporaries, and fills one key array, so memory grows with the
-    points and not with rows times points. A point's key depends on
-    that point alone, and no block holds a single point unless the input
-    is one point, so the keys are bitwise those of one pass over all the
-    points. Bisection makes one pass.
+    points and not with rows times points; a block is the view
+    ``pts[a:b].T``. A point's key depends on that point alone, and no
+    block holds a single point unless the input is one point, so the
+    keys are bitwise those of one pass over all the points. Bisection
+    makes one pass.
     """
     pts = _as_points(Y, h.set.dim)
     if h.strategy == Strategy.BISECTION:
         return _from_keys(_bisect_batch(h, pts))
     n, m = pts.shape
-    bounds = _block_bounds(n, max(m, _max_rows(h.set)))
+    bounds = _block_bounds(n, max(m, *(len(leaf.R) for leaf in h.set.plan[1])))
     keys = np.empty(n)
     for a, b in zip(bounds, bounds[1:]):
-        keys[a:b] = _closed_batch(h.set, h.direction.k, pts[a:b])
+        keys[a:b] = _closed_batch(h, pts[a:b].T)
     return _from_keys(keys)
 
 

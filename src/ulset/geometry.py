@@ -5,9 +5,9 @@ intersections (:class:`Polyhedron`) and whose inner nodes are finite
 unions, finite intersections, translations (:class:`Shift`) and the
 closure of a polyhedron complement (:class:`ComplementClosure`).
 Every node answers membership queries with an absolute tolerance.
-One fold over the tree, :func:`fold_rows`, defines the shift, union,
-intersection and complement rules, both for the evaluator's lattice
-keys and for membership and the translate test.
+One walk of the tree compiles a set, once, into a row plan on which
+:func:`fold_plan` defines the shift, union, intersection and complement
+rules, for the evaluator's lattice keys and for membership alike.
 Polyhedral structure additionally yields recession cones, which
 certify admissible translation directions: a vector k is admissible
 for a set A when moving any point of A along -k stays inside A.
@@ -25,9 +25,10 @@ from __future__ import annotations
 import itertools
 import reprlib
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -108,6 +109,12 @@ class SetExpr:
     @property
     def dim(self) -> int:
         raise NotImplementedError
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The set's row plan, compiled once: its root and its leaves in order."""
+        leaves = []
+        return _compile(self, leaves), tuple(leaves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,38 +282,51 @@ class Direction:
 
 
 # ---------------------------------------------------------------------------
-# membership
+# row plans and membership
 
 
-def fold_rows(s: SetExpr, Y: np.ndarray, rows) -> np.ndarray:
-    """The one walk of the set grammar, folding per-point arrays.
+#: Leaf i of a row plan: rows R·y <= c (c a column), all of which hold, or
+#: with union one: a complement member's rows, reversed once to (-a)·y <= -b.
+Leaf = namedtuple("Leaf", "i R c union")
+#: Inner plan node: the elementwise min (union) or max of its members'
+#: arrays in member order, at the points less offset (a column) for a shift.
+Fold = namedtuple("Fold", "offset union members")
 
-    ``rows(R, c, Y, union)`` gives the array of a block of halfspace rows
-    R·y <= c at the points Y (axis -1 is the coordinate): a polyhedron's
-    rows with ``union=False``, meaning all must hold, and each complement
-    member's reversed rows (-a)·y <= -b with ``union=True``, meaning one
-    must. A shift moves Y; a union folds its members with the elementwise
-    min, an intersection and a complement closure with the max. That is
-    the closed form on lattice keys (-inf < finite < nu) and membership
-    on an outside mask, where min is logical and, max logical or.
-    """
+
+def _compile(s: SetExpr, leaves: list, union: bool = False):
+    """The one walk of the set grammar: the plan node of s, whose leaves
+    it appends to leaves. ``union`` marks s as a complement member."""
     if isinstance(s, Polyhedron):
-        return rows(s.normals, s.offsets, Y, False)
+        R, c = (-s.normals, -s.offsets) if union else (s.normals, s.offsets)
+        leaves.append(Leaf(len(leaves), R, c[:, None], union))
+        return leaves[-1]
     if isinstance(s, Shift):
-        return fold_rows(s.base, Y - s.offset, rows)
+        return Fold(s.offset[:, None], False, (_compile(s.base, leaves),))
     if isinstance(s, (SetUnion, SetIntersection)):
-        parts = (fold_rows(m, Y, rows) for m in s.members)
-        return reduce(np.minimum if isinstance(s, SetUnion) else np.maximum, parts)
+        return Fold(None, isinstance(s, SetUnion), tuple(_compile(m, leaves) for m in s.members))
     if isinstance(s, ComplementClosure):
-        return reduce(np.maximum, (rows(-p.normals, -p.offsets, Y, True) for p in s.polyhedra))
+        return Fold(None, False, tuple(_compile(p, leaves, True) for p in s.polyhedra))
     raise Unsupported(f"set grammar does not cover {type(s).__name__}")
 
 
+def fold_plan(node, Yt: np.ndarray, leaf) -> np.ndarray:
+    """Fold a plan node into one array per point of Yt, coordinate-major
+    ((m, n) or a (B, m, n) stack), where leaf(node, Yt) gives a leaf's: the
+    closed form on lattice keys (-inf < finite < nu), or membership on an
+    outside mask, where min is logical and, max logical or."""
+    if isinstance(node, Leaf):
+        return leaf(node, Yt)
+    if node.offset is not None:
+        Yt = Yt - node.offset
+    return reduce(np.minimum if node.union else np.maximum,
+                  (fold_plan(m, Yt, leaf) for m in node.members))
+
+
 def _outside(s: SetExpr, pts: np.ndarray, holds) -> np.ndarray:
-    """Mask of the points outside s, where holds(R, c, pts) is the (rows, n)
-    mask of the rows R·y <= c that each point satisfies."""
-    return fold_rows(s, pts, lambda R, c, Y, union:
-                     ~(holds(R, c, Y).any(0) if union else holds(R, c, Y).all(0)))
+    """Mask of the points outside s, where holds(rows, Yt) is the (rows, n)
+    mask of a leaf's rows that each point satisfies."""
+    return fold_plan(s.plan[0], pts.T, lambda rows, Yt:
+                     ~(holds(rows, Yt).any(0) if rows.union else holds(rows, Yt).all(0)))
 
 
 def contains_many(s: SetExpr, Y, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
@@ -317,7 +337,7 @@ def contains_many(s: SetExpr, Y, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
     if eps < 0:
         raise InvalidInput("membership tolerance must be nonnegative")
     pts = _as_points(Y, s.dim)
-    return ~_outside(s, pts, lambda R, c, P: R @ P.T <= c[:, None] + eps)
+    return ~_outside(s, pts, lambda rows, Yt: rows.R @ Yt <= rows.c + eps)
 
 
 def contains(s: SetExpr, y, eps: float = EPS_MEMBERSHIP) -> bool:
@@ -339,10 +359,10 @@ def contains_translates(s: SetExpr, Y, t, k, eps: float = EPS_MEMBERSHIP) -> np.
     t = np.asarray(t, dtype=float)
     k = _as_vector(k, s.dim, "direction")
 
-    def holds(R, c, P):
-        ak = R @ k
+    def holds(rows, Yt):
+        ak = rows.R @ k
         ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
-        G = R @ P.T - c[:, None] - ak[:, None] * t
+        G = rows.R @ Yt - rows.c - ak[:, None] * t
         if not np.isfinite(G).all():
             raise InvalidInput(_OVERFLOW)
         return G <= eps
@@ -354,40 +374,23 @@ def contains_translates(s: SetExpr, Y, t, k, eps: float = EPS_MEMBERSHIP) -> np.
 # recession cones and direction certificates
 
 
-def _dedup_rows(rows: Sequence[HalfSpace]) -> tuple[HalfSpace, ...]:
-    seen = set()
-    out = []
-    for h in rows:
-        key = (h.a.tobytes(), h.b)
-        if key not in seen:
-            seen.add(key)
-            out.append(h)
-    return tuple(out)
-
-
 def recession_cone(s: SetExpr) -> RecessionCone:
-    """Recession cone of a set expression.
+    """Recession cone of a set expression: its plan's rows, offsets dropped.
 
-    Exact for polyhedra and their shifts/intersections: offsets drop and
-    the rows are kept. Unions get the intersection of their members'
-    cones, and complement closures the reversed rows of their base,
-    both flagged inexact: every listed direction is valid, but
-    exactness is not derivable from the representation.
+    Exact for polyhedra and their shifts/intersections. Unions get the
+    intersection of their members' cones, and complement closures the
+    reversed rows of their base, both flagged inexact: every listed
+    direction is valid, but exactness is not derivable from the
+    representation.
     """
-    if isinstance(s, Polyhedron):
-        rows = tuple(HalfSpace(h.a, 0.0) for h in s.halfspaces)
-        return RecessionCone(_dedup_rows(rows), exact=True)
-    if isinstance(s, Shift):
-        return recession_cone(s.base)
-    if isinstance(s, (SetUnion, SetIntersection)):
-        parts = [recession_cone(m) for m in s.members]
-        rows = _dedup_rows([h for p in parts for h in p.halfspaces])
-        exact = isinstance(s, SetIntersection) and all(p.exact for p in parts)
-        return RecessionCone(rows, exact=exact)
-    if isinstance(s, ComplementClosure):
-        rows = tuple(HalfSpace(-h.a, 0.0) for m in s.polyhedra for h in m.halfspaces)
-        return RecessionCone(_dedup_rows(rows), exact=False)
-    raise Unsupported(f"recession cone is not derivable for {type(s).__name__}")
+    root, leaves = s.plan
+    rows = {a.tobytes(): a for leaf in leaves for a in leaf.R}
+    return RecessionCone(tuple(HalfSpace(a, 0.0) for a in rows.values()), exact=_exact(root))
+
+
+def _exact(node) -> bool:
+    """Whether the plan below node has no union and no complement closure."""
+    return not node.union and (isinstance(node, Leaf) or all(map(_exact, node.members)))
 
 
 def certify_direction(s: SetExpr, k) -> Direction:

@@ -5,17 +5,22 @@ import pytest
 
 from ulset import (
     ComplementClosure,
+    Direction,
+    FunctionalHandle,
     HalfSpace,
+    InvalidInput,
     OrderCone,
     Polyhedron,
+    RecessionCone,
     SetIntersection,
     SetUnion,
     Shift,
+    Strategy,
     make_handle,
     recession_cone,
 )
 from ulset.evaluator import KIND_FINITE, evaluate_batch
-from ulset.geometry import EPS_MEMBERSHIP, contains_many, contains_translates
+from ulset.geometry import AK_POSITIVE_MIN, EPS_MEMBERSHIP, contains_many, contains_translates
 
 
 def three_quadrant_union() -> SetUnion:
@@ -56,6 +61,68 @@ def reference_contains(s, pts: np.ndarray, eps: float) -> np.ndarray:
         return reduce(np.logical_and, ((p.normals @ pts.T >= p.offsets[:, None] - eps).any(axis=0)
                                        for p in s.polyhedra))
     raise TypeError(f"no reference for {type(s).__name__}")
+
+
+def kernel_handle(s, k) -> FunctionalHandle:
+    """A closed-form handle on s and k with no certificate, so that kernel
+    tests can use one k for every set, a complement closure included."""
+    return FunctionalHandle(s, Direction(k, RecessionCone((), exact=False), False),
+                            Strategy.CLOSED_FORM)
+
+
+# The closed form and the outside mask before the row plan: one walk of the
+# set tree per call, which rebuilds each polyhedron's rows, a·k and moving
+# mask, on row-major points (axis -1 is the coordinate).
+
+
+def reference_fold_rows(s, Y: np.ndarray, rows) -> np.ndarray:
+    """rows(R, c, Y, union) on each polyhedron's rows (union=False) and each
+    complement member's reversed rows (union=True); a shift moves Y, a union
+    folds with the elementwise min, the rest with the max."""
+    if isinstance(s, Polyhedron):
+        return rows(s.normals, s.offsets, Y, False)
+    if isinstance(s, Shift):
+        return reference_fold_rows(s.base, Y - s.offset, rows)
+    if isinstance(s, (SetUnion, SetIntersection)):
+        parts = (reference_fold_rows(m, Y, rows) for m in s.members)
+        return reduce(np.minimum if isinstance(s, SetUnion) else np.maximum, parts)
+    if isinstance(s, ComplementClosure):
+        return reduce(np.maximum, (rows(-p.normals, -p.offsets, Y, True) for p in s.polyhedra))
+    raise TypeError(f"no reference for {type(s).__name__}")
+
+
+def reference_rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarray:
+    """Keys of a polyhedron's rows from G = R·y - c, with the moving mask
+    taken from a·k in ak on every call."""
+    moving = ak > AK_POSITIVE_MIN
+    parts = []
+    if not moving.all():
+        S = G[..., ~moving, :]
+        if not np.isfinite(S).all():
+            raise InvalidInput("overflow")
+        violated = S > EPS_MEMBERSHIP
+        parts.append(np.where(violated.all(axis=-2) if union else violated.any(axis=-2),
+                              np.inf, -np.inf))
+    if moving.any():
+        T = G if moving.all() else G[..., moving, :]
+        T /= ak[moving, None]
+        if not np.isfinite(T).all():
+            raise InvalidInput("overflow")
+        parts.append(T.min(axis=-2) if union else T.max(axis=-2))
+    return reduce(np.minimum if union else np.maximum, parts)
+
+
+def reference_closed_batch(s, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Keys at the points Y, an (n, m) array or a (B, n, m) stack."""
+    return reference_fold_rows(s, Y, lambda R, c, P, union: reference_rows_keys(
+        R @ np.swapaxes(P, -1, -2) - c[:, None], R @ k, union))
+
+
+def reference_outside(s, pts: np.ndarray, holds) -> np.ndarray:
+    """Mask of the points outside s, where holds(R, c, pts) is the (rows, n)
+    mask of the rows R·y <= c that each point satisfies."""
+    return reference_fold_rows(s, pts, lambda R, c, Y, union:
+                               ~(holds(R, c, Y).any(0) if union else holds(R, c, Y).all(0)))
 
 
 def reference_bisect(h, Y: np.ndarray) -> np.ndarray:

@@ -31,9 +31,11 @@ from ulset import (
 )
 from ulset.cli import _load_config
 from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
-                             KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _max_rows,
+                             KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _motion,
                              _rows_keys, _to_keys)
-from conftest import (three_quadrant_value, neg_orthant, random_polyhedral_fixture, reference_bisect,
+from ulset.geometry import contains_many, contains_translates
+from conftest import (three_quadrant_value, kernel_handle, neg_orthant, random_polyhedral_fixture,
+                      reference_bisect, reference_closed_batch, reference_outside,
                       three_quadrant_union)
 
 
@@ -131,8 +133,9 @@ class TestStackedKernel:
         Y = np.round(rng.normal(scale=2.0, size=(6, n, 3)), 1)
         Y[0] = 0.0  # on every row of p
         Y[1] = self.K  # on p's static row
-        got = _closed_batch(s, self.K, Y)
-        want = np.stack([_closed_batch(s, self.K, y) for y in Y])
+        h = kernel_handle(s, self.K)
+        got = _closed_batch(h, np.swapaxes(Y, -1, -2))
+        want = np.stack([_closed_batch(h, y.T) for y in Y])
         assert got.shape == (6, n)
         assert got.tobytes() == want.tobytes()
 
@@ -140,9 +143,61 @@ class TestStackedKernel:
         rng = np.random.default_rng(5)
         sets = self.sets(rng)
         Y = rng.normal(scale=2.0, size=(4, 50, 3))
-        union, poly = (_closed_batch(sets[name], self.K, Y) for name in ("union", "polyhedron"))
+        union, poly = (_closed_batch(kernel_handle(sets[name], self.K), np.swapaxes(Y, -1, -2))
+                       for name in ("union", "polyhedron"))
         assert np.isfinite(union).any() and (union == -np.inf).any()
         assert np.isfinite(poly).any() and (poly == np.inf).any()
+
+
+class TestRowPlan:
+    """The row plan gives, bit for bit, the keys and membership masks of the
+    walk of the set tree it replaced (conftest's reference_closed_batch and
+    reference_outside), on row-major views and contiguous coordinate-major
+    points alike."""
+
+    KINDS = ["polyhedron", "shift", "union", "intersection", "complement", "shifted_union",
+             "shifted_complement"]
+
+    @staticmethod
+    def sets(rng):
+        sets = TestStackedKernel.sets(rng)
+        static_only = sets["union"].members[2]
+        o = np.round(rng.normal(size=3), 1)
+        sets["shifted_union"] = Shift(sets["union"], o)
+        sets["shifted_complement"] = SetUnion((Shift(sets["complement"], o), static_only))
+        return sets, o
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_plan_matches_tree_walk(self, kind, n):
+        rng = np.random.default_rng(40 + n)
+        sets, o = self.sets(rng)
+        s = sets[kind]
+        K = -TestStackedKernel.K if "complement" in kind else TestStackedKernel.K
+        Y = np.round(rng.normal(scale=2.0, size=(6, n, 3)), 1)
+        Y[0], Y[1] = 0.0, -0.0  # on every row of p: zero keys
+        Y[2] = K  # on p's static row
+        Y[3], Y[4] = o, sets["shift"].offset  # on every row of p, shifted
+        h = kernel_handle(s, K)
+        want = reference_closed_batch(s, K, Y)
+        Yt = np.swapaxes(Y, -1, -2)
+        for P in (Yt, np.ascontiguousarray(Yt)):
+            assert _closed_batch(h, P).tobytes() == want.tobytes()
+        for y in Y:
+            assert _closed_batch(h, y.T).tobytes() == reference_closed_batch(s, K, y).tobytes()
+
+        pts = Y.reshape(-1, 3)
+        t = rng.choice([0.0, 0.5, -1.0, 2.0], size=len(pts))
+
+        def translate_holds(R, c, P):  # the parent's translate test
+            ak = R @ K
+            ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
+            return R @ P.T - c[:, None] - ak[:, None] * t <= EPS_MEMBERSHIP
+
+        inside = ~reference_outside(s, pts, lambda R, c, P: R @ P.T <= c[:, None] + EPS_MEMBERSHIP)
+        assert (contains_many(s, pts) == inside).all()
+        translates = ~reference_outside(s, pts, translate_holds)
+        assert (contains_translates(s, pts, t, K) == translates).all()
 
 
 class TestRowsKernel:
@@ -167,7 +222,7 @@ class TestRowsKernel:
             G = np.where(rng.uniform(size=shape) < 0.5, rng.choice(values, size=shape),
                          rng.normal(size=shape))
             want = self.row_fold(G, ak, union)
-            assert _rows_keys(G, ak, union).tobytes() == want.tobytes()  # consumes G
+            assert _rows_keys(G, _motion(ak), union).tobytes() == want.tobytes()  # consumes G
 
 
 class TestBlockedEvaluation:
@@ -181,12 +236,12 @@ class TestBlockedEvaluation:
         rng = np.random.default_rng(3 * blocks + extra)
         s = TestStackedKernel.sets(rng)[kind]
         k = -TestStackedKernel.K if kind == "complement" else TestStackedKernel.K
-        n = blocks * (_BLOCK_FLOATS // max(3, _max_rows(s))) + extra
+        n = blocks * (_BLOCK_FLOATS // max(3, *(len(leaf.R) for leaf in s.plan[1]))) + extra
         Y = np.round(rng.normal(scale=2.0, size=(n, 3)), 1)
         Y[:n // 3] = 0.0  # on every row of the sets' first polyhedron
         Y[n // 3:n // 2] = TestStackedKernel.K  # on its static row
         keys = _to_keys(*evaluate_batch(make_handle(s, k), Y))
-        assert keys.tobytes() == _closed_batch(s, k, Y).tobytes()
+        assert keys.tobytes() == _closed_batch(make_handle(s, k), Y.T).tobytes()
 
     @pytest.mark.parametrize("width", [1, 3, 4, 5000, 2**14, 2**15])
     def test_block_bounds(self, width):

@@ -18,7 +18,7 @@ from ulset import (
     trace_front,
     weakly_efficient,
 )
-from ulset.evaluator import _to_keys
+from ulset.evaluator import _BLOCK_FLOATS, _to_keys
 from ulset.scalarization import ARGMIN_TOL, _minimize, _parse_lines, _read_numeric
 
 
@@ -167,6 +167,45 @@ class TestMinimizeBlocks:
     def test_non_finite_difference_rejected(self, orthant2):
         with pytest.raises(InvalidInput, match="finite coordinates"), np.errstate(over="ignore"):
             _minimize(np.array([[1e308, 0.0]]), orthant2, [1.0, 1.0], np.array([[-1e308, 0.0]]))
+
+    @staticmethod
+    def wide_cone(rng, m, k):
+        """5-8 rows a with a·k <= 0, two of them static, in random order."""
+        rows = []
+        for _ in range(int(rng.integers(3, 7))):
+            a = rng.normal(size=m) * rng.uniform(0.5, 3.0)
+            rows.append(-a if a @ k > 0 else a)
+        for _ in range(2):
+            a = rng.normal(size=m)
+            rows.append(a - (a @ k) / (k @ k) * k)
+        rng.shuffle(rows)
+        return OrderCone(Polyhedron(tuple(HalfSpace(a, 0.0) for a in rows)))
+
+    @pytest.mark.parametrize("n, refs", [(40, 120), (2100, 15)], ids=["B>1", "B=1"])
+    def test_wide_cones_with_two_static_rows(self, n, refs):
+        # _minimize's contiguous (B, m, n) differences against evaluate_batch's
+        # strided per-reference blocks
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            m = int(rng.integers(2, 5))
+            k = rng.uniform(0.2, 2.0, size=m)
+            C = self.wide_cone(rng, m, k)
+            assert 5 <= len(C.rep.halfspaces) <= 8
+            block = max(1, _BLOCK_FLOATS // (n * max(m, len(C.rep.halfspaces))))
+            assert (block > 1) == (n == 40) and block < refs
+            F = np.round(rng.normal(size=(n, m)), 1)
+            R = np.concatenate([F[:3], np.round(rng.normal(size=(refs - 3, m)), 1)])
+            self.assert_bitwise(F, C, k, R)
+
+    def test_overflow_in_the_last_block(self, orthant2):
+        # 6 points by 2 coordinates: blocks of 1365 references, the last one alone
+        F = np.array([[1e308, 0.0]] + [[0.0, 1.0]] * 5)
+        refs = np.zeros((2 * 1365 + 1, 2))
+        refs[-1] = [-1e308, 0.0]
+        assert np.isfinite(F - refs[-2]).all()
+        assert len(_minimize(F, orthant2, [1.0, 1.0], refs[:-1])) == 2 * 1365
+        with pytest.raises(InvalidInput, match="finite coordinates"), np.errstate(over="ignore"):
+            _minimize(F, orthant2, [1.0, 1.0], refs)
 
 
 class TestTraceFront:
