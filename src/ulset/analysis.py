@@ -392,14 +392,14 @@ def check_dual_relation(h: FunctionalHandle, n_samples: int = 1000, seed: int = 
     A dual value of nu at a finite phi costs 1 + |phi|.
     """
     try:
-        _dual_handle(h)
+        dual = _dual_handle(h)
     except PreconditionFailed:
         return PropertyReport("dual_relation", INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     rng = np.random.default_rng(seed)
     P, V, _ = _draw_domain(h, n_samples, rng, bbox)
     finite = np.isfinite(V)
     P, V = P[finite], V[finite]
-    D = _dual_keys(h, P)
+    D = _dual_keys(dual, P)
     return _verdict("dual_relation", seed, n_samples,
                     _eq_defect(D, V, mismatch=1.0 + np.abs(V)), 1e-6,
                     lambda i: {
@@ -502,7 +502,7 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     if not np.isfinite(_keys(h, ybar[None, :])[0]):
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     k = h.direction.k
-    pos, _, _, ak = h.motions[0]  # the one leaf's rows moving along k, and their a·k
+    pos, _, _, ak, _ = h.motions[0]  # the one leaf's rows moving along k, and their a·k
     ratios = (poly.normals @ (ybar - offset) - poly.offsets)[pos] / ak[:, 0]
     j = int(np.argmax(ratios))
     row = poly.normals[pos][j]

@@ -23,7 +23,8 @@ or to adjacent floats where tol asks for less. A bisection result of
 MinusInf means membership persisted at -t_max; that is a bounded
 numerical certificate, not a proof that the whole line lies in the
 set. Ties at the bracket edge resolve toward membership, matching the
-fact that the infimum is attained for closed sets.
+fact that the infimum is attained for closed sets. Both strategies run
+on the same blocks of points and read the row motions cached on the handle.
 """
 
 from __future__ import annotations
@@ -44,10 +45,8 @@ from .geometry import (
     Direction,
     SetExpr,
     certify_direction,
-    contains_translates,
     fold_plan,
     _as_points,
-    _OVERFLOW,
 )
 
 DEFAULT_T_MAX = 1e12
@@ -62,10 +61,13 @@ KIND_NU = 2
 MINUS_INF_SENTINEL = -1e30
 
 #: Float64 elements in the largest temporary of one block of points, in
-#: the closed form of :func:`evaluate_batch` and in the reference blocks
+#: both strategies of :func:`evaluate_batch` and in the reference blocks
 #: of ``scalarization._minimize``: 128 KiB, glibc's default mmap
 #: threshold, so a block's temporaries are reused heap, not fresh pages.
 _BLOCK_FLOATS = 2**14
+
+#: Message of the InvalidInput for a row value or key that is not finite.
+_OVERFLOW = "a value of the functional overflows the float range"
 
 
 def key_text(key: float) -> str:
@@ -255,9 +257,11 @@ def make_handle(
 
 def _motion(ak: np.ndarray) -> tuple:
     """How rows with a·k in ak move along k: the mask of moving rows (a·k >
-    AK_POSITIVE_MIN), whether all and any move, and their a·k as a column."""
+    AK_POSITIVE_MIN), whether all and any move, their a·k as a column, and
+    the translate column, a·k on the moving rows and 0 on the static ones."""
     moving = ak > AK_POSITIVE_MIN
-    return moving, bool(moving.all()), bool(moving.any()), ak[moving, None]
+    return (moving, bool(moving.all()), bool(moving.any()), ak[moving, None],
+            np.where(moving, ak, 0.0)[:, None])
 
 
 def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
@@ -271,7 +275,7 @@ def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
     row, is refused. G is a temporary of the caller's and is divided in
     place, so that a block holds one array of its size, not two.
     """
-    moving, all_moving, any_moving, divisor = motion
+    moving, all_moving, any_moving, divisor, _ = motion
     parts = []
     if not all_moving:
         S = G[..., ~moving, :]
@@ -303,7 +307,7 @@ def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
 
 
 def _block_bounds(n: int, floats_per_point: int) -> list[int]:
-    """Edges of consecutive blocks of n points, near-equal in size.
+    """Edges of the near-equal blocks of n points that both strategies run on.
 
     A block holds at most _BLOCK_FLOATS // floats_per_point points, and
     never one point unless n is 1: a one-column matrix product goes
@@ -333,9 +337,30 @@ def _to_keys(vals: np.ndarray, kinds: np.ndarray) -> np.ndarray:
 # bisection
 
 
-def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
-    """Keys by bracketing and bisection. Every test of y - t*k, t = 0
-    included, goes through :func:`contains_translates`, row by row.
+def _translate_outside(h: FunctionalHandle, Yt: np.ndarray, t) -> np.ndarray:
+    """Mask of the points y, the columns of Yt, whose translate y - t*k
+    lies outside h's set, t one value per point or one for all. Each row
+    is tested as a·y - b - t·(a·k) <= EPS_MEMBERSHIP, with a·k from the
+    row motions cached on h (0 on a static row), so a large t is not
+    subtracted from y first, where it would round away y's distance to
+    a static row. A row value that is not finite is refused."""
+    def leaf(rows, P):
+        *_, column = h.motions[rows.i]
+        G = rows.R @ P
+        G -= rows.c
+        G -= column * t
+        if not np.isfinite(G).all():
+            raise InvalidInput(_OVERFLOW)
+        holds = G <= EPS_MEMBERSHIP
+        return ~(holds.any(0) if rows.union else holds.all(0))
+
+    return fold_plan(h.set.plan[0], Yt, leaf)
+
+
+def _bisect_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
+    """Keys at the points Yt, coordinate-major (m, n), by bracketing and
+    bisection. Every test of y - t*k, t = 0 included, goes through
+    :func:`_translate_outside`.
 
     The test at t = 0 picks each point's direction: up for a non-member,
     down for a member. One loop doubles |t| out to t_max; a hit sets hi
@@ -343,19 +368,24 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
     t = 0 answer. One still active at t_max gets nu (+inf) going up and
     -inf going down.
     """
-    s, k = h.set, h.direction.k
-    n = Y.shape[0]
-    lo = np.zeros(n)
-    hi = np.zeros(n)
+    n = Yt.shape[1]
+    lo, hi = np.zeros(n), np.zeros(n)
 
-    member0 = contains_translates(s, Y, 0.0, k)
+    def member(cols, t):
+        # a lone point of a wider block goes in twice, so that its row
+        # values are a column of a matrix product (see _block_bounds)
+        if cols.size == 1 < n:
+            return member(cols.repeat(2), t.repeat(2))[:1]
+        return ~_translate_outside(h, Yt[:, cols], t)
+
+    member0 = ~_translate_outside(h, Yt, 0.0)
     sign = np.where(member0, -1.0, 1.0)
     active = np.arange(n)
     t = 1.0
     while active.size:
         t_now = min(t, h.t_max)
         ts = sign[active] * t_now
-        m = contains_translates(s, Y[active], ts, k)
+        m = member(active, ts)
         hi[active[m]] = ts[m]
         lo[active[~m]] = ts[~m]
         active = active[m == member0[active]]
@@ -372,7 +402,7 @@ def _bisect_batch(h: FunctionalHandle, Y: np.ndarray) -> np.ndarray:
         todo, mid = todo[inside], mid[inside]
         if not todo.size:
             break
-        m = contains_translates(s, Y[todo], mid, k)
+        m = member(todo, mid)
         hi[todo[m]] = mid[m]
         lo[todo[~m]] = mid[~m]
     return hi
@@ -388,23 +418,21 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     Kind codes are KIND_FINITE / KIND_MINUS_INF / KIND_NU; values are
     meaningful only where the kind is finite.
 
-    The closed form runs on consecutive blocks of the points (see
+    Both strategies run on consecutive blocks of the points (see
     :func:`_block_bounds`), each within _BLOCK_FLOATS floats of
-    temporaries, and fills one key array, so memory grows with the
+    temporaries, and fill one key array, so memory grows with the
     points and not with rows times points; a block is the view
     ``pts[a:b].T``. A point's key depends on that point alone, and no
     block holds a single point unless the input is one point, so the
-    keys are bitwise those of one pass over all the points. Bisection
-    makes one pass.
+    keys are bitwise those of one pass over all the points.
     """
     pts = _as_points(Y, h.set.dim)
-    if h.strategy == Strategy.BISECTION:
-        return _from_keys(_bisect_batch(h, pts))
+    kernel = _bisect_batch if h.strategy == Strategy.BISECTION else _closed_batch
     n, m = pts.shape
     bounds = _block_bounds(n, max(m, *(len(leaf.R) for leaf in h.set.plan[1])))
     keys = np.empty(n)
     for a, b in zip(bounds, bounds[1:]):
-        keys[a:b] = _closed_batch(h, pts[a:b].T)
+        keys[a:b] = kernel(h, pts[a:b].T)
     return _from_keys(keys)
 
 
@@ -465,14 +493,14 @@ def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
     return FunctionalHandle(comp, direction, Strategy.CLOSED_FORM, t_max=h.t_max, tol=h.tol)
 
 
-def _dual_keys(h: FunctionalHandle, Y) -> np.ndarray:
-    """Lattice keys of the dual route: negated finite values, nu everywhere else."""
-    keys = _to_keys(*evaluate_batch(_dual_handle(h), Y))
+def _dual_keys(dual: FunctionalHandle, Y) -> np.ndarray:
+    """Keys on dual = _dual_handle(h): negated finite values, nu everywhere else."""
+    keys = _to_keys(*evaluate_batch(dual, Y))
     return np.where(np.isfinite(keys), -keys, np.inf)
 
 
 def evaluate_dual_many(h: FunctionalHandle, Y) -> list[ExtReal]:
-    return list(map(ExtReal.from_key, _dual_keys(h, Y).tolist()))
+    return list(map(ExtReal.from_key, _dual_keys(_dual_handle(h), Y).tolist()))
 
 
 def evaluate_dual(h: FunctionalHandle, y) -> ExtReal:

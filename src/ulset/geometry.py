@@ -46,12 +46,9 @@ CERT_SLACK = 1e-9
 #: Strict margin on a·k for an interior certificate.
 INTERIOR_MARGIN = 1e-9
 
-#: Rows with a·k at or below this do not move along k: the closed form
-#: and the translate test treat them as static.
+#: Rows with a·k at or below this do not move along k: both evaluation
+#: strategies treat them as static.
 AK_POSITIVE_MIN = 1e-9
-
-#: Message of the InvalidInput for a row value or key that is not finite.
-_OVERFLOW = "a value of the functional overflows the float range"
 
 
 def _as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -322,13 +319,6 @@ def fold_plan(node, Yt: np.ndarray, leaf) -> np.ndarray:
                   (fold_plan(m, Yt, leaf) for m in node.members))
 
 
-def _outside(s: SetExpr, pts: np.ndarray, holds) -> np.ndarray:
-    """Mask of the points outside s, where holds(rows, Yt) is the (rows, n)
-    mask of a leaf's rows that each point satisfies."""
-    return fold_plan(s.plan[0], pts.T, lambda rows, Yt:
-                     ~(holds(rows, Yt).any(0) if rows.union else holds(rows, Yt).all(0)))
-
-
 def contains_many(s: SetExpr, Y, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
     """Vectorized membership test; returns a boolean array, one per row of Y.
 
@@ -337,37 +327,17 @@ def contains_many(s: SetExpr, Y, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
     if eps < 0:
         raise InvalidInput("membership tolerance must be nonnegative")
     pts = _as_points(Y, s.dim)
-    return ~_outside(s, pts, lambda rows, Yt: rows.R @ Yt <= rows.c + eps)
+
+    def outside(rows, Yt):
+        holds = rows.R @ Yt <= rows.c + eps
+        return ~(holds.any(0) if rows.union else holds.all(0))
+
+    return ~fold_plan(s.plan[0], pts.T, outside)
 
 
 def contains(s: SetExpr, y, eps: float = EPS_MEMBERSHIP) -> bool:
     """Membership of a single point, with absolute slack eps on every row."""
     return bool(contains_many(s, np.asarray(y, dtype=float)[None, :], eps)[0])
-
-
-def contains_translates(s: SetExpr, Y, t, k, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
-    """Membership of y - t*k for each row y of Y, with t one value per row
-    (or one for all).
-
-    Each halfspace is tested as a·y - b - t·(a·k) <= eps, so a large t
-    is not subtracted from y first, where it would round away y's
-    distance to a static row. Rows with a·k <= AK_POSITIVE_MIN are
-    static, as in the closed form: their t term is dropped. A row value
-    that is not finite is refused, as in the closed form.
-    """
-    pts = _as_points(Y, s.dim)
-    t = np.asarray(t, dtype=float)
-    k = _as_vector(k, s.dim, "direction")
-
-    def holds(rows, Yt):
-        ak = rows.R @ k
-        ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
-        G = rows.R @ Yt - rows.c - ak[:, None] * t
-        if not np.isfinite(G).all():
-            raise InvalidInput(_OVERFLOW)
-        return G <= eps
-
-    return ~_outside(s, pts, holds)
 
 
 # ---------------------------------------------------------------------------

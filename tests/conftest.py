@@ -20,7 +20,7 @@ from ulset import (
     recession_cone,
 )
 from ulset.evaluator import KIND_FINITE, evaluate_batch
-from ulset.geometry import AK_POSITIVE_MIN, EPS_MEMBERSHIP, contains_many, contains_translates
+from ulset.geometry import AK_POSITIVE_MIN, EPS_MEMBERSHIP, contains_many, _as_points, _as_vector
 
 
 def three_quadrant_union() -> SetUnion:
@@ -125,22 +125,49 @@ def reference_outside(s, pts: np.ndarray, holds) -> np.ndarray:
                                ~(holds(R, c, Y).any(0) if union else holds(R, c, Y).all(0)))
 
 
+def reference_translates(s, Y, t, k) -> np.ndarray:
+    """Membership of y - t*k for each row y of Y, with t one value per row
+    (or one for all): the translate test bisection made before it read the
+    handle's row motions, folded by the tree walk of reference_outside.
+
+    Each halfspace is tested as a·y - b - t·(a·k) <= EPS_MEMBERSHIP, so a
+    large t is not subtracted from y first, where it would round away y's
+    distance to a static row. Rows with a·k <= AK_POSITIVE_MIN are
+    static, as in the closed form: their t term is dropped. A row value
+    that is not finite is refused, as in the closed form.
+    """
+    pts = _as_points(Y, s.dim)
+    t = np.asarray(t, dtype=float)
+    k = _as_vector(k, s.dim, "direction")
+
+    def holds(R, c, P):
+        ak = R @ k
+        ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
+        G = R @ P.T - c[:, None] - ak[:, None] * t
+        if not np.isfinite(G).all():
+            raise InvalidInput("overflow")
+        return G <= EPS_MEMBERSHIP
+
+    return ~reference_outside(s, pts, holds)
+
+
 def reference_bisect(h, Y: np.ndarray) -> np.ndarray:
     """Bisection keys by two-pass bracketing: plain membership a·y <= b + eps
     splits the points at t = 0, then one loop doubles t upward for the
     non-members and a mirrored loop doubles it downward for the members;
-    the refinement is the evaluator's."""
+    the refinement is the evaluator's. Every pass is over all the points."""
     s, k = h.set, h.direction.k
     n = Y.shape[0]
     lo = np.zeros(n)
     hi = np.zeros(n)
+
     member0 = contains_many(s, Y, EPS_MEMBERSHIP)
 
     active = np.where(~member0)[0]
     t = 1.0
     while active.size:
         t_now = min(t, h.t_max)
-        m = contains_translates(s, Y[active], t_now, k)
+        m = reference_translates(s, Y[active], t_now, k)
         hi[active[m]] = t_now
         misses = active[~m]
         lo[misses] = t_now
@@ -155,7 +182,7 @@ def reference_bisect(h, Y: np.ndarray) -> np.ndarray:
     t = -1.0
     while active.size:
         t_now = max(t, -h.t_max)
-        m = contains_translates(s, Y[active], t_now, k)
+        m = reference_translates(s, Y[active], t_now, k)
         lo[active[~m]] = t_now
         stays = active[m]
         hi[stays] = t_now
@@ -174,7 +201,7 @@ def reference_bisect(h, Y: np.ndarray) -> np.ndarray:
         todo, mid = todo[inside], mid[inside]
         if not todo.size:
             break
-        m = contains_translates(s, Y[todo], mid, k)
+        m = reference_translates(s, Y[todo], mid, k)
         hi[todo[m]] = mid[m]
         lo[todo[~m]] = mid[~m]
     return hi

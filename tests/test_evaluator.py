@@ -32,10 +32,10 @@ from ulset import (
 from ulset.cli import _load_config
 from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
                              KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _motion,
-                             _rows_keys, _to_keys)
-from ulset.geometry import contains_many, contains_translates
+                             _rows_keys, _to_keys, _translate_outside)
+from ulset.geometry import contains_many
 from conftest import (three_quadrant_value, kernel_handle, neg_orthant, random_polyhedral_fixture,
-                      reference_bisect, reference_closed_batch, reference_outside,
+                      reference_bisect, reference_closed_batch, reference_outside, reference_translates,
                       three_quadrant_union)
 
 
@@ -188,16 +188,11 @@ class TestRowPlan:
 
         pts = Y.reshape(-1, 3)
         t = rng.choice([0.0, 0.5, -1.0, 2.0], size=len(pts))
-
-        def translate_holds(R, c, P):  # the parent's translate test
-            ak = R @ K
-            ak = np.where(ak > AK_POSITIVE_MIN, ak, 0.0)
-            return R @ P.T - c[:, None] - ak[:, None] * t <= EPS_MEMBERSHIP
-
         inside = ~reference_outside(s, pts, lambda R, c, P: R @ P.T <= c[:, None] + EPS_MEMBERSHIP)
         assert (contains_many(s, pts) == inside).all()
-        translates = ~reference_outside(s, pts, translate_holds)
-        assert (contains_translates(s, pts, t, K) == translates).all()
+        outside = ~reference_translates(s, pts, t, K)
+        for P in (pts.T, np.ascontiguousarray(pts.T)):
+            assert _translate_outside(h, P, t).tobytes() == outside.tobytes()
 
 
 class TestRowsKernel:
@@ -226,8 +221,10 @@ class TestRowsKernel:
 
 
 class TestBlockedEvaluation:
-    """evaluate_batch runs the closed form on blocks of points; the keys
-    equal one _closed_batch call over all of them, bit for bit."""
+    """evaluate_batch runs both strategies on blocks of points; the closed
+    form's keys equal one _closed_batch call over all of them, bit for bit
+    (bisection's are compared in TestBisectionAgainstClosedForm), and
+    bisection's memory does not grow with rows times points."""
 
     @pytest.mark.parametrize("kind", ["polyhedron", "shift", "union", "intersection", "complement"])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)],
@@ -253,6 +250,28 @@ class TestBlockedEvaluation:
             assert sizes.max() - sizes.min() <= 1  # near-equal
             assert n <= 1 or sizes.min() >= 2  # no one-point block
             assert sizes.max() <= max(cap, 3)
+
+    def test_bisection_memory_bounded(self):
+        # one pass over 50k points held several (rows, n) temporaries of
+        # 3.8 MiB at once
+        rng = np.random.default_rng(11)
+        k = np.ones(3)
+        members = []
+        for _ in range(4):
+            A = rng.normal(size=(10, 3))
+            A[A @ k < 0] *= -1.0
+            members.append(Polyhedron(tuple(HalfSpace(a, b)
+                                            for a, b in zip(A, rng.uniform(0.0, 1.0, 10)))))
+        h = make_handle(SetUnion(tuple(members)), k, strategy="bisection")
+        Y = rng.normal(scale=2.0, size=(50_000, 3))
+        tracemalloc.start()
+        try:
+            _, kinds = evaluate_batch(h, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (kinds == KIND_FINITE).any()
+        assert peak < 4 * 2**20
 
 
 class TestBisectionAgainstClosedForm:
@@ -334,9 +353,11 @@ class TestBisectionAgainstClosedForm:
     @pytest.mark.parametrize("kind", ["polyhedron", "shift", "union", "intersection", "complement"])
     @pytest.mark.parametrize("t_max", [1e3, 1e6 + 0.5, 1e12])
     @pytest.mark.parametrize("tol", [1e-9, 1e-17])
-    def test_keys_match_two_pass_bracketing(self, kind, t_max, tol):
+    def test_keys_match_two_pass_bracketing(self, kind, t_max, tol, monkeypatch):
         # one signed bracketing loop through the translate test gives the
-        # keys of a t = 0 split by plain membership and two mirrored loops
+        # keys of a t = 0 split by plain membership and two mirrored loops;
+        # at the default budget all 182 points are one block, and smaller
+        # blocks give the same keys
         rng = np.random.default_rng(17)
         s = TestStackedKernel.sets(rng)[kind]
         k = -TestStackedKernel.K if kind == "complement" else TestStackedKernel.K
@@ -347,6 +368,9 @@ class TestBisectionAgainstClosedForm:
         keys = _to_keys(*evaluate_batch(h, Y))
         assert keys.tobytes() == reference_bisect(h, Y).tobytes()
         assert np.isfinite(keys).any() and (keys == np.inf).any() and (keys == -np.inf).any()
+        for budget in (1, 45):
+            monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+            assert _to_keys(*evaluate_batch(h, Y)).tobytes() == keys.tobytes()
 
     def test_intersection_of_polyhedra_is_exact(self):
         # the max rule reproduces the polyhedron with all rows concatenated,

@@ -20,7 +20,8 @@ from ulset import (
     set_from_json,
     set_to_json,
 )
-from ulset.geometry import contains_translates
+from ulset.evaluator import _translate_outside, make_handle
+from ulset.geometry import EPS_MEMBERSHIP
 from conftest import neg_orthant, reference_contains, three_quadrant_union
 
 
@@ -129,10 +130,8 @@ def _row_sides(s, X: np.ndarray):
 @pytest.mark.parametrize("case", list(MEMBERSHIP_CASES))
 def test_membership_fold_matches_per_node_rules(case, eps):
     """contains_many equals the node-by-node rules bit for bit, also on
-    points exactly at a·y = b + eps; contains_translates equals
-    contains_many on explicit translates y - t*k away from every row's
-    eps."""
-    s, k = MEMBERSHIP_CASES[case]
+    points exactly at a·y = b + eps."""
+    s, _ = MEMBERSHIP_CASES[case]
     Y = _boundary_points(eps)
     ay, b = _row_sides(s, Y)
     assert (ay == b + eps).any()
@@ -140,12 +139,20 @@ def test_membership_fold_matches_per_node_rules(case, eps):
     assert got.any() and not got.all()
     assert got.tobytes() == reference_contains(s, Y, eps).tobytes()
 
+
+@pytest.mark.parametrize("case", list(MEMBERSHIP_CASES))
+def test_translate_rule_matches_membership_of_translates(case):
+    """The evaluator's translate rule equals contains_many on explicit
+    translates y - t*k away from every row's eps."""
+    s, k = MEMBERSHIP_CASES[case]
+    Y = _boundary_points(EPS_MEMBERSHIP)
     t = np.random.default_rng(5).uniform(-2.0, 2.0, len(Y))
     X = Y - t[:, None] * np.array(k)
     ax, b = _row_sides(s, X)
-    clear = (np.abs(ax - b - eps) >= 1e-6).all(axis=0)
+    clear = (np.abs(ax - b - EPS_MEMBERSHIP) >= 1e-6).all(axis=0)
     assert clear.mean() > 0.9
-    assert (contains_translates(s, Y, t, k, eps)[clear] == contains_many(s, X, eps)[clear]).all()
+    inside = ~_translate_outside(make_handle(s, k), Y.T, t)
+    assert (inside[clear] == contains_many(s, X)[clear]).all()
 
 
 class TestRecessionCone:
