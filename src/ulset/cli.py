@@ -27,19 +27,13 @@ from .evaluator import (
     evaluate_batch,
     key_text,
     make_handle,
-    _block_bounds,
     _to_keys,
 )
 from .geometry import (Polyhedron, set_from_json, _CONE_FILE, _CONFIG, _field, _invalid, _list,
                        _number, _rows, _vector)
-from .scalarization import OrderCone, load_points_csv
+from .scalarization import OrderCone, load_points_csv, _read_points_csv, _CHUNK_LINES
 
 CHECK_SUITES = ("sublevel", "translation", "recession", "dual", "convexity")
-
-#: A line of `ulset eval` output takes about 30 bytes, four floats' worth,
-#: so a block of lines for this many floats per point is written in about
-#: the evaluator's block budget.
-_LINE_FLOATS = 4
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -95,20 +89,52 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _stack_points(texts: list[str]) -> np.ndarray:
+    pts = [_parse_vector(t) for t in texts]
+    for p in pts[1:]:
+        if p.shape != pts[0].shape:
+            raise UlsetError(f"--point values differ in dimension: {pts[0].shape[0]} and "
+                             f"{p.shape[0]}")
+    return np.stack(pts)
+
+
+def _chunk_keys(h, chunks) -> list[np.ndarray]:
+    """Keys of the points in chunks, an iterable of (n, m) arrays, one
+    array per chunk. A chunk is evaluated once the next one is read, so
+    that a one-point chunk goes in twice unless it is the whole input: no
+    evaluate_batch call then gets a lone point that one call over all the
+    points would not, and every key is bitwise that call's."""
+    def keys(pts, twice):
+        if twice:
+            return _to_keys(*evaluate_batch(h, pts.repeat(2, axis=0)))[:1]
+        return _to_keys(*evaluate_batch(h, pts))
+
+    out, held = [], None
+    for pts in chunks:
+        if held is not None:
+            out.append(keys(held, len(held) == 1))
+        held = pts
+    out.append(keys(held, len(held) == 1 and bool(out)))
+    return out
+
+
 def _cmd_eval(args) -> int:
     h = _load_config(args.config, args.k)
+    if args.point and args.points:
+        raise UlsetError("pass --point or --points, not both")
     if args.point:
-        pts = np.stack([_parse_vector(p) for p in args.point])
+        parts = _chunk_keys(h, [_stack_points(args.point)])
     elif args.points:
-        pts = load_points_csv(args.points).points
+        parts = _read_points_csv(args.points, lambda chunks: _chunk_keys(h, chunks))
     else:
         raise UlsetError("pass --point or --points")
     # every point is evaluated before the first write, so an error leaves stdout empty
-    keys = _to_keys(*evaluate_batch(h, pts))
-    bounds = _block_bounds(keys.shape[0], _LINE_FLOATS)
-    for a, b in zip(bounds, bounds[1:]):
-        lines = (f"{i},{key_text(v)}\n" for i, v in enumerate(keys[a:b].tolist(), a))
-        sys.stdout.write("".join(lines))
+    i = 0
+    for part in parts:
+        for a in range(0, len(part), _CHUNK_LINES):
+            keys = part[a:a + _CHUNK_LINES].tolist()
+            sys.stdout.write("".join(f"{j},{key_text(v)}\n" for j, v in enumerate(keys, i)))
+            i += len(keys)
     return 0
 
 

@@ -424,7 +424,10 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     points and not with rows times points; a block is the view
     ``pts[a:b].T``. A point's key depends on that point alone, and no
     block holds a single point unless the input is one point, so the
-    keys are bitwise those of one pass over all the points.
+    keys are bitwise those of one pass over all the points. A caller that
+    evaluates one input in several calls keeps that by passing a lone
+    point of a longer input twice, as `ulset eval` does with a one-point
+    chunk of its CSV.
     """
     pts = _as_points(Y, h.set.dim)
     kernel = _bisect_batch if h.strategy == Strategy.BISECTION else _closed_batch

@@ -11,12 +11,13 @@ independent oracle.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, UlsetError
 from .evaluator import ExtReal, make_handle, _BLOCK_FLOATS, _closed_batch
 from .geometry import HalfSpace, Polyhedron, contains, _as_points, _as_vector
 
@@ -204,39 +205,90 @@ def trace_front(F, C: OrderCone, k, refs) -> dict[int, tuple[int, ...]]:
 # CSV interchange
 
 
+#: A line of a points CSV, or of `ulset eval` output, takes about 30
+#: bytes, four floats' worth.
+_LINE_FLOATS = 4
+
+#: Lines the numeric reader parses at a time, so that a chunk of lines
+#: takes about _BLOCK_FLOATS floats.
+_CHUNK_LINES = _BLOCK_FLOATS // _LINE_FLOATS
+
+
+class _Refused(Exception):
+    """The numeric reader refuses a file; :func:`_parse_lines` reads it instead."""
+
+
 def load_points_csv(path) -> PointCloud:
     """Read one point per row, comma-separated, optional trailing label.
 
-    A numeric-only file is read in one pass by :func:`_read_numeric`;
-    anything it refuses (labels, ragged rows, no data, spellings only
-    Python's ``float`` accepts) goes through :func:`_parse_lines`, which
-    gives the same points and reports malformed lines. ``#`` does not
-    start a comment.
+    A numeric-only file is read by :func:`_read_numeric`, a chunk of
+    lines at a time, and its chunks are joined; anything it refuses
+    (labels, ragged rows, no data, spellings only Python's ``float``
+    accepts), in any chunk, goes through :func:`_parse_lines` over the
+    whole file, which gives the same points and reports malformed lines.
+    ``#`` does not start a comment.
     """
     with open(path) as f:
-        pts = _read_numeric(f)
-        if pts is not None:
-            return PointCloud(pts)
-        f.seek(0)
-        return _parse_lines(f.read(), path)
-
-
-def _read_numeric(f) -> np.ndarray | None:
-    """The open file as an (n, m) float array in one C pass, or None where it refuses it."""
-    with warnings.catch_warnings():
-        # "input contained no data": _parse_lines reports an empty file
-        warnings.simplefilter("ignore", UserWarning)
         try:
-            pts = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    return pts if pts.size else None
+            return PointCloud(np.concatenate(list(_read_numeric(f))))
+        except _Refused:
+            f.seek(0)
+            return _parse_lines(f.read(), path)
+
+
+def _read_points_csv(path, consume):
+    """consume(chunks), where chunks yields the points of the CSV file at
+    path as (n, m) arrays read by :func:`_read_numeric`, so that a caller
+    can work on each chunk and drop it. Where the reader refuses a chunk,
+    consume runs again, on one array of all the points that
+    :func:`_parse_lines` reads from the whole file; labels are dropped.
+    An error consume raises stands only once the rest of the file reads,
+    so that a malformed line is reported first, as it is where the whole
+    file is read before any point is used.
+    """
+    with open(path) as f:
+        chunks = _read_numeric(f)
+        try:
+            try:
+                return consume(chunks)
+            except UlsetError:
+                for _ in chunks:
+                    pass
+                raise
+        except _Refused:
+            f.seek(0)
+            return consume([_parse_lines(f.read(), path).points])
+
+
+def _read_numeric(f):
+    """Yield the open file's rows as (n, m) float arrays, parsed in C by
+    ``np.loadtxt`` _CHUNK_LINES lines at a time; a chunk of blank lines
+    only yields nothing. Raises _Refused where loadtxt refuses a chunk,
+    where a chunk's width differs from the first one's, or where the
+    file holds no rows."""
+    width = None
+    while lines := list(itertools.islice(f, _CHUNK_LINES)):
+        with warnings.catch_warnings():
+            # "input contained no data": a chunk of blank lines
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                pts = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                raise _Refused from None
+        if not pts.size:
+            continue
+        if width not in (None, pts.shape[1]):
+            raise _Refused
+        width = pts.shape[1]
+        yield pts
+    if width is None:  # _parse_lines reports an empty file
+        raise _Refused
 
 
 def _parse_lines(text: str, path) -> PointCloud:
     """Parse line by line with ``float``: the path for labelled or malformed files.
 
-    A line ends only at a newline, as it does for the one-pass read (the
+    A line ends only at a newline, as it does for the numeric reader (the
     file is read with universal newlines, so "\\r\\n" and "\\r" count too).
     """
     rows: list[list[float]] = []

@@ -11,7 +11,7 @@ import ulset
 import ulset.cli as cli
 import ulset.evaluator as evaluator
 from ulset.cli import main
-from ulset.evaluator import ExtReal
+from ulset.evaluator import ExtReal, key_text, _to_keys
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -125,6 +125,40 @@ class TestEval:
         assert main(["eval", str(cfg), "--points", str(pts)]) == 0
         assert calls == {"finite": 0, "evaluate_many": 0}
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("strategy", ["closed_form", "bisection"])
+    @pytest.mark.parametrize("lines", [1, 2, 3])
+    def test_chunked_points_match_one_batch(self, lines, strategy, tmp_path, monkeypatch,
+                                            capsys):
+        """CSV chunks of a few lines give the bytes of one evaluate_batch over
+        all the points, and only a one-point input reaches evaluate_batch
+        as a lone point: one point, chunk + 1 points, points between blank
+        lines, and a label in the last chunk."""
+        monkeypatch.setattr(cli.scalarization, "_CHUNK_LINES", lines)
+        cfg = tmp_path / "tq.json"
+        cfg.write_text(json.dumps({**TQ_CONFIG, "strategy": strategy}))
+        h = cli._load_config(str(cfg), None)
+        P = np.random.default_rng(lines).uniform(-3.0, 3.0, size=(3 * lines + 2, 2))
+        rows = [f"{x!r},{y!r}" for x, y in P.tolist()]
+        files = {1: rows[0] + "\n", lines + 1: "\n".join(rows[:lines + 1]) + "\n",
+                 len(P): "\n\n".join(rows[:-1]) + "\n\n" * lines + rows[-1] + ",last\n"}
+        sizes = []
+        batch = cli.evaluate_batch
+
+        def spy(h, Y):
+            sizes.append(len(Y))
+            return batch(h, Y)
+
+        monkeypatch.setattr(cli, "evaluate_batch", spy)
+        for n, text in files.items():
+            pts = tmp_path / f"pts{n}.csv"
+            pts.write_text(text)
+            expected = "".join(f"{i},{key_text(v)}\n"
+                               for i, v in enumerate(_to_keys(*batch(h, P[:n])).tolist()))
+            sizes.clear()
+            assert main(["eval", str(cfg), "--points", str(pts)]) == 0
+            assert capsys.readouterr().out == expected
+            assert sizes == [1] if n == 1 else min(sizes) > 1
 
     def test_nu_serialization(self, cone_config, capsys):
         assert main(["eval", cone_config, "--k", "1,0", "--point", "0,1"]) == 0
@@ -296,6 +330,17 @@ class TestMalformedInput:
         args = ["--point", "2,1"] if command == "norm" else ["--points", str(pts)]
         self._assert_rejected([command, "--cone-file", str(cone), "--k", "1,1", *args], capsys)
 
+    def test_point_with_points(self, capsys):
+        """--points is not dropped in favour of --point: both together exit 2."""
+        err = self._assert_rejected(["eval", str(GOLDEN / "three_quadrant.json"), "--point", "0,0",
+                                     "--points", str(GOLDEN / "points.csv")], capsys)
+        assert err == "error: pass --point or --points, not both\n"
+
+    def test_points_of_different_dimensions(self, cone_config, capsys):
+        err = self._assert_rejected(["eval", cone_config, "--point", "0,0", "--point", "1,2,3"],
+                                    capsys)
+        assert err == "error: --point values differ in dimension: 2 and 3\n"
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_sample_count_below_one(self, samples, cone_config, capsys):
         err = self._assert_rejected(["check", cone_config, "--samples", samples], capsys)
@@ -391,6 +436,23 @@ class TestMalformedInput:
                               capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: a value of the functional overflows the float range\n"
+
+    def test_malformed_line_reported_before_an_early_overflow(self, tmp_path, monkeypatch,
+                                                               capsys):
+        """A malformed line chunks after a point whose value overflows is
+        the error reported, as where the whole file is parsed first."""
+        monkeypatch.setattr(cli.scalarization, "_CHUNK_LINES", 1)
+        cfg = tmp_path / "set.json"
+        cfg.write_text(json.dumps({"dim": 2, "k": [1e-8, 1.0], "set": {
+            "type": "polyhedron", "halfspaces": [{"a": [1, 0], "b": 0}]}}))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("1e305,0\n0,0\n0,0\nx,1\n")
+        err = self._assert_rejected(["eval", str(cfg), "--points", str(pts)], capsys)
+        assert err == ("error: line 4: non-numeric coordinate "
+                       "(could not convert string to float: 'x')\n")
+        pts.write_text("1e305,0\n0,0\n0,0\n0,1,far\n")
+        err = self._assert_rejected(["eval", str(cfg), "--points", str(pts)], capsys)
+        assert err == "error: a value of the functional overflows the float range\n"
 
     @pytest.mark.parametrize("command", ["eval", "separate", "pareto"])
     def test_label_only_line(self, command, cone_config, tmp_path, capsys):

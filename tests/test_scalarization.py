@@ -19,7 +19,8 @@ from ulset import (
     weakly_efficient,
 )
 from ulset.evaluator import _BLOCK_FLOATS, _to_keys
-from ulset.scalarization import ARGMIN_TOL, _minimize, _parse_lines, _read_numeric
+import ulset.scalarization as scalarization
+from ulset.scalarization import ARGMIN_TOL, _Refused, _minimize, _parse_lines, _read_numeric
 
 
 def random_cloud(rng, m, n_max=50):
@@ -335,7 +336,7 @@ class TestCsv:
             load_points_csv(path)
 
 
-#: (file text, whether the one-pass read accepts it)
+#: (file text, whether the numeric reader accepts it)
 PARSER_CASES = {
     "minus-zero": ("-0,0\n", True),
     "plus-sign": ("+1.5,2\n", True),
@@ -368,15 +369,30 @@ PARSER_CASES = {
     "file-separator": ("1,\x1c2\n", True),
 }
 
+#: Files that only a chunked read can get wrong, for a chunk of n lines:
+#: (file text, whether the numeric reader accepts it).
+CHUNK_CASES = {
+    "width-change-after-first-chunk": (lambda n: "1,2\n" * n + "3,4,5\n", False),
+    "label-in-last-chunk": (lambda n: "1,2\n" * 2 * n + "5,6,a\n", False),
+    "blank-chunk": (lambda n: "1,2\n" + "\n" * (2 * n) + "3,4\n", True),
+    "lone-final-row": (lambda n: "".join(f"{i},-{i}.5\n" for i in range(n + 1)), True),
+    "blank-chunks-only": (lambda n: "\n" * (2 * n), False),
+}
 
-@pytest.mark.parametrize("text, one_pass", PARSER_CASES.values(), ids=PARSER_CASES.keys())
-def test_one_pass_read_agrees_with_line_parser(tmp_path, text, one_pass):
-    """Same bits (sign of zero included), labels and errors on either path."""
-    path = tmp_path / "pts.csv"
-    path.write_text(text, newline="")
+
+def _read_chunks(path) -> list[np.ndarray] | None:
+    """The numeric reader's chunks of the file at path, or None where it refuses it."""
     with open(path) as f:
-        fast = _read_numeric(f)
-    assert (fast is not None) == one_pass
+        try:
+            return list(_read_numeric(f))
+        except _Refused:
+            return None
+
+
+def _assert_reads_agree(path, numeric):
+    """Same bits (sign of zero included), labels and errors on either path."""
+    chunks = _read_chunks(path)
+    assert (chunks is not None) == numeric
 
     def attempt(load):
         try:
@@ -387,10 +403,41 @@ def test_one_pass_read_agrees_with_line_parser(tmp_path, text, one_pass):
     expected = attempt(lambda: _parse_lines(path.read_text(), path))
     got = attempt(lambda: load_points_csv(path))
     if isinstance(expected, InvalidInput):
-        assert fast is None
+        assert chunks is None
         assert isinstance(got, InvalidInput) and str(got) == str(expected)
         return
     assert got.labels == expected.labels
-    for pts in ([got.points] if fast is None else [got.points, fast]):
+    for pts in [got.points] + ([] if chunks is None else [np.concatenate(chunks)]):
         assert pts.shape == expected.points.shape
         assert pts.tobytes() == expected.points.tobytes()
+
+
+@pytest.mark.parametrize("text, one_pass", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+def test_one_pass_read_agrees_with_line_parser(tmp_path, text, one_pass):
+    path = tmp_path / "pts.csv"
+    path.write_text(text, newline="")
+    _assert_reads_agree(path, one_pass)
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3])
+@pytest.mark.parametrize("make, numeric", [
+    *((lambda n, text=text: text, numeric) for text, numeric in PARSER_CASES.values()),
+    *CHUNK_CASES.values()], ids=[*PARSER_CASES, *CHUNK_CASES])
+def test_chunked_read_agrees_with_line_parser(tmp_path, monkeypatch, lines, make, numeric):
+    """Every case in chunks of a few lines against the line parser over the
+    whole file: a width change after the first chunk, for one, still fails
+    with "rows disagree on dimension: [2, 3]"."""
+    monkeypatch.setattr(scalarization, "_CHUNK_LINES", lines)
+    path = tmp_path / "pts.csv"
+    path.write_text(make(lines), newline="")
+    _assert_reads_agree(path, numeric)
+
+
+def test_chunks_hold_whole_lines(tmp_path, monkeypatch):
+    """Chunks of 2 lines: the blank-only chunk yields nothing and the last
+    row comes alone."""
+    monkeypatch.setattr(scalarization, "_CHUNK_LINES", 2)
+    path = tmp_path / "pts.csv"
+    path.write_text("1,2\n3,4\n\n\n5,6\n7,8\n\n9,10\n")
+    assert [c.tolist() for c in _read_chunks(path)] == [
+        [[1, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 10]]]
