@@ -9,13 +9,14 @@ the number of samples that actually contributed is reported in
 ``applicable``. A check with nothing applicable reports Inapplicable,
 never Holds.
 
-A check computes one defect per applicable sample, as an array, on the
-evaluator's lattice keys (a finite value as itself, -inf as -inf, nu as
-+inf) with one of two rules: the inequality lhs <= rhs
-(:func:`_le_defect`) or the equality lhs == rhs (:func:`_eq_defect`).
-The verdict is Violated when the largest defect exceeds the check's
-tolerance; the witness is then the first sample with that largest
-defect, and it is the only witness ever built.
+A check computes one defect per applicable sample on the evaluator's
+lattice keys (a finite value as itself, -inf as -inf, nu as +inf) with
+one of two rules: the inequality lhs <= rhs (:func:`_le_defect`) or the
+equality lhs == rhs (:func:`_eq_defect`). It does so block by block and
+reduces each block at once (:class:`_Worst`), so it holds no defect
+array longer than a block. The verdict is Violated when the largest
+defect exceeds the check's tolerance; the witness is then the first
+sample with that largest defect.
 
 All verdicts are sampled evidence: Holds means no violation was found,
 not a proof.
@@ -37,8 +38,10 @@ from .evaluator import (
     evaluate_batch,
     key_text,
     make_handle,
+    _block_bounds,
     _dual_handle,
     _dual_keys,
+    _point_floats,
     _to_keys,
 )
 from .geometry import Polyhedron, SetExpr, Shift, contains_many, _as_vector
@@ -152,22 +155,45 @@ def _eq_defect(lhs: np.ndarray, rhs: np.ndarray, mismatch=1.0) -> np.ndarray:
     return defect
 
 
-def _verdict(name, seed, samples, defects: np.ndarray, tol: float, witness_at,
-             applicable: int | None = None) -> PropertyReport:
-    """Report over a defect array; ``applicable`` defaults to its length.
+class _Worst:
+    """Running reduction of one defect sequence, fed block by block.
 
-    Violated when the largest defect exceeds tol, with witness_at(i) for
-    the first sample i that attains it as the witness.
+    Keeps how many defects it has seen, the largest, and the witness of
+    the first sample that attains it (so the earlier sample wins a tie
+    across blocks, as np.argmax over the whole sequence would), built
+    only when the largest exceeds tol.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.count = 0
+        self.defect = -np.inf
+        self.witness = None
+
+    def add(self, defects: np.ndarray, witness_at) -> None:
+        """Reduce the next block's defects; witness_at(i) gives the
+        witness of its i-th sample and is called before add returns."""
+        if len(defects):
+            i = int(np.argmax(defects))
+            if defects[i] > self.defect:
+                self.defect = float(defects[i])
+                self.witness = witness_at(i) if self.defect > self.tol else None
+        self.count += len(defects)
+
+
+def _verdict(name, seed, samples, worst: _Worst, applicable: int | None = None
+             ) -> PropertyReport:
+    """Report of a reduction; ``applicable`` defaults to its defect count.
+
+    Violated when the largest defect exceeds the tolerance, with the
+    first sample that attains it as the witness.
     """
     if applicable is None:
-        applicable = len(defects)
+        applicable = worst.count
     if applicable == 0:
         return PropertyReport(name, INAPPLICABLE, None, 0.0, samples, seed, 0)
-    worst = int(np.argmax(defects))
-    max_defect = max(0.0, float(defects[worst]))
-    witness = witness_at(worst) if max_defect > tol else None
-    return PropertyReport(name, HOLDS if witness is None else VIOLATED, witness, max_defect,
-                          samples, seed, applicable)
+    return PropertyReport(name, HOLDS if worst.witness is None else VIOLATED, worst.witness,
+                          max(0.0, worst.defect), samples, seed, applicable)
 
 
 def _keys(h: FunctionalHandle, Y) -> np.ndarray:
@@ -175,9 +201,25 @@ def _keys(h: FunctionalHandle, Y) -> np.ndarray:
     return _to_keys(*evaluate_batch(h, Y))
 
 
+def _blocks(h: FunctionalHandle, n: int, columns: int = 0):
+    """The [a, b) blocks in which a check on h draws, evaluates and
+    reduces n samples of up to ``columns`` extra floats each.
+
+    Without many extra columns they are the blocks evaluate_batch runs n
+    points of h in (see :func:`_block_bounds`), so a block is one kernel
+    call. No block holds a lone sample unless n is 1, so every key is
+    that of one pass over all the samples.
+    """
+    bounds = _block_bounds(n, max(_point_floats(h), columns))
+    return zip(bounds, bounds[1:])
+
+
 #: The most samples one call draws (classify_convexity draws two per
-#: requested sample). Samples are drawn in one array, so a larger count
-#: is refused rather than left to exhaust memory.
+#: requested sample). A check evaluates and reduces its samples block by
+#: block, but it keeps each kept sample's point, key and extra columns,
+#: (dim + 1 + extra) floats, for the pairings of later blocks: the
+#: convexity pairs join the first and the second half of the draw. So a
+#: larger count is refused rather than left to exhaust memory.
 MAX_SAMPLES = 10**6
 
 
@@ -196,30 +238,47 @@ def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
     uniform columns in [-10, 10] are drawn alongside each candidate so
     that rejection does not disturb the pairing. Oversampling is capped
     at 10x.
+
+    A round draws n candidates block by block, then their extra columns
+    block by block; Generator.uniform split by rows gives the rows of
+    one draw, so the stream is that of whole rounds. Kept rows go
+    straight into arrays of n rows; candidates drawn once n are kept
+    are not evaluated.
     """
     _sample_count(n)
     lo, hi = bbox
     dim = h.set.dim
-    kept_p, kept_v, kept_e = [], [], []
-    total = 0
+    P, V, E = np.empty((n, dim)), np.empty(n), np.empty((n, extra_cols))
+    blocks = list(_blocks(h, n, extra_cols))
     kept = 0
-    while total < 10 * n and kept < n:
-        m = min(n, 10 * n - total)
-        total += m
-        cand = rng.uniform(lo, hi, size=(m, dim))
-        extras = rng.uniform(-10.0, 10.0, size=(m, extra_cols)) if extra_cols else np.zeros((m, 0))
-        keys = _keys(h, cand)
-        keep = keys < np.inf
-        kept += int(keep.sum())
-        kept_p.append(cand[keep])
-        kept_v.append(keys[keep])
-        kept_e.append(extras[keep])
-    return (np.concatenate(kept_p)[:n], np.concatenate(kept_v)[:n],
-            np.concatenate(kept_e)[:n])
+    for _ in range(10):  # rounds of n candidates
+        if kept == n:
+            break
+        first = kept
+        keep = np.zeros(n, dtype=bool)
+        for a, b in blocks:
+            cand = rng.uniform(lo, hi, size=(b - a, dim))
+            if kept == n:
+                continue
+            keys = _keys(h, cand)
+            rows = np.flatnonzero(keys < np.inf)[: n - kept]
+            keep[a + rows] = True
+            P[kept: kept + len(rows)] = cand[rows]
+            V[kept: kept + len(rows)] = keys[rows]
+            kept += len(rows)
+        if extra_cols:
+            for a, b in blocks:
+                extras = rng.uniform(-10.0, 10.0, size=(b - a, extra_cols))[keep[a:b]]
+                E[first: first + len(extras)] = extras
+                first += len(extras)
+    return P[:kept], V[:kept], E[:kept]
 
 
 # ---------------------------------------------------------------------------
 # identity and inequality suites
+#
+# Each suite evaluates and reduces its samples in blocks (see _blocks)
+# and builds its witness from the block that holds it.
 
 
 def check_sublevel_identity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 42,
@@ -233,16 +292,19 @@ def check_sublevel_identity(h: FunctionalHandle, n_samples: int = 1000, seed: in
     """
     rng = np.random.default_rng(seed)
     P, V, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=1)
-    T = E[:, 0]
-    member = contains_many(h.set, P - T[:, None] * h.direction.k, 0.0)
-    keep = ~(np.abs(V - T) <= 1e-6)
-    P, V, T, member = P[keep], V[keep], T[keep], member[keep]
-    # a disagreement costs 1 plus the distance of a finite phi from t
-    defects = np.where((V <= T) != member, 1.0 + _eq_defect(V, T, mismatch=0.0), 0.0)
-    return _verdict("sublevel_identity", seed, n_samples, defects, 0.0, lambda i: {
-        "inputs": {"y": P[i].tolist(), "t": float(T[i])},
-        "values": {"phi": _ext_json(V[i]), "member": bool(member[i])},
-    })
+    worst = _Worst(0.0)
+    for a, b in _blocks(h, len(P)):
+        y, v, t = P[a:b], V[a:b], E[a:b, 0]
+        member = contains_many(h.set, y - t[:, None] * h.direction.k, 0.0)
+        keep = ~(np.abs(v - t) <= 1e-6)
+        y, v, t, member = y[keep], v[keep], t[keep], member[keep]
+        # a disagreement costs 1 plus the distance of a finite phi from t
+        worst.add(np.where((v <= t) != member, 1.0 + _eq_defect(v, t, mismatch=0.0), 0.0),
+                  lambda i: {
+                      "inputs": {"y": y[i].tolist(), "t": float(t[i])},
+                      "values": {"phi": _ext_json(v[i]), "member": bool(member[i])},
+                  })
+    return _verdict("sublevel_identity", seed, n_samples, worst)
 
 
 def check_translation_invariance(h: FunctionalHandle, n_samples: int = 1000, seed: int = 42,
@@ -255,12 +317,15 @@ def check_translation_invariance(h: FunctionalHandle, n_samples: int = 1000, see
     if h.strategy == Strategy.BISECTION:
         spread = float(np.abs(V[np.isfinite(V)]).max(initial=0.0) + np.abs(T).max(initial=0.0))
         pass_tol = max(pass_tol, 2.0 * h.tol * (1.0 + spread))
-    V2 = _keys(h, P + T[:, None] * h.direction.k)
-    return _verdict("translation_invariance", seed, n_samples, _eq_defect(V2, V + T), pass_tol,
-                    lambda i: {
-                        "inputs": {"y": P[i].tolist(), "t": float(T[i])},
-                        "values": {"phi_y": _ext_json(V[i]), "phi_shifted": _ext_json(V2[i])},
-                    })
+    worst = _Worst(pass_tol)
+    for a, b in _blocks(h, len(P)):
+        y, v, t = P[a:b], V[a:b], T[a:b]
+        v2 = _keys(h, y + t[:, None] * h.direction.k)
+        worst.add(_eq_defect(v2, v + t), lambda i: {
+            "inputs": {"y": y[i].tolist(), "t": float(t[i])},
+            "values": {"phi_y": _ext_json(v[i]), "phi_shifted": _ext_json(v2[i])},
+        })
+    return _verdict("translation_invariance", seed, n_samples, worst)
 
 
 def check_monotone(h: FunctionalHandle, cone: MonotoneCone, strict: bool = False,
@@ -277,31 +342,36 @@ def check_monotone(h: FunctionalHandle, cone: MonotoneCone, strict: bool = False
     rng = np.random.default_rng(seed)
     G = cone.matrix(h.set.dim)
     P, V, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=max(G.shape[0], 1))
-    B = (np.abs(E[:, : G.shape[0]]) * 0.3) @ G
-    V1 = _keys(h, P - B)
-    ok = V1 < np.inf
-    y2, step, v1, v2 = P[ok], B[ok], V1[ok], V[ok]
-    functional = _le_defect(v1, v2, slack=1e-7)
-    if strict:
-        gap = STRICT_MARGIN * (1.0 + np.abs(v2))
-        moved = np.linalg.norm(step, axis=1) > 1e-6
-        functional = np.maximum(functional, np.where(moved, _le_defect(v1, v2 - gap), 0.0))
-    finite = np.isfinite(V)
-    boundary = P[finite] - V[finite, None] * h.direction.k - B[finite]
-    escaped = ~contains_many(h.set, boundary, 1e-6)
-    n = len(functional)
-
-    def witness_at(i):
-        if i < n:
-            return {"inputs": {"y2": y2[i].tolist(), "step": step[i].tolist()},
-                    "values": {"phi_y1": _ext_json(v1[i]), "phi_y2": _ext_json(v2[i])}}
-        return {"inputs": {"boundary_minus_step": boundary[i - n].tolist(),
-                           "step": B[finite][i - n].tolist()},
-                "values": {"set_level": "boundary point minus step escaped the set"}}
-
+    k = h.direction.k
+    functional, escaped = _Worst(0.0), _Worst(0.0)
+    for a, b in _blocks(h, len(P), G.shape[0]):
+        y, v = P[a:b], V[a:b]
+        B = (np.abs(E[a:b, : G.shape[0]]) * 0.3) @ G
+        v1 = _keys(h, y - B)
+        ok = v1 < np.inf
+        y2, step, v1, v2 = y[ok], B[ok], v1[ok], v[ok]
+        defect = _le_defect(v1, v2, slack=1e-7)
+        if strict:
+            gap = STRICT_MARGIN * (1.0 + np.abs(v2))
+            moved = np.linalg.norm(step, axis=1) > 1e-6
+            defect = np.maximum(defect, np.where(moved, _le_defect(v1, v2 - gap), 0.0))
+        functional.add(defect, lambda i: {
+            "inputs": {"y2": y2[i].tolist(), "step": step[i].tolist()},
+            "values": {"phi_y1": _ext_json(v1[i]), "phi_y2": _ext_json(v2[i])},
+        })
+        # the whole block is tested, so that no lone point goes through gemv
+        finite = np.isfinite(v)
+        boundary = y - np.where(finite, v, 0.0)[:, None] * k - B
+        rows = np.flatnonzero(finite)
+        escaped.add((~contains_many(h.set, boundary, 1e-6)[rows]).astype(float), lambda i: {
+            "inputs": {"boundary_minus_step": boundary[rows[i]].tolist(),
+                       "step": B[rows[i]].tolist()},
+            "values": {"set_level": "boundary point minus step escaped the set"},
+        })
+    # the functional defects come first: they win a tie
+    worst = functional if functional.defect >= escaped.defect else escaped
     name = "strictly_monotone" if strict else "monotone"
-    return _verdict(name, seed, n_samples, np.concatenate([functional, escaped.astype(float)]),
-                    0.0, witness_at, applicable=n)
+    return _verdict(name, seed, n_samples, worst, applicable=functional.count)
 
 
 def classify_convexity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 42,
@@ -315,41 +385,41 @@ def classify_convexity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 4
     rng = np.random.default_rng(seed)
     P, V, E = _draw_domain(h, 2 * n_samples, rng, bbox, extra_cols=2)
     half = len(P) // 2
-    Y1, V1 = P[:half], V[:half]
-    Y2, V2 = P[half: 2 * half], V[half: 2 * half]
-    lam_mix = 0.05 + 0.9 * (np.abs(E[:half, 0]) / 10.0)
-    lam_pos = 0.05 + 0.4 * np.abs(E[:, 1])
 
-    reports: dict[str, PropertyReport] = {}
-
-    Vm = _keys(h, lam_mix[:, None] * Y1 + (1 - lam_mix)[:, None] * Y2)
-    reports["convex"] = _verdict(
-        "convex", seed, n_samples, _le_defect(Vm, lam_mix * V1 + (1 - lam_mix) * V2), 1e-7,
-        lambda i: {
-            "inputs": {"y1": Y1[i].tolist(), "y2": Y2[i].tolist(), "lambda": float(lam_mix[i])},
-            "values": {"phi_mid": _ext_json(Vm[i]),
-                       "phi_y1": _ext_json(V1[i]), "phi_y2": _ext_json(V2[i])},
+    convex, subadditive = _Worst(1e-7), _Worst(1e-7)
+    for a, b in _blocks(h, half):
+        y1, v1 = P[a:b], V[a:b]
+        y2, v2 = P[half + a: half + b], V[half + a: half + b]
+        lam = 0.05 + 0.9 * (np.abs(E[a:b, 0]) / 10.0)
+        vm = _keys(h, lam[:, None] * y1 + (1 - lam)[:, None] * y2)
+        convex.add(_le_defect(vm, lam * v1 + (1 - lam) * v2), lambda i: {
+            "inputs": {"y1": y1[i].tolist(), "y2": y2[i].tolist(), "lambda": float(lam[i])},
+            "values": {"phi_mid": _ext_json(vm[i]),
+                       "phi_y1": _ext_json(v1[i]), "phi_y2": _ext_json(v2[i])},
+        })
+        vsum = _keys(h, y1 + y2)
+        subadditive.add(_le_defect(vsum, v1 + v2), lambda i: {
+            "inputs": {"y1": y1[i].tolist(), "y2": y2[i].tolist()},
+            "values": {"phi_sum": _ext_json(vsum[i]),
+                       "phi_y1": _ext_json(v1[i]), "phi_y2": _ext_json(v2[i])},
         })
 
-    n_pos = min(len(P), n_samples)
-    Y, Vy, lam = P[:n_pos], V[:n_pos], lam_pos[:n_pos]
-    Vs = _keys(h, lam[:, None] * Y)
-    reports["positively_homogeneous"] = _verdict(
-        "positively_homogeneous", seed, n_samples, _eq_defect(Vs, lam * Vy), 1e-7,
-        lambda i: {
-            "inputs": {"y": Y[i].tolist(), "lambda": float(lam[i])},
-            "values": {"phi_y": _ext_json(Vy[i]), "phi_scaled": _ext_json(Vs[i])},
+    homogeneous = _Worst(1e-7)
+    for a, b in _blocks(h, min(len(P), n_samples)):
+        y, vy = P[a:b], V[a:b]
+        lam = 0.05 + 0.4 * np.abs(E[a:b, 1])
+        vs = _keys(h, lam[:, None] * y)
+        homogeneous.add(_eq_defect(vs, lam * vy), lambda i: {
+            "inputs": {"y": y[i].tolist(), "lambda": float(lam[i])},
+            "values": {"phi_y": _ext_json(vy[i]), "phi_scaled": _ext_json(vs[i])},
         })
 
-    Vsum = _keys(h, Y1 + Y2)
-    reports["subadditive"] = _verdict(
-        "subadditive", seed, n_samples, _le_defect(Vsum, V1 + V2), 1e-7,
-        lambda i: {
-            "inputs": {"y1": Y1[i].tolist(), "y2": Y2[i].tolist()},
-            "values": {"phi_sum": _ext_json(Vsum[i]),
-                       "phi_y1": _ext_json(V1[i]), "phi_y2": _ext_json(V2[i])},
-        })
-
+    reports = {
+        "convex": _verdict("convex", seed, n_samples, convex),
+        "positively_homogeneous": _verdict("positively_homogeneous", seed, n_samples,
+                                           homogeneous),
+        "subadditive": _verdict("subadditive", seed, n_samples, subadditive),
+    }
     cv, ph = reports["convex"], reports["positively_homogeneous"]
     if cv.verdict == INAPPLICABLE or ph.verdict == INAPPLICABLE:
         reports["sublinear"] = PropertyReport("sublinear", INAPPLICABLE, None, 0.0,
@@ -374,15 +444,16 @@ def check_recession_inequality(h_set: FunctionalHandle, h_rec: FunctionalHandle,
     rng = np.random.default_rng(seed)
     P0, V0, _ = _draw_domain(h_set, n_samples, rng, bbox)
     P1, V1, _ = _draw_domain(h_rec, n_samples, rng, bbox)
-    m = min(len(P0), len(P1))
-    Y0, V0, Y1, V1 = P0[:m], V0[:m], P1[:m], V1[:m]
-    Vs = _keys(h_set, Y0 + Y1)
-    return _verdict("recession_inequality", seed, n_samples, _le_defect(Vs, V0 + V1), 1e-7,
-                    lambda i: {
-                        "inputs": {"y0": Y0[i].tolist(), "y1": Y1[i].tolist()},
-                        "values": {"phi_sum": _ext_json(Vs[i]), "phi_y0": _ext_json(V0[i]),
-                                   "phi_cone_y1": _ext_json(V1[i])},
-                    })
+    worst = _Worst(1e-7)
+    for a, b in _blocks(h_set, min(len(P0), len(P1))):
+        y0, v0, y1, v1 = P0[a:b], V0[a:b], P1[a:b], V1[a:b]
+        vs = _keys(h_set, y0 + y1)
+        worst.add(_le_defect(vs, v0 + v1), lambda i: {
+            "inputs": {"y0": y0[i].tolist(), "y1": y1[i].tolist()},
+            "values": {"phi_sum": _ext_json(vs[i]), "phi_y0": _ext_json(v0[i]),
+                       "phi_cone_y1": _ext_json(v1[i])},
+        })
+    return _verdict("recession_inequality", seed, n_samples, worst)
 
 
 def check_dual_relation(h: FunctionalHandle, n_samples: int = 1000, seed: int = 42,
@@ -397,15 +468,16 @@ def check_dual_relation(h: FunctionalHandle, n_samples: int = 1000, seed: int = 
         return PropertyReport("dual_relation", INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     rng = np.random.default_rng(seed)
     P, V, _ = _draw_domain(h, n_samples, rng, bbox)
-    finite = np.isfinite(V)
-    P, V = P[finite], V[finite]
-    D = _dual_keys(dual, P)
-    return _verdict("dual_relation", seed, n_samples,
-                    _eq_defect(D, V, mismatch=1.0 + np.abs(V)), 1e-6,
-                    lambda i: {
-                        "inputs": {"y": P[i].tolist()},
-                        "values": {"phi": float(V[i]), "dual": str(_ext_json(D[i]))},
-                    })
+    worst = _Worst(1e-6)
+    for a, b in _blocks(h, len(P)):
+        # the whole block is evaluated, so that no lone point goes through gemv
+        finite = np.isfinite(V[a:b])
+        y, v, d = P[a:b][finite], V[a:b][finite], _dual_keys(dual, P[a:b])[finite]
+        worst.add(_eq_defect(d, v, mismatch=1.0 + np.abs(v)), lambda i: {
+            "inputs": {"y": y[i].tolist()},
+            "values": {"phi": float(v[i]), "dual": str(_ext_json(d[i]))},
+        })
+    return _verdict("dual_relation", seed, n_samples, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +583,14 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     rec = make_handle(h.direction.cert.to_polyhedron(), k, t_max=h.t_max, tol=h.tol)
     rng = np.random.default_rng(seed)
     lo, hi = bbox
-    Y = rng.uniform(lo, hi, size=(n_samples, h.set.dim))
-    rhs = _keys(rec, Y - ybar)
-    lhs = (Y - ybar) @ ystar
-    return _verdict(name, seed, n_samples, _le_defect(lhs, rhs), 1e-7, lambda i: {
-        "inputs": {"y": Y[i].tolist(), "ybar": ybar.tolist()},
-        "values": {"linear": float(lhs[i]), "cone_bound": _ext_json(rhs[i]),
-                   "subgradient": ystar.tolist()},
-    })
+    worst = _Worst(1e-7)
+    for a, b in _blocks(rec, n_samples):
+        y = rng.uniform(lo, hi, size=(b - a, h.set.dim))
+        rhs = _keys(rec, y - ybar)
+        lhs = (y - ybar) @ ystar
+        worst.add(_le_defect(lhs, rhs), lambda i: {
+            "inputs": {"y": y[i].tolist(), "ybar": ybar.tolist()},
+            "values": {"linear": float(lhs[i]), "cone_bound": _ext_json(rhs[i]),
+                       "subgradient": ystar.tolist()},
+        })
+    return _verdict(name, seed, n_samples, worst)

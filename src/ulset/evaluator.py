@@ -319,6 +319,12 @@ def _block_bounds(n: int, floats_per_point: int) -> list[int]:
     return [n * i // count for i in range(count + 1)]
 
 
+def _point_floats(h: FunctionalHandle) -> int:
+    """Floats per point that size :func:`evaluate_batch`'s blocks on h:
+    the dimension or the most rows of a leaf, whichever is larger."""
+    return max(h.set.dim, *(len(leaf.R) for leaf in h.set.plan[1]))
+
+
 def _from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keys as :func:`evaluate_batch`'s (values, kind codes)."""
     kinds = np.full(keys.shape, KIND_FINITE, dtype=np.int8)
@@ -431,9 +437,8 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = _as_points(Y, h.set.dim)
     kernel = _bisect_batch if h.strategy == Strategy.BISECTION else _closed_batch
-    n, m = pts.shape
-    bounds = _block_bounds(n, max(m, *(len(leaf.R) for leaf in h.set.plan[1])))
-    keys = np.empty(n)
+    bounds = _block_bounds(len(pts), _point_floats(h))
+    keys = np.empty(len(pts))
     for a, b in zip(bounds, bounds[1:]):
         keys[a:b] = kernel(h, pts[a:b].T)
     return _from_keys(keys)

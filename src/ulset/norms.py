@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DirectionRejected, InvalidInput, PreconditionFailed
 from .evaluator import evaluate_batch, make_handle, _to_keys
 from .geometry import INTERIOR_MARGIN, Shift, _as_vector
-from .analysis import PropertyReport, _eq_defect, _ext_json, _sample_count, _verdict
+from .analysis import (PropertyReport, _Worst, _blocks, _eq_defect, _ext_json, _sample_count,
+                       _verdict)
 from .scalarization import OrderCone
 
 
@@ -44,13 +45,10 @@ def gauge_cone_shift(C: OrderCone, k, y) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def order_unit_norm(C: OrderCone, k, y) -> float | np.ndarray:
-    """Norm induced by the order interval [-k, k]_C.
-
-    Requires a pointed cone (as far as the advisory probe can tell) and
-    k strictly interior to C. Accepts a single point or an (n, m)
-    batch.
-    """
+def _order_unit_handle(C: OrderCone, k):
+    """Handle on -C along the order unit k, whose values give the norm of
+    [-k, k]_C; refuses a cone that may not be pointed and a k that is not
+    strictly inside C."""
     k = _as_vector(k, C.dim, "order unit")
     if not C.maybe_pointed():
         raise PreconditionFailed("cone generators indicate a non-pointed cone; "
@@ -59,13 +57,25 @@ def order_unit_norm(C: OrderCone, k, y) -> float | np.ndarray:
     if not h.direction.interior:
         raise DirectionRejected(f"some row of the negated cone has a·k <= {INTERIOR_MARGIN:g}; "
                                 "the order unit must lie strictly inside the cone")
+    return h
+
+
+def _order_unit_values(h, pts: np.ndarray) -> np.ndarray:
+    """The norm at each row of pts, h from :func:`_order_unit_handle`."""
+    return np.maximum(np.maximum(_gauge_values(h, pts), _gauge_values(h, -pts)), 0.0)
+
+
+def order_unit_norm(C: OrderCone, k, y) -> float | np.ndarray:
+    """Norm induced by the order interval [-k, k]_C.
+
+    Requires a pointed cone (as far as the advisory probe can tell) and
+    k strictly interior to C. Accepts a single point or an (n, m)
+    batch.
+    """
+    h = _order_unit_handle(C, k)
     pts = np.asarray(y, dtype=float)
     single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    plus = _gauge_values(h, pts)
-    minus = _gauge_values(h, -pts)
-    vals = np.maximum(np.maximum(plus, minus), 0.0)
+    vals = _order_unit_values(h, pts[None, :] if single else pts)
     return float(vals[0]) if single else vals
 
 
@@ -75,22 +85,24 @@ def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
 
     Samples y = a + (nonnegative combination of the cone generators);
     generators are required. A score that is not finite costs 1 + norm.
+    The combinations are drawn, and the identity reduced, block by block.
     """
     _sample_count(n_samples)
     if not C.generators:
         raise InvalidInput("cone generators are required to sample a + C")
     k = _as_vector(k, C.dim, "order unit")
     a = _as_vector(a, C.dim, "reference point")
+    norm = _order_unit_handle(C, k)
+    score = make_handle(Shift(C.negated(), a), k)
     rng = np.random.default_rng(seed)
     G = np.stack(C.generators)
-    lam = rng.uniform(0.0, 5.0, size=(n_samples, G.shape[0]))
-    Y = a + lam @ G
-    lhs = order_unit_norm(C, k, Y - a)
-    h = make_handle(Shift(C.negated(), a), k)
-    rhs = _to_keys(*evaluate_batch(h, Y))
-    defects = _eq_defect(lhs, rhs, mismatch=1.0 + np.abs(lhs))
-    return _verdict("norm_identity_on_shifted_cone", seed, n_samples, defects, 1e-7, lambda i: {
-        "inputs": {"y": Y[i].tolist(), "a": a.tolist()},
-        "values": {"norm": float(lhs[i]),
-                   "score": _ext_json(rhs[i])},
-    })
+    worst = _Worst(1e-7)
+    for lo, hi in _blocks(score, n_samples, len(G)):
+        Y = a + rng.uniform(0.0, 5.0, size=(hi - lo, len(G))) @ G
+        lhs = _order_unit_values(norm, Y - a)
+        rhs = _to_keys(*evaluate_batch(score, Y))
+        worst.add(_eq_defect(lhs, rhs, mismatch=1.0 + np.abs(lhs)), lambda i: {
+            "inputs": {"y": Y[i].tolist(), "a": a.tolist()},
+            "values": {"norm": float(lhs[i]), "score": _ext_json(rhs[i])},
+        })
+    return _verdict("norm_identity_on_shifted_cone", seed, n_samples, worst)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, UlsetError
 from .evaluator import ExtReal, make_handle, _BLOCK_FLOATS, _closed_batch
-from .geometry import HalfSpace, Polyhedron, contains, _as_points, _as_vector
+from .geometry import HalfSpace, Polyhedron, contains_many, _as_points, _as_vector
 
 #: Strict margin for interior-of-cone (weak domination) tests.
 INT_CONE_MARGIN = 1e-9
@@ -97,16 +98,31 @@ class OrderCone:
 
     def maybe_pointed(self) -> bool:
         """Advisory: False when some probe vector sits in C together with its negation."""
+        return self._pointed
+
+    @cached_property
+    def _pointed(self) -> bool:
+        """:meth:`maybe_pointed`, probed once per cone: the generators, then
+        their pairwise sums g_i + g_j (i < j) for blocks of i, each block
+        within _BLOCK_FLOATS floats. Probes of norm at most 1e-12 are
+        skipped."""
         if not self.generators:
             return True
-        probes = list(self.generators)
-        for i in range(len(self.generators)):
-            for j in range(i + 1, len(self.generators)):
-                probes.append(self.generators[i] + self.generators[j])
-        for g in probes:
-            if float(np.linalg.norm(g)) <= 1e-12:
-                continue
-            if contains(self.rep, g) and contains(self.rep, -g):
+        G = np.stack(self.generators)
+        g, m = G.shape
+
+        def two_sided(probes):
+            probes = probes[np.linalg.norm(probes, axis=1) > 1e-12]
+            return bool((contains_many(self.rep, probes)
+                         & contains_many(self.rep, -probes)).any())
+
+        if two_sided(G):
+            return False
+        step = max(1, _BLOCK_FLOATS // (g * m))
+        for i in range(0, g, step):
+            sums = G[i:i + step, None, :] + G[None, :, :]
+            later = np.arange(i, i + len(sums))[:, None] < np.arange(g)
+            if two_sided(sums[later]):
                 return False
         return True
 

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from ulset import (
     Polyhedron,
     PreconditionFailed,
     SetIntersection,
+    SetUnion,
     Shift,
     check_dual_relation,
     check_monotone,
@@ -28,7 +32,7 @@ from ulset import (
     make_handle,
     separate,
 )
-from conftest import biased_eval, neg_orthant, rec_handle_for
+from conftest import biased_eval, neg_orthant, rec_handle_for, three_quadrant_union
 
 
 class TestSublevelIdentity:
@@ -287,3 +291,112 @@ class TestSampleCount:
     def test_count_above_cap_invalid(self, cone_diag, run):
         with pytest.raises(InvalidInput, match=f"sample count must be at most {MAX_SAMPLES}"):
             run(cone_diag, MAX_SAMPLES + 1)
+
+
+def _block_runs():
+    """One run per sampled check, each a list of report lines; the
+    biased runs give Violated reports, so witnesses are compared too."""
+    diag = make_handle(neg_orthant(2), [1.0, 1.0])
+    edge = make_handle(neg_orthant(2), [1.0, 0.0])
+    tq = make_handle(three_quadrant_union(), [1.0, 0.0])
+    tq_bisect = make_handle(three_quadrant_union(), [1.0, 0.0], strategy="bisection")
+    orthant = MonotoneCone((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    downward = MonotoneCone((np.array([0.0, -1.0]),))
+    nudge = MonotoneCone((np.array([0.0, -0.1]),))
+
+    def biased(check):
+        def run():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "evaluate_batch", biased_eval())
+                return check()
+        return run
+
+    runs = {
+        "sublevel": lambda: check_sublevel_identity(tq, 300, seed=3),
+        "sublevel_nu": lambda: check_sublevel_identity(edge, 300, seed=3),
+        "sublevel_biased": biased(lambda: check_sublevel_identity(tq, 300, seed=3)),
+        "translation_bisection": lambda: check_translation_invariance(tq_bisect, 200, seed=3),
+        "translation_biased": biased(lambda: check_translation_invariance(tq, 300, seed=3)),
+        "monotone_strict": lambda: check_monotone(diag, orthant, strict=True, n_samples=300),
+        "monotone_functional": lambda: check_monotone(tq, downward, n_samples=300),
+        "monotone_set_level": lambda: check_monotone(diag, nudge, n_samples=300),
+        "convexity": lambda: classify_convexity(tq, 300, seed=3),
+        "convexity_biased": biased(lambda: classify_convexity(edge, 300, seed=3)),
+        "recession_biased": biased(lambda: check_recession_inequality(tq, rec_handle_for(tq),
+                                                                      300, seed=3)),
+        "dual": lambda: check_dual_relation(diag, 300, seed=3),
+        "dual_biased": biased(lambda: check_dual_relation(diag, 300, seed=3)),
+        "subgradient": lambda: check_subgradient_bound(diag, [2.0, 1.0], 300, seed=3),
+        "norm": lambda: check_norm_score_identity(OrderCone.nonneg(3), [1.0, 2.0, 1.0],
+                                                  [4.0, -1.0, 0.5], 300, seed=3),
+    }
+
+    def lines(run):
+        out = run()
+        return [r.to_json_line() for r in (out.values() if isinstance(out, dict) else [out])]
+
+    return {name: (lambda run=run: lines(run)) for name, run in runs.items()}
+
+
+BLOCK_RUNS = _block_runs()
+
+
+class TestBlocks:
+    """Checks draw, evaluate and reduce their samples in blocks."""
+
+    @pytest.mark.parametrize("name", BLOCK_RUNS)
+    def test_report_independent_of_block_size(self, name, monkeypatch):
+        whole = BLOCK_RUNS[name]()
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 1)
+        assert BLOCK_RUNS[name]() == whole
+
+    def test_block_runs_reach_violations(self):
+        for name, run in BLOCK_RUNS.items():
+            verdicts = {json.loads(line)["verdict"] for line in run()}
+            violated = name.endswith("biased") or name in (
+                "monotone_functional", "monotone_set_level", "convexity")
+            assert (VIOLATED in verdicts) == violated, name
+            assert INAPPLICABLE not in verdicts, name
+
+    @pytest.mark.parametrize("edges", [[0, 12], [0, 3, 4, 5, 12], [0, 4, 12], list(range(13))])
+    def test_reducer_matches_argmax(self, edges):
+        # ties of the largest defect 3.0 at 1, 4 and 5 straddle the block
+        # edges; the earliest sample must win, as np.argmax picks it
+        defects = np.array([0.0, 3.0, 1.0, 2.0, 3.0, 3.0, 0.0, 2.5, 3.0, 1.0, 0.0, 3.0])
+        worst = analysis._Worst(0.5)
+        for a, b in zip(edges, edges[1:]):
+            worst.add(defects[a:b], lambda i, a=a: {"index": a + i})
+        assert worst.count == len(defects)
+        assert worst.defect == defects.max()
+        assert worst.witness == {"index": int(np.argmax(defects))} == {"index": 1}
+
+    def test_reducer_builds_no_witness_within_tolerance(self):
+        worst = analysis._Worst(0.5)
+        worst.add(np.array([0.1, 0.5]), lambda i: pytest.fail("witness built"))
+        worst.add(np.array([]), lambda i: pytest.fail("witness built"))
+        assert (worst.count, worst.defect, worst.witness) == (2, 0.5, None)
+
+    def test_convexity_memory_bounded(self):
+        # 20k samples draw 40k points: keeping them with their keys and
+        # two extra columns takes 1.8 MiB, and one pass over them held
+        # each suite's defects, keys and probe points at full length too
+        # (5.5 MiB at peak)
+        rng = np.random.default_rng(5)
+        k = np.array([1.0, 0.5, 2.0])
+        members = []
+        for _ in range(4):
+            A = rng.normal(size=(5, 3))
+            A[A @ k < 0] *= -1.0
+            A += k / (k @ k)  # a·k >= 1 on every row
+            members.append(Polyhedron(tuple(HalfSpace(a, b)
+                                            for a, b in zip(A, rng.uniform(-2.0, 2.0, 5)))))
+        h = make_handle(SetUnion(tuple(members)), k)
+        classify_convexity(h, 10, seed=1)
+        tracemalloc.start()
+        try:
+            reports = classify_convexity(h, 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reports["convex"].applicable == 20_000
+        assert peak < 3 * 2**20

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ulset import (
     evaluate_batch,
     load_points_csv,
     make_handle,
+    order_unit_norm,
     scalarize,
     trace_front,
     weakly_efficient,
@@ -288,6 +291,33 @@ class TestOrderCone:
     def test_offset_rows_rejected(self):
         with pytest.raises(InvalidInput):
             OrderCone(Polyhedron((HalfSpace([1.0, 0.0], 1.0),)))
+
+    def test_many_generators_probed_once_in_blocks(self, monkeypatch):
+        # 300 generators give 44850 pairwise sums: probing them one by one
+        # held every probe at once (6.2 MiB) and took seconds
+        gens = tuple(np.random.default_rng(2).uniform(0.0, 1.0, size=(300, 3)))
+        tracemalloc.start()
+        try:
+            C = OrderCone(OrderCone.nonneg(3).rep, generators=gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        monkeypatch.setattr(scalarization, "contains_many", lambda *a: pytest.fail("probed again"))
+        assert C.maybe_pointed()
+        assert order_unit_norm(C, [1.0, 1.0, 1.0], [2.0, -1.0, 0.5]) == 2.0
+
+    def test_pair_sum_in_later_block_not_pointed(self, monkeypatch):
+        # C = {x1 >= 0} holds the line x1 = 0, and of all the probes only
+        # g_4 + g_5 lies on it; at one generator per block, its block is the
+        # last that holds a pair
+        monkeypatch.setattr(scalarization, "_BLOCK_FLOATS", 1)
+        rep = Polyhedron((HalfSpace([-1.0, 0.0], 0.0),))
+        gens = (*(np.array([2.0, 0.1 * i]) for i in range(4)), np.array([1.0, 0.5]),
+                np.array([-1.0, 1.0]))
+        with pytest.warns(UserWarning):
+            C = OrderCone(rep, generators=gens)
+        assert not C.maybe_pointed()
 
     def test_non_pointed_warns(self):
         # halfplane: contains e2 and -e2
