@@ -35,14 +35,13 @@ from .evaluator import (
     ExtReal,
     FunctionalHandle,
     Strategy,
-    evaluate_batch,
     key_text,
     make_handle,
     _block_bounds,
     _dual_handle,
     _dual_keys,
+    _keys,
     _point_floats,
-    _to_keys,
 )
 from .geometry import Polyhedron, SetExpr, Shift, contains_many, _as_vector
 
@@ -196,19 +195,14 @@ def _verdict(name, seed, samples, worst: _Worst, applicable: int | None = None
                           max(0.0, worst.defect), samples, seed, applicable)
 
 
-def _keys(h: FunctionalHandle, Y) -> np.ndarray:
-    # looks evaluate_batch up in this module, where fault-injection tests replace it
-    return _to_keys(*evaluate_batch(h, Y))
-
-
 def _blocks(h: FunctionalHandle, n: int, columns: int = 0):
     """The [a, b) blocks in which a check on h draws, evaluates and
     reduces n samples of up to ``columns`` extra floats each.
 
-    Without many extra columns they are the blocks evaluate_batch runs n
-    points of h in (see :func:`_block_bounds`), so a block is one kernel
-    call. No block holds a lone sample unless n is 1, so every key is
-    that of one pass over all the samples.
+    Without many extra columns they are the blocks the evaluator's
+    :func:`_keys` runs n points of h in (see :func:`_block_bounds`), so a
+    block is one kernel call. No block holds a lone sample unless n is 1,
+    so every key is that of one pass over all the samples.
     """
     bounds = _block_bounds(n, max(_point_floats(h), columns))
     return zip(bounds, bounds[1:])

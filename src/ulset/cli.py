@@ -24,10 +24,9 @@ from .evaluator import (
     DEFAULT_TOL,
     Strategy,
     contour2d,
-    evaluate_batch,
     key_text,
     make_handle,
-    _to_keys,
+    _keys,
 )
 from .geometry import (Polyhedron, set_from_json, _CONE_FILE, _CONFIG, _field, _invalid, _list,
                        _number, _rows, _vector)
@@ -102,12 +101,12 @@ def _chunk_keys(h, chunks) -> list[np.ndarray]:
     """Keys of the points in chunks, an iterable of (n, m) arrays, one
     array per chunk. A chunk is evaluated once the next one is read, so
     that a one-point chunk goes in twice unless it is the whole input: no
-    evaluate_batch call then gets a lone point that one call over all the
-    points would not, and every key is bitwise that call's."""
+    _keys call then gets a lone point that one call over all the points
+    would not, and every key is bitwise that call's."""
     def keys(pts, twice):
         if twice:
-            return _to_keys(*evaluate_batch(h, pts.repeat(2, axis=0)))[:1]
-        return _to_keys(*evaluate_batch(h, pts))
+            return _keys(h, pts.repeat(2, axis=0))[:1]
+        return _keys(h, pts)
 
     out, held = [], None
     for pts in chunks:

@@ -25,6 +25,8 @@ numerical certificate, not a proof that the whole line lies in the
 set. Ties at the bracket edge resolve toward membership, matching the
 fact that the infimum is attained for closed sets. Both strategies run
 on the same blocks of points and read the row motions cached on the handle.
+:func:`_keys` is that one block loop, and only the public
+:func:`evaluate_batch` turns its lattice keys into kind codes.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .geometry import (
 DEFAULT_T_MAX = 1e12
 DEFAULT_TOL = 1e-9
 
-#: Integer codes used by :func:`evaluate_batch`.
+#: Kind codes of :func:`evaluate_batch`, the one place keys become codes.
 KIND_FINITE = 0
 KIND_MINUS_INF = 1
 KIND_NU = 2
@@ -61,7 +63,7 @@ KIND_NU = 2
 MINUS_INF_SENTINEL = -1e30
 
 #: Float64 elements in the largest temporary of one block of points, in
-#: both strategies of :func:`evaluate_batch` and in the reference blocks
+#: both strategies of :func:`_keys` and in the reference blocks
 #: of ``scalarization._minimize``: 128 KiB, glibc's default mmap
 #: threshold, so a block's temporaries are reused heap, not fresh pages.
 _BLOCK_FLOATS = 2**14
@@ -307,7 +309,7 @@ def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
 
 
 def _block_bounds(n: int, floats_per_point: int) -> list[int]:
-    """Edges of the near-equal blocks of n points that both strategies run on.
+    """Edges of the near-equal blocks of n points that :func:`_keys` runs on.
 
     A block holds at most _BLOCK_FLOATS // floats_per_point points, and
     never one point unless n is 1: a one-column matrix product goes
@@ -320,7 +322,7 @@ def _block_bounds(n: int, floats_per_point: int) -> list[int]:
 
 
 def _point_floats(h: FunctionalHandle) -> int:
-    """Floats per point that size :func:`evaluate_batch`'s blocks on h:
+    """Floats per point that size :func:`_keys`'s blocks on h:
     the dimension or the most rows of a leaf, whichever is larger."""
     return max(h.set.dim, *(len(leaf.R) for leaf in h.set.plan[1]))
 
@@ -331,12 +333,6 @@ def _from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kinds[keys == -np.inf] = KIND_MINUS_INF
     kinds[keys == np.inf] = KIND_NU
     return np.where(kinds == KIND_FINITE, keys, 0.0), kinds
-
-
-def _to_keys(vals: np.ndarray, kinds: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_from_keys`: finite values as themselves, -inf, nu as +inf."""
-    return np.where(kinds == KIND_FINITE, vals,
-                    np.where(kinds == KIND_MINUS_INF, -np.inf, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +414,17 @@ def _bisect_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
 # public evaluation API
 
 
+def _keys(h: FunctionalHandle, Y) -> np.ndarray:
+    """Lattice keys at the points Y: the block loop of :func:`evaluate_batch`."""
+    pts = _as_points(Y, h.set.dim)
+    kernel = _bisect_batch if h.strategy == Strategy.BISECTION else _closed_batch
+    bounds = _block_bounds(len(pts), _point_floats(h))
+    keys = np.empty(len(pts))
+    for a, b in zip(bounds, bounds[1:]):
+        keys[a:b] = kernel(h, pts[a:b].T)
+    return keys
+
+
 def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate at many points; returns (values, kind codes) arrays.
 
@@ -435,13 +442,7 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     point of a longer input twice, as `ulset eval` does with a one-point
     chunk of its CSV.
     """
-    pts = _as_points(Y, h.set.dim)
-    kernel = _bisect_batch if h.strategy == Strategy.BISECTION else _closed_batch
-    bounds = _block_bounds(len(pts), _point_floats(h))
-    keys = np.empty(len(pts))
-    for a, b in zip(bounds, bounds[1:]):
-        keys[a:b] = kernel(h, pts[a:b].T)
-    return _from_keys(keys)
+    return _from_keys(_keys(h, Y))
 
 
 def evaluate_many(h: FunctionalHandle, Y) -> list[ExtReal]:
@@ -450,7 +451,7 @@ def evaluate_many(h: FunctionalHandle, Y) -> list[ExtReal]:
     Builds one ExtReal per point; bulk callers should use
     :func:`evaluate_batch` and work on its arrays.
     """
-    return list(map(ExtReal.from_key, _to_keys(*evaluate_batch(h, Y)).tolist()))
+    return list(map(ExtReal.from_key, _keys(h, Y).tolist()))
 
 
 def evaluate(h: FunctionalHandle, y) -> ExtReal:
@@ -461,8 +462,8 @@ def evaluate(h: FunctionalHandle, y) -> ExtReal:
 def evaluate_scaled(h: FunctionalHandle, lam: float, y) -> ExtReal:
     """Value for the rescaled direction lam*k, lam > 0: finite values divide by lam."""
     lam = float(lam)
-    if not lam > 0:
-        raise InvalidInput("scale factor must be positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise InvalidInput(f"scale factor must be positive and finite, got {lam}")
     v = evaluate(h, y)
     if v.is_finite:
         return ExtReal.finite(v.value / lam)
@@ -472,6 +473,8 @@ def evaluate_scaled(h: FunctionalHandle, lam: float, y) -> ExtReal:
 def evaluate_level_shifted(h: FunctionalHandle, c: float, y) -> ExtReal:
     """Value for the set translated by c*k: finite values drop by c."""
     c = float(c)
+    if not math.isfinite(c):
+        raise InvalidInput(f"level shift must be finite, got {c}")
     v = evaluate(h, y)
     if v.is_finite:
         return ExtReal.finite(v.value - c)
@@ -503,7 +506,7 @@ def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
 
 def _dual_keys(dual: FunctionalHandle, Y) -> np.ndarray:
     """Keys on dual = _dual_handle(h): negated finite values, nu everywhere else."""
-    keys = _to_keys(*evaluate_batch(dual, Y))
+    keys = _keys(dual, Y)
     return np.where(np.isfinite(keys), -keys, np.inf)
 
 
@@ -613,14 +616,14 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     F = np.empty((0, grid_n))
     usable, ends = False, []
     for r0 in range(0, grid_n, step):
-        # a strip holds whole rows of grid_n >= 8 points, so evaluate_batch
-        # never makes a one-point block and the keys are the whole grid's
+        # a strip holds whole rows of grid_n >= 8 points, so _keys never
+        # makes a one-point block and the keys are the whole grid's
         rows = ys[r0:r0 + step]
         strip = pts[:len(rows)]
         strip[..., 1] = rows[:, None]
-        vals, kinds = evaluate_batch(h, strip.reshape(-1, 2))
-        f = np.where(kinds == KIND_FINITE, vals - level,
-                     np.where(kinds == KIND_MINUS_INF, MINUS_INF_SENTINEL, np.nan))
+        keys = _keys(h, strip.reshape(-1, 2))
+        f = np.where(np.isfinite(keys), keys - level,
+                     np.where(keys < 0, MINUS_INF_SENTINEL, np.nan))
         # F's first row is grid row r0 - 1, carried, except in the first strip
         F = np.concatenate([F[-1:], f.reshape(len(rows), grid_n)])
         any_usable, strip_ends = _march(F, xs, ys[max(r0 - 1, 0):])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DirectionRejected, InvalidInput, PreconditionFailed
-from .evaluator import evaluate_batch, make_handle, _to_keys
+from .evaluator import make_handle, _keys
 from .geometry import INTERIOR_MARGIN, Shift, _as_vector
 from .analysis import (PropertyReport, _Worst, _blocks, _eq_defect, _ext_json, _sample_count,
                        _verdict)
@@ -22,7 +22,7 @@ from .scalarization import OrderCone
 
 def _gauge_values(handle, Y) -> np.ndarray:
     """Lattice keys of the handle at Y, which callers clip at 0; nu is refused."""
-    keys = _to_keys(*evaluate_batch(handle, Y))
+    keys = _keys(handle, Y)
     if (keys == np.inf).any():
         raise PreconditionFailed("gauge evaluation left the domain; cone rows "
                                  "do not certify the direction strictly")
@@ -100,7 +100,7 @@ def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
     for lo, hi in _blocks(score, n_samples, len(G)):
         Y = a + rng.uniform(0.0, 5.0, size=(hi - lo, len(G))) @ G
         lhs = _order_unit_values(norm, Y - a)
-        rhs = _to_keys(*evaluate_batch(score, Y))
+        rhs = _keys(score, Y)
         worst.add(_eq_defect(lhs, rhs, mismatch=1.0 + np.abs(lhs)), lambda i: {
             "inputs": {"y": Y[i].tolist(), "a": a.tolist()},
             "values": {"norm": float(lhs[i]), "score": _ext_json(rhs[i])},

@@ -19,7 +19,7 @@ from ulset import (
     make_handle,
     recession_cone,
 )
-from ulset.evaluator import KIND_FINITE, evaluate_batch
+from ulset.evaluator import _keys
 from ulset.geometry import AK_POSITIVE_MIN, EPS_MEMBERSHIP, contains_many, _as_points, _as_vector
 
 
@@ -210,16 +210,15 @@ def reference_bisect(h, Y: np.ndarray) -> np.ndarray:
 def biased_eval(bias_scale=0.05):
     """Fault injector: adds bias_scale * ||y||^2 to every finite value.
 
-    Checks are expected to call it in place of
-    ``ulset.analysis.evaluate_batch`` (monkeypatched there).
+    Checks are expected to call it in place of the lattice keys
+    ``ulset.analysis._keys`` (monkeypatched there).
     """
 
     def patched(h, Y):
-        vals, kinds = evaluate_batch(h, Y)
+        keys = _keys(h, Y)
         pts = np.atleast_2d(np.asarray(Y, dtype=float))
         bump = bias_scale * (pts ** 2).sum(axis=1)
-        vals = np.where(kinds == KIND_FINITE, vals + bump, vals)
-        return vals, kinds
+        return np.where(np.isfinite(keys), keys + bump, keys)
 
     return patched
 

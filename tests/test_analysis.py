@@ -42,7 +42,7 @@ class TestSublevelIdentity:
         assert r.applicable > 0
 
     def test_corrupted_violated(self, tq_handle, monkeypatch):
-        monkeypatch.setattr(analysis, "evaluate_batch", biased_eval())
+        monkeypatch.setattr(analysis, "_keys", biased_eval())
         r = check_sublevel_identity(tq_handle, 500, seed=42)
         assert r.verdict == VIOLATED
         assert r.witness is not None
@@ -80,7 +80,7 @@ class TestTranslationInvariance:
         assert r.verdict == HOLDS
 
     def test_corrupted_violated(self, tq_handle, monkeypatch):
-        monkeypatch.setattr(analysis, "evaluate_batch", biased_eval())
+        monkeypatch.setattr(analysis, "_keys", biased_eval())
         r = check_translation_invariance(tq_handle, 500, seed=42)
         assert r.verdict == VIOLATED
 
@@ -140,7 +140,7 @@ class TestRecessionInequality:
 
     def test_corrupted_violated(self, tq_handle, monkeypatch):
         h_rec = rec_handle_for(tq_handle)
-        monkeypatch.setattr(analysis, "evaluate_batch", biased_eval())
+        monkeypatch.setattr(analysis, "_keys", biased_eval())
         r = check_recession_inequality(tq_handle, h_rec, 400, seed=42)
         assert r.verdict == VIOLATED
 
@@ -156,7 +156,7 @@ class TestDualRelation:
         assert r.verdict == INAPPLICABLE
 
     def test_corrupted_violated(self, cone_diag, monkeypatch):
-        monkeypatch.setattr(analysis, "evaluate_batch", biased_eval())
+        monkeypatch.setattr(analysis, "_keys", biased_eval())
         r = check_dual_relation(cone_diag, 400, seed=42)
         assert r.verdict == VIOLATED
 
@@ -307,7 +307,7 @@ def _block_runs():
     def biased(check):
         def run():
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analysis, "evaluate_batch", biased_eval())
+                mp.setattr(analysis, "_keys", biased_eval())
                 return check()
         return run
 

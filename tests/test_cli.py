@@ -11,7 +11,7 @@ import ulset
 import ulset.cli as cli
 import ulset.evaluator as evaluator
 from ulset.cli import main
-from ulset.evaluator import ExtReal, key_text, _to_keys
+from ulset.evaluator import ExtReal, key_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,7 +90,7 @@ class TestEval:
         assert capsys.readouterr().out == "0,-1.0\n1,0.0\n"
 
     def test_points_file_stays_on_arrays(self, tmp_path, monkeypatch, capsys):
-        """No ExtReal per point: the output is written from evaluate_batch's arrays."""
+        """No ExtReal per point: the output is written from the key arrays."""
         cfg = tmp_path / "mixed.json"
         # -inf below y = -1, y1 up to y = 1, nu above
         cfg.write_text(json.dumps({"dim": 2, "k": [1.0, 0.0], "set": {
@@ -130,9 +130,9 @@ class TestEval:
     @pytest.mark.parametrize("lines", [1, 2, 3])
     def test_chunked_points_match_one_batch(self, lines, strategy, tmp_path, monkeypatch,
                                             capsys):
-        """CSV chunks of a few lines give the bytes of one evaluate_batch over
-        all the points, and only a one-point input reaches evaluate_batch
-        as a lone point: one point, chunk + 1 points, points between blank
+        """CSV chunks of a few lines give the bytes of one _keys call over
+        all the points, and only a one-point input reaches _keys as a
+        lone point: one point, chunk + 1 points, points between blank
         lines, and a label in the last chunk."""
         monkeypatch.setattr(cli.scalarization, "_CHUNK_LINES", lines)
         cfg = tmp_path / "tq.json"
@@ -143,18 +143,18 @@ class TestEval:
         files = {1: rows[0] + "\n", lines + 1: "\n".join(rows[:lines + 1]) + "\n",
                  len(P): "\n\n".join(rows[:-1]) + "\n\n" * lines + rows[-1] + ",last\n"}
         sizes = []
-        batch = cli.evaluate_batch
+        batch = cli._keys
 
         def spy(h, Y):
             sizes.append(len(Y))
             return batch(h, Y)
 
-        monkeypatch.setattr(cli, "evaluate_batch", spy)
+        monkeypatch.setattr(cli, "_keys", spy)
         for n, text in files.items():
             pts = tmp_path / f"pts{n}.csv"
             pts.write_text(text)
             expected = "".join(f"{i},{key_text(v)}\n"
-                               for i, v in enumerate(_to_keys(*batch(h, P[:n])).tolist()))
+                               for i, v in enumerate(batch(h, P[:n]).tolist()))
             sizes.clear()
             assert main(["eval", str(cfg), "--points", str(pts)]) == 0
             assert capsys.readouterr().out == expected
@@ -356,7 +356,7 @@ class TestMalformedInput:
         def exhausted(h, Y):
             raise MemoryError("Unable to allocate 14.9 GiB for an array")
 
-        monkeypatch.setattr(cli, "evaluate_batch", exhausted)
+        monkeypatch.setattr(cli, "_keys", exhausted)
         err = self._assert_rejected(["eval", cone_config, "--point", "0,0"], capsys)
         assert err == "error: out of memory: Unable to allocate 14.9 GiB for an array\n"
 

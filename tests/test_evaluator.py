@@ -1,3 +1,5 @@
+import ast
+import math
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -32,7 +34,7 @@ from ulset import (
 from ulset.cli import _load_config
 from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
                              KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _motion,
-                             _rows_keys, _to_keys, _translate_outside)
+                             _keys, _rows_keys, _translate_outside)
 from ulset.geometry import contains_many
 from conftest import (three_quadrant_value, kernel_handle, neg_orthant, random_polyhedral_fixture,
                       reference_bisect, reference_closed_batch, reference_outside, reference_translates,
@@ -221,7 +223,7 @@ class TestRowsKernel:
 
 
 class TestBlockedEvaluation:
-    """evaluate_batch runs both strategies on blocks of points; the closed
+    """_keys runs both strategies on blocks of points; the closed
     form's keys equal one _closed_batch call over all of them, bit for bit
     (bisection's are compared in TestBisectionAgainstClosedForm), and
     bisection's memory does not grow with rows times points."""
@@ -237,7 +239,7 @@ class TestBlockedEvaluation:
         Y = np.round(rng.normal(scale=2.0, size=(n, 3)), 1)
         Y[:n // 3] = 0.0  # on every row of the sets' first polyhedron
         Y[n // 3:n // 2] = TestStackedKernel.K  # on its static row
-        keys = _to_keys(*evaluate_batch(make_handle(s, k), Y))
+        keys = _keys(make_handle(s, k), Y)
         assert keys.tobytes() == _closed_batch(make_handle(s, k), Y.T).tobytes()
 
     @pytest.mark.parametrize("width", [1, 3, 4, 5000, 2**14, 2**15])
@@ -365,12 +367,12 @@ class TestBisectionAgainstClosedForm:
         # scaled copies end past the horizon of every t_max, at nu and at -inf
         Y = np.concatenate([np.zeros((1, 3)), TestStackedKernel.K[None], Y, 1e4 * Y, 1e13 * Y])
         h = make_handle(s, k, strategy="bisection", t_max=t_max, tol=tol)
-        keys = _to_keys(*evaluate_batch(h, Y))
+        keys = _keys(h, Y)
         assert keys.tobytes() == reference_bisect(h, Y).tobytes()
         assert np.isfinite(keys).any() and (keys == np.inf).any() and (keys == -np.inf).any()
         for budget in (1, 45):
             monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
-            assert _to_keys(*evaluate_batch(h, Y)).tobytes() == keys.tobytes()
+            assert _keys(h, Y).tobytes() == keys.tobytes()
 
     def test_intersection_of_polyhedra_is_exact(self):
         # the max rule reproduces the polyhedron with all rows concatenated,
@@ -480,6 +482,13 @@ class TestScaledAndShifted:
         with pytest.raises(InvalidInput):
             evaluate_scaled(tq_handle, 0.0, [0.5, 2.0])
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_scaled_refuses_non_finite(self, tq_handle, lam):
+        # inf·k is no direction; finite values once came back as 0.0
+        for y in ([0.5, 2.0], [0.0, -1.0]):
+            with pytest.raises(InvalidInput, match="scale factor"):
+                evaluate_scaled(tq_handle, lam, y)
+
     def test_scaled_matches_direct_double_direction(self):
         # two independent bisections, tight refinement to meet 1e-8
         rng = np.random.default_rng(4)
@@ -498,6 +507,13 @@ class TestScaledAndShifted:
     def test_level_shift_three_quadrant(self, tq_handle):
         assert evaluate_level_shifted(tq_handle, 0.0, [-1.0, 0.0]) == -1.0
         assert evaluate_level_shifted(tq_handle, 1.0, [-1.0, 0.0]) == -2.0
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_level_shift_refuses_non_finite(self, tq_handle, c):
+        # -inf once came back unchanged, and a finite value failed on the shifted value
+        for y in ([0.0, -2.0], [-1.0, 0.0]):
+            with pytest.raises(InvalidInput, match="level shift"):
+                evaluate_level_shifted(tq_handle, c, y)
 
     def test_level_shift_matches_shifted_set(self, tq_set):
         rng = np.random.default_rng(5)
@@ -644,3 +660,27 @@ class TestHandleValidation:
         d = certify_direction(neg_orthant(3), [1.0, 1.0, 1.0])
         with pytest.raises(InvalidInput):
             FunctionalHandle(tq_set, d, Strategy.BISECTION)
+
+
+def _names(node) -> list[str]:
+    """The names an ast node imports, reads or looks up as an attribute."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return [node.id] if isinstance(node, ast.Name) else []
+
+
+def test_only_the_evaluator_knows_kind_codes():
+    """Past the evaluator every value travels as a lattice key: no module
+    but evaluator (and the re-exporting __init__) names evaluate_batch,
+    _from_keys or a KIND_* code, in an import, a name or an attribute."""
+    src = Path(__file__).parent.parent / "src" / "ulset"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("evaluator.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            offenders += [(path.name, node.lineno, name) for name in _names(node)
+                          if name in ("evaluate_batch", "_from_keys") or name.startswith("KIND_")]
+    assert offenders == []

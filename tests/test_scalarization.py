@@ -21,7 +21,7 @@ from ulset import (
     trace_front,
     weakly_efficient,
 )
-from ulset.evaluator import _BLOCK_FLOATS, _to_keys
+from ulset.evaluator import _BLOCK_FLOATS, _keys
 import ulset.scalarization as scalarization
 from ulset.scalarization import ARGMIN_TOL, _Refused, _minimize, _parse_lines, _read_numeric
 
@@ -97,7 +97,7 @@ class TestWeaklyEfficient:
 
 
 class TestMinimizeBlocks:
-    """Blocked scoring gives, bit for bit, what one evaluate_batch call per
+    """Blocked scoring gives, bit for bit, what one _keys call per
     reference gives: the minimum key and the indices within ARGMIN_TOL."""
 
     @staticmethod
@@ -105,7 +105,7 @@ class TestMinimizeBlocks:
         h = make_handle(C.negated(), k)
         out = []
         for a in refs:
-            keys = _to_keys(*evaluate_batch(h, F - a))
+            keys = _keys(h, F - a)
             low = keys.min()
             out.append(([], np.inf) if low == np.inf else
                        (np.flatnonzero(keys <= low + ARGMIN_TOL).tolist(), low))
@@ -187,7 +187,7 @@ class TestMinimizeBlocks:
 
     @pytest.mark.parametrize("n, refs", [(40, 120), (2100, 15)], ids=["B>1", "B=1"])
     def test_wide_cones_with_two_static_rows(self, n, refs):
-        # _minimize's contiguous (B, m, n) differences against evaluate_batch's
+        # _minimize's contiguous (B, m, n) differences against _keys's
         # strided per-reference blocks
         rng = np.random.default_rng(n)
         for _ in range(4):
