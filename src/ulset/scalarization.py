@@ -225,92 +225,83 @@ def trace_front(F, C: OrderCone, k, refs) -> dict[int, tuple[int, ...]]:
 #: bytes, four floats' worth.
 _LINE_FLOATS = 4
 
-#: Lines the numeric reader parses at a time, so that a chunk of lines
+#: Lines the chunk reader parses at a time, so that a chunk of lines
 #: takes about _BLOCK_FLOATS floats.
 _CHUNK_LINES = _BLOCK_FLOATS // _LINE_FLOATS
-
-
-class _Refused(Exception):
-    """The numeric reader refuses a file; :func:`_parse_lines` reads it instead."""
 
 
 def load_points_csv(path) -> PointCloud:
     """Read one point per row, comma-separated, optional trailing label.
 
-    A numeric-only file is read by :func:`_read_numeric`, a chunk of
-    lines at a time, and its chunks are joined; anything it refuses
-    (labels, ragged rows, no data, spellings only Python's ``float``
-    accepts), in any chunk, goes through :func:`_parse_lines` over the
-    whole file, which gives the same points and reports malformed lines.
-    ``#`` does not start a comment.
+    The file is read by :func:`_read_chunks`, a chunk of lines at a time,
+    and its chunks are joined. ``#`` does not start a comment.
     """
+    labels: list[str] = []
     with open(path) as f:
-        try:
-            return PointCloud(np.concatenate(list(_read_numeric(f))))
-        except _Refused:
-            f.seek(0)
-            return _parse_lines(f.read(), path)
+        pts = np.concatenate(list(_read_chunks(f, path, labels)))
+    return PointCloud(pts, tuple(labels) if labels else None)
 
 
 def _read_points_csv(path, consume):
     """consume(chunks), where chunks yields the points of the CSV file at
-    path as (n, m) arrays read by :func:`_read_numeric`, so that a caller
-    can work on each chunk and drop it. Where the reader refuses a chunk,
-    consume runs again, on one array of all the points that
-    :func:`_parse_lines` reads from the whole file; labels are dropped.
-    An error consume raises stands only once the rest of the file reads,
-    so that a malformed line is reported first, as it is where the whole
-    file is read before any point is used.
+    path as (n, m) arrays read by :func:`_read_chunks`, so that a caller
+    can work on each chunk and drop it; labels are dropped. An error
+    consume raises stands only once the rest of the file reads, so that a
+    malformed line is reported first, as it is where the whole file is
+    read before any point is used.
     """
     with open(path) as f:
-        chunks = _read_numeric(f)
+        chunks = _read_chunks(f, path)
         try:
-            try:
-                return consume(chunks)
-            except UlsetError:
-                for _ in chunks:
-                    pass
-                raise
-        except _Refused:
-            f.seek(0)
-            return consume([_parse_lines(f.read(), path).points])
+            return consume(chunks)
+        except UlsetError:
+            for _ in chunks:
+                pass
+            raise
 
 
-def _read_numeric(f):
-    """Yield the open file's rows as (n, m) float arrays, parsed in C by
-    ``np.loadtxt`` _CHUNK_LINES lines at a time; a chunk of blank lines
-    only yields nothing. Raises _Refused where loadtxt refuses a chunk,
-    where a chunk's width differs from the first one's, or where the
-    file holds no rows."""
-    width = None
+def _read_chunks(f, path, labels=None):
+    """Yield the open file's rows as (n, m) float arrays, _CHUNK_LINES lines
+    at a time, each chunk parsed in C by ``np.loadtxt`` or, where loadtxt
+    refuses it (labels, ragged rows, spellings only Python's ``float``
+    accepts), by :func:`_parse_lines`, which gives the same points and
+    reports malformed lines; a chunk of blank lines yields nothing. Where
+    labels is a list, each row's label ("" for none) is appended to it once
+    some row has one. Nothing is yielded once rows disagree on width; that
+    and an empty file are reported at the end, after any malformed line."""
+    widths, rows, lineno = set(), 0, 1
     while lines := list(itertools.islice(f, _CHUNK_LINES)):
-        with warnings.catch_warnings():
-            # "input contained no data": a chunk of blank lines
-            warnings.simplefilter("ignore", UserWarning)
-            try:
+        tags = None
+        try:
+            with warnings.catch_warnings():
+                # "input contained no data": a chunk of blank lines
+                warnings.simplefilter("ignore", UserWarning)
                 pts = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                raise _Refused from None
-        if not pts.size:
-            continue
-        if width not in (None, pts.shape[1]):
-            raise _Refused
-        width = pts.shape[1]
-        yield pts
-    if width is None:  # _parse_lines reports an empty file
-        raise _Refused
+            if len(pts):
+                widths.add(pts.shape[1])
+        except ValueError:
+            parsed, tags = _parse_lines(lines, lineno)
+            widths.update(map(len, parsed))
+            pts = np.array(parsed) if len(widths) == 1 else None
+        lineno += len(lines)
+        if len(widths) == 1 and len(pts):
+            if labels is not None and (tags or labels):
+                labels.extend([""] * (rows - len(labels)) + (tags or [""] * len(pts)))
+            rows += len(pts)
+            yield pts
+    if not widths:
+        raise InvalidInput(f"no points found in {path}")
+    if len(widths) != 1:
+        raise InvalidInput(f"rows disagree on dimension: {sorted(widths)}")
 
 
-def _parse_lines(text: str, path) -> PointCloud:
-    """Parse line by line with ``float``: the path for labelled or malformed files.
-
-    A line ends only at a newline, as it does for the numeric reader (the
-    file is read with universal newlines, so "\\r\\n" and "\\r" count too).
-    """
+def _parse_lines(lines, first_lineno: int) -> tuple[list[list[float]], list[str] | None]:
+    """Parse lines numbered from first_lineno with ``float``: the rows, ragged
+    or not, and each row's label ("" for none), or None where no line has one."""
     rows: list[list[float]] = []
     labels: list[str] = []
     any_label = False
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=first_lineno):
         line = line.strip()
         if not line:
             continue
@@ -329,9 +320,4 @@ def _parse_lines(text: str, path) -> PointCloud:
         except ValueError as exc:
             raise InvalidInput(f"line {lineno}: non-numeric coordinate ({exc})") from exc
         labels.append(label)
-    if not rows:
-        raise InvalidInput(f"no points found in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InvalidInput(f"rows disagree on dimension: {sorted(widths)}")
-    return PointCloud(np.array(rows), tuple(labels) if any_label else None)
+    return rows, labels if any_label else None

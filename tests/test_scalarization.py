@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ulset import (
 )
 from ulset.evaluator import _BLOCK_FLOATS, _keys
 import ulset.scalarization as scalarization
-from ulset.scalarization import ARGMIN_TOL, _Refused, _minimize, _parse_lines, _read_numeric
+from ulset.scalarization import ARGMIN_TOL, _minimize, _parse_lines, _read_points_csv
 
 
 def random_cloud(rng, m, n_max=50):
@@ -366,7 +367,7 @@ class TestCsv:
             load_points_csv(path)
 
 
-#: (file text, whether the numeric reader accepts it)
+#: (file text, whether it reads with no chunk through the line parser)
 PARSER_CASES = {
     "minus-zero": ("-0,0\n", True),
     "plus-sign": ("+1.5,2\n", True),
@@ -400,27 +401,52 @@ PARSER_CASES = {
 }
 
 #: Files that only a chunked read can get wrong, for a chunk of n lines:
-#: (file text, whether the numeric reader accepts it).
+#: (file text, whether it reads with no chunk through the line parser).
 CHUNK_CASES = {
     "width-change-after-first-chunk": (lambda n: "1,2\n" * n + "3,4,5\n", False),
     "label-in-last-chunk": (lambda n: "1,2\n" * 2 * n + "5,6,a\n", False),
     "blank-chunk": (lambda n: "1,2\n" + "\n" * (2 * n) + "3,4\n", True),
     "lone-final-row": (lambda n: "".join(f"{i},-{i}.5\n" for i in range(n + 1)), True),
     "blank-chunks-only": (lambda n: "\n" * (2 * n), False),
+    "label-after-numeric-chunks": (lambda n: "1,2\n" * 2 * n + "3,4,a\n" + "5,6\n" * n, False),
+    "label-before-numeric-chunks": (lambda n: "1,2,a\n" + "3,4\n" * 2 * n, False),
+    "malformed-line-in-later-chunk": (lambda n: "1,2\n" * 2 * n + "3,x,4\n", False),
+    "trailing-comma-in-later-chunk": (lambda n: "1,2\n" * 2 * n + "3,4,\n", False),
+    "width-change-then-malformed": (
+        lambda n: "1,2\n" * n + "3,4,5\n" * n + "1,2\n" * n + "x,1\n", False),
+    "whitespace-line-in-later-chunk": (lambda n: "1,2\n" * 2 * n + "   \n3,4\n", False),
 }
 
 
 def _read_chunks(path) -> list[np.ndarray] | None:
-    """The numeric reader's chunks of the file at path, or None where it refuses it."""
-    with open(path) as f:
+    """The chunk reader's chunks of the file at path, or None where it
+    reports an error or parses any chunk with the line parser."""
+    with open(path) as f, mock.patch.object(scalarization, "_parse_lines",
+                                            wraps=_parse_lines) as spy:
         try:
-            return list(_read_numeric(f))
-        except _Refused:
+            chunks = list(scalarization._read_chunks(f, path))
+        except InvalidInput:
             return None
+    return None if spy.called else chunks
+
+
+def _parse_whole(path) -> PointCloud:
+    """The line parser over all of the file's lines, then the chunk
+    reader's two end-of-file checks."""
+    with open(path) as f:
+        rows, labels = _parse_lines(list(f), 1)
+    if not rows:
+        raise InvalidInput(f"no points found in {path}")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise InvalidInput(f"rows disagree on dimension: {sorted(widths)}")
+    return PointCloud(np.array(rows), None if labels is None else tuple(labels))
 
 
 def _assert_reads_agree(path, numeric):
-    """Same bits (sign of zero included), labels and errors on either path."""
+    """Same bits (sign of zero included), labels and errors from the chunk
+    reader as from the line parser over the whole file; numeric says that
+    no chunk goes through the line parser."""
     chunks = _read_chunks(path)
     assert (chunks is not None) == numeric
 
@@ -430,14 +456,16 @@ def _assert_reads_agree(path, numeric):
         except InvalidInput as exc:
             return exc
 
-    expected = attempt(lambda: _parse_lines(path.read_text(), path))
+    expected = attempt(lambda: _parse_whole(path))
     got = attempt(lambda: load_points_csv(path))
+    streamed = attempt(lambda: _read_points_csv(path, lambda c: np.concatenate(list(c))))
     if isinstance(expected, InvalidInput):
         assert chunks is None
-        assert isinstance(got, InvalidInput) and str(got) == str(expected)
+        for err in (got, streamed):
+            assert isinstance(err, InvalidInput) and str(err) == str(expected)
         return
     assert got.labels == expected.labels
-    for pts in [got.points] + ([] if chunks is None else [np.concatenate(chunks)]):
+    for pts in [got.points, streamed] + ([] if chunks is None else [np.concatenate(chunks)]):
         assert pts.shape == expected.points.shape
         assert pts.tobytes() == expected.points.tobytes()
 
@@ -471,3 +499,21 @@ def test_chunks_hold_whole_lines(tmp_path, monkeypatch):
     path.write_text("1,2\n3,4\n\n\n5,6\n7,8\n\n9,10\n")
     assert [c.tolist() for c in _read_chunks(path)] == [
         [[1, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 10]]]
+
+
+def test_labelled_file_is_read_a_chunk_at_a_time(tmp_path):
+    """Every line of 25,000 carries a label, so every chunk goes through the
+    line parser; a consumer that drops each chunk holds about one chunk's
+    lines and rows at a time (1.9 MiB here), not the file's."""
+    n = 25_000
+    P = np.random.default_rng(7).uniform(-3.0, 3.0, size=(n, 2))
+    path = tmp_path / "labelled.csv"
+    path.write_text("".join(f"{x!r},{y!r},p{i}\n" for i, (x, y) in enumerate(P.tolist())))
+    tracemalloc.start()
+    try:
+        rows = _read_points_csv(path, lambda chunks: sum(len(c) for c in chunks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == n
+    assert peak < 4 * 2**20
