@@ -201,8 +201,9 @@ def _blocks(h: FunctionalHandle, n: int, columns: int = 0):
 
     Without many extra columns they are the blocks the evaluator's
     :func:`_keys` runs n points of h in (see :func:`_block_bounds`), so a
-    block is one kernel call. No block holds a lone sample unless n is 1,
-    so every key is that of one pass over all the samples.
+    block is one kernel call. A sample's key depends on that sample alone,
+    whatever block or call it is in, so every key is that of one pass over
+    all the samples.
     """
     bounds = _block_bounds(n, max(_point_floats(h), columns))
     return zip(bounds, bounds[1:])
@@ -353,13 +354,11 @@ def check_monotone(h: FunctionalHandle, cone: MonotoneCone, strict: bool = False
             "inputs": {"y2": y2[i].tolist(), "step": step[i].tolist()},
             "values": {"phi_y1": _ext_json(v1[i]), "phi_y2": _ext_json(v2[i])},
         })
-        # the whole block is tested, so that no lone point goes through gemv
         finite = np.isfinite(v)
-        boundary = y - np.where(finite, v, 0.0)[:, None] * k - B
-        rows = np.flatnonzero(finite)
-        escaped.add((~contains_many(h.set, boundary, 1e-6)[rows]).astype(float), lambda i: {
-            "inputs": {"boundary_minus_step": boundary[rows[i]].tolist(),
-                       "step": B[rows[i]].tolist()},
+        boundary = y[finite] - v[finite, None] * k - B[finite]
+        escaped.add((~contains_many(h.set, boundary, 1e-6)).astype(float), lambda i: {
+            "inputs": {"boundary_minus_step": boundary[i].tolist(),
+                       "step": B[finite][i].tolist()},
             "values": {"set_level": "boundary point minus step escaped the set"},
         })
     # the functional defects come first: they win a tie
@@ -464,9 +463,9 @@ def check_dual_relation(h: FunctionalHandle, n_samples: int = 1000, seed: int = 
     P, V, _ = _draw_domain(h, n_samples, rng, bbox)
     worst = _Worst(1e-6)
     for a, b in _blocks(h, len(P)):
-        # the whole block is evaluated, so that no lone point goes through gemv
         finite = np.isfinite(V[a:b])
-        y, v, d = P[a:b][finite], V[a:b][finite], _dual_keys(dual, P[a:b])[finite]
+        y, v = P[a:b][finite], V[a:b][finite]
+        d = _dual_keys(dual, y)
         worst.add(_eq_defect(d, v, mismatch=1.0 + np.abs(v)), lambda i: {
             "inputs": {"y": y[i].tolist()},
             "values": {"phi": float(v[i]), "dual": str(_ext_json(d[i]))},

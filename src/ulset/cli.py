@@ -97,34 +97,14 @@ def _stack_points(texts: list[str]) -> np.ndarray:
     return np.stack(pts)
 
 
-def _chunk_keys(h, chunks) -> list[np.ndarray]:
-    """Keys of the points in chunks, an iterable of (n, m) arrays, one
-    array per chunk. A chunk is evaluated once the next one is read, so
-    that a one-point chunk goes in twice unless it is the whole input: no
-    _keys call then gets a lone point that one call over all the points
-    would not, and every key is bitwise that call's."""
-    def keys(pts, twice):
-        if twice:
-            return _keys(h, pts.repeat(2, axis=0))[:1]
-        return _keys(h, pts)
-
-    out, held = [], None
-    for pts in chunks:
-        if held is not None:
-            out.append(keys(held, len(held) == 1))
-        held = pts
-    out.append(keys(held, len(held) == 1 and bool(out)))
-    return out
-
-
 def _cmd_eval(args) -> int:
     h = _load_config(args.config, args.k)
     if args.point and args.points:
         raise UlsetError("pass --point or --points, not both")
     if args.point:
-        parts = _chunk_keys(h, [_stack_points(args.point)])
+        parts = [_keys(h, _stack_points(args.point))]
     elif args.points:
-        parts = _read_points_csv(args.points, lambda chunks: _chunk_keys(h, chunks))
+        parts = _read_points_csv(args.points, lambda chunks: [_keys(h, pts) for pts in chunks])
     else:
         raise UlsetError("pass --point or --points")
     # every point is evaluated before the first write, so an error leaves stdout empty

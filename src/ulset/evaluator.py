@@ -309,15 +309,10 @@ def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
 
 
 def _block_bounds(n: int, floats_per_point: int) -> list[int]:
-    """Edges of the near-equal blocks of n points that :func:`_keys` runs on.
-
-    A block holds at most _BLOCK_FLOATS // floats_per_point points, and
-    never one point unless n is 1: a one-column matrix product goes
-    through gemv and can round differently from the same column of a
-    wider product.
-    """
+    """Edges of the near-equal blocks of n points that :func:`_keys` runs on,
+    each of at most _BLOCK_FLOATS // floats_per_point points."""
     cap = max(1, _BLOCK_FLOATS // floats_per_point)
-    count = max(1, min(-(-n // cap), n // 2))
+    count = max(1, -(-n // cap))
     return [n * i // count for i in range(count + 1)]
 
 
@@ -373,13 +368,6 @@ def _bisect_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
     n = Yt.shape[1]
     lo, hi = np.zeros(n), np.zeros(n)
 
-    def member(cols, t):
-        # a lone point of a wider block goes in twice, so that its row
-        # values are a column of a matrix product (see _block_bounds)
-        if cols.size == 1 < n:
-            return member(cols.repeat(2), t.repeat(2))[:1]
-        return ~_translate_outside(h, Yt[:, cols], t)
-
     member0 = ~_translate_outside(h, Yt, 0.0)
     sign = np.where(member0, -1.0, 1.0)
     active = np.arange(n)
@@ -387,7 +375,7 @@ def _bisect_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
     while active.size:
         t_now = min(t, h.t_max)
         ts = sign[active] * t_now
-        m = member(active, ts)
+        m = ~_translate_outside(h, Yt[:, active], ts)
         hi[active[m]] = ts[m]
         lo[active[~m]] = ts[~m]
         active = active[m == member0[active]]
@@ -404,7 +392,7 @@ def _bisect_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
         todo, mid = todo[inside], mid[inside]
         if not todo.size:
             break
-        m = member(todo, mid)
+        m = ~_translate_outside(h, Yt[:, todo], mid)
         hi[todo[m]] = mid[m]
         lo[todo[~m]] = mid[~m]
     return hi
@@ -435,12 +423,10 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     :func:`_block_bounds`), each within _BLOCK_FLOATS floats of
     temporaries, and fill one key array, so memory grows with the
     points and not with rows times points; a block is the view
-    ``pts[a:b].T``. A point's key depends on that point alone, and no
-    block holds a single point unless the input is one point, so the
-    keys are bitwise those of one pass over all the points. A caller that
-    evaluates one input in several calls keeps that by passing a lone
-    point of a longer input twice, as `ulset eval` does with a one-point
-    chunk of its CSV.
+    ``pts[a:b].T``. A point's key depends on that point alone, whatever
+    block, chunk or call it is in (see :func:`fold_plan`), so the
+    keys are bitwise those of one pass over all the points, or of one call
+    per point.
     """
     return _from_keys(_keys(h, Y))
 
@@ -616,8 +602,6 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     F = np.empty((0, grid_n))
     usable, ends = False, []
     for r0 in range(0, grid_n, step):
-        # a strip holds whole rows of grid_n >= 8 points, so _keys never
-        # makes a one-point block and the keys are the whole grid's
         rows = ys[r0:r0 + step]
         strip = pts[:len(rows)]
         strip[..., 1] = rows[:, None]

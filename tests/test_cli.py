@@ -131,8 +131,7 @@ class TestEval:
     def test_chunked_points_match_one_batch(self, lines, strategy, tmp_path, monkeypatch,
                                             capsys):
         """CSV chunks of a few lines give the bytes of one _keys call over
-        all the points, and only a one-point input reaches _keys as a
-        lone point: one point, chunk + 1 points, points between blank
+        all the points: one point, chunk + 1 points, points between blank
         lines, and a label in the last chunk."""
         monkeypatch.setattr(cli.scalarization, "_CHUNK_LINES", lines)
         cfg = tmp_path / "tq.json"
@@ -142,23 +141,13 @@ class TestEval:
         rows = [f"{x!r},{y!r}" for x, y in P.tolist()]
         files = {1: rows[0] + "\n", lines + 1: "\n".join(rows[:lines + 1]) + "\n",
                  len(P): "\n\n".join(rows[:-1]) + "\n\n" * lines + rows[-1] + ",last\n"}
-        sizes = []
-        batch = cli._keys
-
-        def spy(h, Y):
-            sizes.append(len(Y))
-            return batch(h, Y)
-
-        monkeypatch.setattr(cli, "_keys", spy)
         for n, text in files.items():
             pts = tmp_path / f"pts{n}.csv"
             pts.write_text(text)
             expected = "".join(f"{i},{key_text(v)}\n"
-                               for i, v in enumerate(batch(h, P[:n]).tolist()))
-            sizes.clear()
+                               for i, v in enumerate(cli._keys(h, P[:n]).tolist()))
             assert main(["eval", str(cfg), "--points", str(pts)]) == 0
             assert capsys.readouterr().out == expected
-            assert sizes == [1] if n == 1 else min(sizes) > 1
 
     def test_nu_serialization(self, cone_config, capsys):
         assert main(["eval", cone_config, "--k", "1,0", "--point", "0,1"]) == 0

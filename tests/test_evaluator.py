@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import tracemalloc
 from functools import reduce
@@ -31,11 +32,12 @@ from ulset import (
     evaluate_scaled,
     make_handle,
 )
-from ulset.cli import _load_config
+from ulset.cli import _load_config, main
 from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
                              KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _motion,
                              _keys, _rows_keys, _translate_outside)
-from ulset.geometry import contains_many
+from ulset.geometry import contains_many, set_to_json
+from ulset.scalarization import OrderCone, _minimize
 from conftest import (three_quadrant_value, kernel_handle, neg_orthant, random_polyhedral_fixture,
                       reference_bisect, reference_closed_batch, reference_outside, reference_translates,
                       three_quadrant_union)
@@ -181,12 +183,19 @@ class TestRowPlan:
         Y[2] = K  # on p's static row
         Y[3], Y[4] = o, sets["shift"].offset  # on every row of p, shifted
         h = kernel_handle(s, K)
-        want = reference_closed_batch(s, K, Y)
+
+        def reference(Y):
+            # fold_plan runs a lone point as two copies of itself: its key is the first
+            if n == 1:
+                return reference_closed_batch(s, K, Y.repeat(2, axis=-2))[..., :1]
+            return reference_closed_batch(s, K, Y)
+
+        want = reference(Y)
         Yt = np.swapaxes(Y, -1, -2)
         for P in (Yt, np.ascontiguousarray(Yt)):
             assert _closed_batch(h, P).tobytes() == want.tobytes()
         for y in Y:
-            assert _closed_batch(h, y.T).tobytes() == reference_closed_batch(s, K, y).tobytes()
+            assert _closed_batch(h, y.T).tobytes() == reference(y).tobytes()
 
         pts = Y.reshape(-1, 3)
         t = rng.choice([0.0, 0.5, -1.0, 2.0], size=len(pts))
@@ -250,7 +259,6 @@ class TestBlockedEvaluation:
             sizes = np.diff(bounds)
             assert bounds[0] == 0 and bounds[-1] == n
             assert sizes.max() - sizes.min() <= 1  # near-equal
-            assert n <= 1 or sizes.min() >= 2  # no one-point block
             assert sizes.max() <= max(cap, 3)
 
     def test_bisection_memory_bounded(self):
@@ -274,6 +282,75 @@ class TestBlockedEvaluation:
             tracemalloc.stop()
         assert (kinds == KIND_FINITE).any()
         assert peak < 4 * 2**20
+
+
+class TestLonePoint:
+    """A point's key depends on that point alone: evaluated, tested for
+    membership, scored or printed on its own, a point gives, bit for bit,
+    what it gives inside a batch of 300 (a one-column matrix product goes
+    through gemv, which can round unlike the same column of a wider one)."""
+
+    KINDS = ["polyhedron", "shift", "union", "intersection", "complement"]
+    STRATEGIES = ["closed_form", "bisection"]
+
+    @staticmethod
+    def case(kind, strategy):
+        rng = np.random.default_rng(17)
+        s = TestStackedKernel.sets(rng)[kind]
+        k = -TestStackedKernel.K if kind == "complement" else TestStackedKernel.K
+        Y = rng.normal(scale=2.0, size=(300, 3))
+        return make_handle(s, k, strategy=strategy, tol=1e-17), Y
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_keys(self, kind, strategy):
+        h, Y = self.case(kind, strategy)
+        lone = np.concatenate([_keys(h, y[None]) for y in Y])
+        assert lone.tobytes() == _keys(h, Y).tobytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_membership(self, kind, strategy):
+        # at its key, and one float below it, a point's translate lies on
+        # the set's boundary, where the last bits of a·y decide the test
+        h, Y = self.case(kind, strategy)
+        keys = _keys(h, Y)
+        finite = np.isfinite(keys)
+        Y, keys = Y[finite], keys[finite]
+        for t in (keys, np.nextafter(keys, -np.inf)):
+            lone = [_translate_outside(h, y[:, None], t[i:i + 1])[0] for i, y in enumerate(Y)]
+            assert lone == _translate_outside(h, Y.T, t).tolist()
+            boundary = Y - t[:, None] * h.direction.k
+            lone = [contains_many(h.set, y[None], 0.0)[0] for y in boundary]
+            assert lone == contains_many(h.set, boundary, 0.0).tolist()
+
+    def test_minimize(self):
+        # the polyhedron's rows pass through the origin: it is a cone
+        h, Y = self.case("polyhedron", "closed_form")
+        C, k = OrderCone(h.set), -h.direction.k
+        refs = Y[:5]
+        for y in Y:
+            # y + 8k scores 8 more than y, or nu or -inf with it
+            alone = _minimize(y[None], C, k, refs)
+            pair = _minimize(np.stack([y, y + 8.0 * k]), C, k, refs)
+            keys = [np.array([key for _, key in out]) for out in (alone, pair)]
+            assert keys[0].tobytes() == keys[1].tobytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cli_point_matches_points_file(self, kind, strategy, tmp_path, capsys):
+        h, Y = self.case(kind, strategy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**set_to_json(h.set), "k": h.direction.k.tolist(),
+                                   "strategy": strategy, "tol": h.tol}))
+        pts = tmp_path / "pts.csv"
+        texts = [",".join(map(repr, y)) for y in Y.tolist()]
+        pts.write_text("".join(f"{text}\n" for text in texts))
+        assert main(["eval", str(cfg), "--points", str(pts)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for i in range(0, len(texts), 5):  # every fifth point: one main() call each
+            assert main(["eval", str(cfg), f"--point={texts[i]}"]) == 0
+            assert capsys.readouterr().out == f"0,{lines[i].split(',')[1]}\n"
 
 
 class TestBisectionAgainstClosedForm:

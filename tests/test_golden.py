@@ -154,8 +154,8 @@ def test_cli_output_matches_golden(argv, expected, code, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / expected).read_bytes()
 
 
-#: Small block budgets, in floats. One float gives blocks of two or three
-#: points, one reference each, and one-row contour strips. 45 floats give
+#: Small block budgets, in floats. One float gives one-point blocks, one
+#: reference each and one-row contour strips. 45 floats give
 #: the 9- and 13-point contour grids strips of 5 and 3 rows, and 123 floats
 #: give the 41-point grids strips of 3 rows, so strip boundaries fall on
 #: odd rows and cut through saddle, -inf and nu cells.
