@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -274,10 +275,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         # a value that overflows, or the nan of inf - inf it leads to, is
-        # reported as InvalidInput where it is found; numpy's warning
-        # would add lines to the one-line error
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        # reported as InvalidInput where it is found; numpy's warning would
+        # add lines to the one-line error. The command's own warnings are
+        # recorded, and printed one line each only if it does not fail.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
+            code = args.func(args)
     except (UlsetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -287,6 +290,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -63,8 +63,7 @@ KIND_NU = 2
 MINUS_INF_SENTINEL = -1e30
 
 #: Float64 elements in the largest temporary of one block of points, in
-#: both strategies of :func:`_keys` and in the reference blocks
-#: of ``scalarization._minimize``: 128 KiB, glibc's default mmap
+#: both strategies of :func:`_keys`: 128 KiB, glibc's default mmap
 #: threshold, so a block's temporaries are reused heap, not fresh pages.
 _BLOCK_FLOATS = 2**14
 
@@ -268,7 +267,7 @@ def _motion(ak: np.ndarray) -> tuple:
 
 def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
     """Keys of the intersection (or union) of the halfspaces whose a·y - b
-    are the rows of G (axis -2), which move along k as ``motion`` says.
+    are the rows of G, which move along k as ``motion`` says.
 
     A moving row is reached at t = (a·y - b) / a·k, and the moving rows
     combine in one max (min) along the row axis, which folds them in
@@ -280,26 +279,23 @@ def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
     moving, all_moving, any_moving, divisor, _ = motion
     parts = []
     if not all_moving:
-        S = G[..., ~moving, :]
+        S = G[~moving]
         if not np.isfinite(S).all():
             raise InvalidInput(_OVERFLOW)
         violated = S > EPS_MEMBERSHIP
-        parts.append(np.where(violated.all(axis=-2) if union else violated.any(axis=-2),
-                              np.inf, -np.inf))
+        parts.append(np.where(violated.all(0) if union else violated.any(0), np.inf, -np.inf))
     if any_moving:
-        T = G if all_moving else G[..., moving, :]
+        T = G if all_moving else G[moving]
         T /= divisor
         if not np.isfinite(T).all():
             raise InvalidInput(_OVERFLOW)
-        parts.append(T.min(axis=-2) if union else T.max(axis=-2))
+        parts.append(T.min(0) if union else T.max(0))
     return reduce(np.minimum if union else np.maximum, parts)
 
 
 def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
-    """Keys at the points Yt, coordinate-major: an (m, n) array or a (B, m, n)
-    stack, from the set's plan and the row motions cached on h. A stack goes
-    slice by slice through the same matrix products a 2-d call makes, so
-    each slice's keys are bitwise those of the 2-d call."""
+    """Keys at the points Yt, coordinate-major (m, n), from the set's plan
+    and the row motions cached on h."""
     def leaf(rows, P):
         G = rows.R @ P
         G -= rows.c

@@ -307,17 +307,17 @@ def _compile(s: SetExpr, leaves: list, union: bool = False):
 
 
 def fold_plan(node, Yt: np.ndarray, leaf) -> np.ndarray:
-    """Fold a plan node into one array per point of Yt, coordinate-major
-    ((m, n) or a (B, m, n) stack), where leaf(node, Yt) gives a leaf's: the
+    """Fold a plan node into one value per point of Yt, an (m, n) array of
+    coordinate-major points, where leaf(node, Yt) gives a leaf's: the
     closed form on lattice keys (-inf < finite < nu), or membership on an
     outside mask, where min is logical and, max logical or.
 
-    A point's array depends on that point alone, whatever block, chunk or
+    A point's value depends on that point alone, whatever block, chunk or
     call it is in: a lone point is folded as two copies of itself, since a
     one-column matrix product goes through gemv, which can round unlike
     the same column of a wider product."""
-    if Yt.shape[-1] == 1:
-        return fold_plan(node, Yt.repeat(2, axis=-1), leaf)[..., :1]
+    if Yt.shape[1] == 1:
+        return fold_plan(node, Yt.repeat(2, axis=1), leaf)[:1]
     if isinstance(node, Leaf):
         return leaf(node, Yt)
     if node.offset is not None:

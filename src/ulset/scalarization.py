@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, UlsetError
-from .evaluator import ExtReal, make_handle, _BLOCK_FLOATS, _closed_batch
-from .geometry import HalfSpace, Polyhedron, contains_many, _as_points, _as_vector
+from .evaluator import ExtReal, make_handle, _BLOCK_FLOATS, _keys
+from .geometry import HalfSpace, Polyhedron, contains_many, _as_vector
 
 #: Strict margin for interior-of-cone (weak domination) tests.
 INT_CONE_MARGIN = 1e-9
@@ -79,7 +79,7 @@ class OrderCone:
             object.__setattr__(self, "generators", gens)
             if not self.maybe_pointed():
                 warnings.warn("order cone generators indicate a non-pointed cone",
-                              stacklevel=2)
+                              stacklevel=3)  # the caller of the generated __init__
 
     @property
     def dim(self) -> int:
@@ -158,13 +158,10 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
 
     One handle on -C serves every reference point a: the score against a is
     its value at the points F - a, the same subtraction a handle on the
-    shifted cone a - C does. References are scored in blocks of B on the
-    closed-form kernel's lattice keys, with the cloud transposed once and a
-    block's differences in one (B, m, n) array. B is the largest count that
-    keeps the largest temporary, B * n * max(m, rows of C) floats, within
-    _BLOCK_FLOATS, and at least 1: 2**16 ran faster but raised peak RSS by
-    1.3-1.9 MB on 2000 points. Each slice goes through the matrix product
-    one reference alone would, so the keys are bitwise equal.
+    shifted cone a - C does. Each block of B references is scored by one
+    :func:`_keys` call on its B * n differences, B the most that fit in
+    _BLOCK_FLOATS floats and at least 1. A point's key depends on that
+    point alone, so the keys are bitwise those of one reference at a time.
     """
     F = _cloud(F)
     if F.dim != C.dim:
@@ -175,13 +172,13 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
         raise InvalidInput("reference points have non-finite entries")
     h = make_handle(C.negated(), k)
     n, m = F.points.shape
-    block = max(1, _BLOCK_FLOATS // (n * max(m, len(C.rep.halfspaces))))
+    block = max(1, _BLOCK_FLOATS // (n * m))
     Ft = np.ascontiguousarray(F.points.T)
     out = []
     for start in range(0, refs.shape[0], block):
-        D = Ft - refs[start:start + block, :, None]
-        _as_points(D.reshape(-1, m), m)  # rejects differences that overflow
-        keys = _closed_batch(h, D)
+        # differences made in the call die with it; _keys refuses any that overflow
+        keys = _keys(h, (Ft[:, None, :] - refs[start:start + block].T[:, :, None])
+                     .reshape(m, -1).T).reshape(-1, n)
         low = keys.min(axis=1)
         hits = keys <= (low + ARGMIN_TOL)[:, None]
         # -inf is the least key, so it wins; a cloud scoring nu everywhere has no minimizer

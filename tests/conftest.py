@@ -97,25 +97,25 @@ def reference_rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarra
     moving = ak > AK_POSITIVE_MIN
     parts = []
     if not moving.all():
-        S = G[..., ~moving, :]
+        S = G[~moving]
         if not np.isfinite(S).all():
             raise InvalidInput("overflow")
         violated = S > EPS_MEMBERSHIP
-        parts.append(np.where(violated.all(axis=-2) if union else violated.any(axis=-2),
+        parts.append(np.where(violated.all(axis=0) if union else violated.any(axis=0),
                               np.inf, -np.inf))
     if moving.any():
-        T = G if moving.all() else G[..., moving, :]
+        T = G if moving.all() else G[moving]
         T /= ak[moving, None]
         if not np.isfinite(T).all():
             raise InvalidInput("overflow")
-        parts.append(T.min(axis=-2) if union else T.max(axis=-2))
+        parts.append(T.min(axis=0) if union else T.max(axis=0))
     return reduce(np.minimum if union else np.maximum, parts)
 
 
 def reference_closed_batch(s, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Keys at the points Y, an (n, m) array or a (B, n, m) stack."""
+    """Keys at the points Y, an (n, m) array."""
     return reference_fold_rows(s, Y, lambda R, c, P, union: reference_rows_keys(
-        R @ np.swapaxes(P, -1, -2) - c[:, None], R @ k, union))
+        R @ P.T - c[:, None], R @ k, union))
 
 
 def reference_outside(s, pts: np.ndarray, holds) -> np.ndarray:

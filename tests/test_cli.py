@@ -282,6 +282,36 @@ class TestPareto:
         assert main(["pareto", "--points", str(pts), "--k", "1,1"]) == 2
 
 
+class TestNonPointedCone:
+    """A cone whose generators are not pointed warns. Outside pytest's
+    warning capture, a command that fails then prints its one error line
+    alone, and one that succeeds prints the warning as one line."""
+
+    CONE = {"halfspaces": [{"a": [-1, 0]}, {"a": [1, 0]}], "generators": [[0, 1], [0, -1]]}
+
+    @classmethod
+    def run(cls, tmp_path, *args):
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps(cls.CONE))
+        env = {**os.environ, "PYTHONPATH": str(Path(ulset.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "ulset.cli", *args, "--cone-file", str(cone)],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_failing_command_prints_only_its_error(self, tmp_path):
+        done = self.run(tmp_path, "norm", "--point", "1,2", "--k", "1,1")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: cone generators indicate a non-pointed cone; the order "
+                               "interval gauge would only be a seminorm\n")
+
+    def test_succeeding_command_prints_the_warning(self, tmp_path):
+        pts = tmp_path / "f.csv"
+        pts.write_text("0,3\n1,1\n3,0\n2,2\n")
+        done = self.run(tmp_path, "pareto", "--points", str(pts), "--k", "0,1")
+        assert (done.returncode, done.stdout) == (
+            0, "ref_index,point_index,value\n0,0,-inf\n1,1,-inf\n2,2,-inf\n3,3,-inf\n")
+        assert done.stderr == "warning: order cone generators indicate a non-pointed cone\n"
+
+
 class TestNorm:
     def test_unit_mode(self, capsys):
         assert main(["norm", "--k", "1,1", "--point=-2,3"]) == 0

@@ -100,57 +100,42 @@ class TestClosedFormValues:
             evaluate_batch(h, [[1e305, 0.0]])
 
 
-class TestStackedKernel:
-    """The closed form on a (B, n, m) stack of point sets equals the 2-d
-    call on each slice, bit for bit."""
+#: A direction the polyhedra of :func:`sets` move along on all rows but one.
+K = np.array([1.0, 2.0, 0.5])
 
-    K = np.array([1.0, 2.0, 0.5])
 
-    @classmethod
-    def sets(cls, rng):
-        def poly(b):
-            rows = []
-            for _ in range(3):
-                a = rng.normal(size=3)
-                if a @ cls.K < 0:
-                    a = -a
-                rows.append(HalfSpace(a * rng.uniform(0.5, 3.0), b()))
-            rows.append(HalfSpace([0.5, 0.0, -1.0], b()))  # static: a·k == 0
-            return Polyhedron(tuple(rows))
+def sets(rng):
+    """One set of each node type over two random polyhedra with a static row."""
+    def poly(b):
+        rows = []
+        for _ in range(3):
+            a = rng.normal(size=3)
+            if a @ K < 0:
+                a = -a
+            rows.append(HalfSpace(a * rng.uniform(0.5, 3.0), b()))
+        rows.append(HalfSpace([0.5, 0.0, -1.0], b()))  # static: a·k == 0
+        return Polyhedron(tuple(rows))
 
-        # p's rows pass through the origin, so points at 0 give signed-zero keys
-        p, q = poly(lambda: 0.0), poly(lambda: float(rng.uniform(-1.0, 1.0)))
-        static_only = Polyhedron((HalfSpace([2.0, -1.0, 0.0], 0.5),))
-        return {
-            "polyhedron": p,
-            "shift": Shift(p, rng.normal(size=3)),
-            "union": SetUnion((p, q, static_only)),
-            "intersection": SetIntersection((p, Shift(q, rng.normal(size=3)))),
-            "complement": ComplementClosure(SetUnion((p, q))),
-        }
+    # p's rows pass through the origin, so points at 0 give signed-zero keys
+    p, q = poly(lambda: 0.0), poly(lambda: float(rng.uniform(-1.0, 1.0)))
+    static_only = Polyhedron((HalfSpace([2.0, -1.0, 0.0], 0.5),))
+    return {
+        "polyhedron": p,
+        "shift": Shift(p, rng.normal(size=3)),
+        "union": SetUnion((p, q, static_only)),
+        "intersection": SetIntersection((p, Shift(q, rng.normal(size=3)))),
+        "complement": ComplementClosure(SetUnion((p, q))),
+    }
 
-    @pytest.mark.parametrize("kind", ["polyhedron", "shift", "union", "intersection", "complement"])
-    @pytest.mark.parametrize("n", [1, 2, 37])
-    def test_stack_matches_slices(self, kind, n):
-        rng = np.random.default_rng(n)
-        s = self.sets(rng)[kind]
-        Y = np.round(rng.normal(scale=2.0, size=(6, n, 3)), 1)
-        Y[0] = 0.0  # on every row of p
-        Y[1] = self.K  # on p's static row
-        h = kernel_handle(s, self.K)
-        got = _closed_batch(h, np.swapaxes(Y, -1, -2))
-        want = np.stack([_closed_batch(h, y.T) for y in Y])
-        assert got.shape == (6, n)
-        assert got.tobytes() == want.tobytes()
 
-    def test_stacks_reach_every_kind(self):
-        rng = np.random.default_rng(5)
-        sets = self.sets(rng)
-        Y = rng.normal(scale=2.0, size=(4, 50, 3))
-        union, poly = (_closed_batch(kernel_handle(sets[name], self.K), np.swapaxes(Y, -1, -2))
-                       for name in ("union", "polyhedron"))
-        assert np.isfinite(union).any() and (union == -np.inf).any()
-        assert np.isfinite(poly).any() and (poly == np.inf).any()
+def test_sets_reach_every_kind():
+    # so that the bitwise comparisons over these sets are not all of one kind
+    rng = np.random.default_rng(5)
+    s = sets(rng)
+    Yt = rng.normal(scale=2.0, size=(200, 3)).T
+    union, poly = (_closed_batch(kernel_handle(s[name], K), Yt) for name in ("union", "polyhedron"))
+    assert np.isfinite(union).any() and (union == -np.inf).any()
+    assert np.isfinite(poly).any() and (poly == np.inf).any()
 
 
 class TestRowPlan:
@@ -164,44 +149,37 @@ class TestRowPlan:
 
     @staticmethod
     def sets(rng):
-        sets = TestStackedKernel.sets(rng)
-        static_only = sets["union"].members[2]
+        out = sets(rng)
+        static_only = out["union"].members[2]
         o = np.round(rng.normal(size=3), 1)
-        sets["shifted_union"] = Shift(sets["union"], o)
-        sets["shifted_complement"] = SetUnion((Shift(sets["complement"], o), static_only))
-        return sets, o
+        out["shifted_union"] = Shift(out["union"], o)
+        out["shifted_complement"] = SetUnion((Shift(out["complement"], o), static_only))
+        return out, o
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [1, 2, 37])
     def test_plan_matches_tree_walk(self, kind, n):
         rng = np.random.default_rng(40 + n)
-        sets, o = self.sets(rng)
-        s = sets[kind]
-        K = -TestStackedKernel.K if "complement" in kind else TestStackedKernel.K
+        kinds, o = self.sets(rng)
+        s = kinds[kind]
+        k = -K if "complement" in kind else K
         Y = np.round(rng.normal(scale=2.0, size=(6, n, 3)), 1)
         Y[0], Y[1] = 0.0, -0.0  # on every row of p: zero keys
-        Y[2] = K  # on p's static row
-        Y[3], Y[4] = o, sets["shift"].offset  # on every row of p, shifted
-        h = kernel_handle(s, K)
+        Y[2] = k  # on p's static row
+        Y[3], Y[4] = o, kinds["shift"].offset  # on every row of p, shifted
+        h = kernel_handle(s, k)
 
-        def reference(Y):
-            # fold_plan runs a lone point as two copies of itself: its key is the first
-            if n == 1:
-                return reference_closed_batch(s, K, Y.repeat(2, axis=-2))[..., :1]
-            return reference_closed_batch(s, K, Y)
-
-        want = reference(Y)
-        Yt = np.swapaxes(Y, -1, -2)
-        for P in (Yt, np.ascontiguousarray(Yt)):
-            assert _closed_batch(h, P).tobytes() == want.tobytes()
         for y in Y:
-            assert _closed_batch(h, y.T).tobytes() == reference(y).tobytes()
+            # fold_plan runs a lone point as two copies of itself: its key is the first
+            want = reference_closed_batch(s, k, y.repeat(2, axis=0) if n == 1 else y)[:n]
+            for P in (y.T, np.ascontiguousarray(y.T)):
+                assert _closed_batch(h, P).tobytes() == want.tobytes()
 
         pts = Y.reshape(-1, 3)
         t = rng.choice([0.0, 0.5, -1.0, 2.0], size=len(pts))
         inside = ~reference_outside(s, pts, lambda R, c, P: R @ P.T <= c[:, None] + EPS_MEMBERSHIP)
         assert (contains_many(s, pts) == inside).all()
-        outside = ~reference_translates(s, pts, t, K)
+        outside = ~reference_translates(s, pts, t, k)
         for P in (pts.T, np.ascontiguousarray(pts.T)):
             assert _translate_outside(h, P, t).tobytes() == outside.tobytes()
 
@@ -213,20 +191,18 @@ class TestRowsKernel:
     @staticmethod
     def row_fold(G, ak, union):
         rows = [np.where(g > EPS_MEMBERSHIP, np.inf, -np.inf) if a <= AK_POSITIVE_MIN else g / a
-                for g, a in zip(np.swapaxes(G, 0, -2), ak)]
+                for g, a in zip(G, ak)]
         return reduce(np.minimum if union else np.maximum, rows)
 
     @pytest.mark.parametrize("union", [False, True], ids=["intersection", "union"])
-    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stack"])
-    def test_rows_match_pairwise_fold(self, union, stacked):
-        rng = np.random.default_rng(10 * union + stacked)
+    def test_rows_match_pairwise_fold(self, union):
+        rng = np.random.default_rng(10 * union)
         values = np.array([0.0, -0.0, 1e-10, -1e-10, 2e-9, 1.5, -1.5, 3.0])
         for _ in range(200):
             rows = int(rng.integers(1, 7))
             ak = rng.choice([0.0, -1e-10, 5e-10, 1e-9, 0.3, 1.0, 2.5], size=rows)
-            shape = (int(rng.integers(1, 4)), rows, 50) if stacked else (rows, 50)
-            G = np.where(rng.uniform(size=shape) < 0.5, rng.choice(values, size=shape),
-                         rng.normal(size=shape))
+            G = np.where(rng.uniform(size=(rows, 50)) < 0.5, rng.choice(values, size=(rows, 50)),
+                         rng.normal(size=(rows, 50)))
             want = self.row_fold(G, ak, union)
             assert _rows_keys(G, _motion(ak), union).tobytes() == want.tobytes()  # consumes G
 
@@ -242,12 +218,12 @@ class TestBlockedEvaluation:
                              ids=["1", "2", "block-1", "block", "block+1", "2block+1"])
     def test_blocks_match_one_pass(self, kind, blocks, extra):
         rng = np.random.default_rng(3 * blocks + extra)
-        s = TestStackedKernel.sets(rng)[kind]
-        k = -TestStackedKernel.K if kind == "complement" else TestStackedKernel.K
+        s = sets(rng)[kind]
+        k = -K if kind == "complement" else K
         n = blocks * (_BLOCK_FLOATS // max(3, *(len(leaf.R) for leaf in s.plan[1]))) + extra
         Y = np.round(rng.normal(scale=2.0, size=(n, 3)), 1)
         Y[:n // 3] = 0.0  # on every row of the sets' first polyhedron
-        Y[n // 3:n // 2] = TestStackedKernel.K  # on its static row
+        Y[n // 3:n // 2] = K  # on its static row
         keys = _keys(make_handle(s, k), Y)
         assert keys.tobytes() == _closed_batch(make_handle(s, k), Y.T).tobytes()
 
@@ -296,8 +272,8 @@ class TestLonePoint:
     @staticmethod
     def case(kind, strategy):
         rng = np.random.default_rng(17)
-        s = TestStackedKernel.sets(rng)[kind]
-        k = -TestStackedKernel.K if kind == "complement" else TestStackedKernel.K
+        s = sets(rng)[kind]
+        k = -K if kind == "complement" else K
         Y = rng.normal(scale=2.0, size=(300, 3))
         return make_handle(s, k, strategy=strategy, tol=1e-17), Y
 
@@ -438,11 +414,11 @@ class TestBisectionAgainstClosedForm:
         # at the default budget all 182 points are one block, and smaller
         # blocks give the same keys
         rng = np.random.default_rng(17)
-        s = TestStackedKernel.sets(rng)[kind]
-        k = -TestStackedKernel.K if kind == "complement" else TestStackedKernel.K
+        s = sets(rng)[kind]
+        k = -K if kind == "complement" else K
         Y = rng.normal(scale=2.0, size=(60, 3))
         # scaled copies end past the horizon of every t_max, at nu and at -inf
-        Y = np.concatenate([np.zeros((1, 3)), TestStackedKernel.K[None], Y, 1e4 * Y, 1e13 * Y])
+        Y = np.concatenate([np.zeros((1, 3)), K[None], Y, 1e4 * Y, 1e13 * Y])
         h = make_handle(s, k, strategy="bisection", t_max=t_max, tol=tol)
         keys = _keys(h, Y)
         assert keys.tobytes() == reference_bisect(h, Y).tobytes()
@@ -748,16 +724,25 @@ def _names(node) -> list[str]:
     return [node.id] if isinstance(node, ast.Name) else []
 
 
+def _named_outside(exempt, wanted) -> list[tuple[str, int, str]]:
+    """(file, line, name) of each name for which wanted(name) holds in the
+    package's modules other than those named in exempt."""
+    src = Path(__file__).parent.parent / "src" / "ulset"
+    return [(path.name, node.lineno, name) for path in sorted(src.glob("*.py"))
+            if path.name not in exempt for node in ast.walk(ast.parse(path.read_text()))
+            for name in _names(node) if wanted(name)]
+
+
 def test_only_the_evaluator_knows_kind_codes():
     """Past the evaluator every value travels as a lattice key: no module
     but evaluator (and the re-exporting __init__) names evaluate_batch,
     _from_keys or a KIND_* code, in an import, a name or an attribute."""
-    src = Path(__file__).parent.parent / "src" / "ulset"
-    offenders = []
-    for path in sorted(src.glob("*.py")):
-        if path.name in ("evaluator.py", "__init__.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            offenders += [(path.name, node.lineno, name) for name in _names(node)
-                          if name in ("evaluate_batch", "_from_keys") or name.startswith("KIND_")]
-    assert offenders == []
+    assert _named_outside(("evaluator.py", "__init__.py"), lambda name: name in (
+        "evaluate_batch", "_from_keys") or name.startswith("KIND_")) == []
+
+
+def test_only_the_evaluator_names_its_kernels():
+    """Every caller reaches the kernels through _keys's block loop: no
+    module but evaluator names _closed_batch or _bisect_batch."""
+    assert _named_outside(("evaluator.py",),
+                          lambda name: name in ("_closed_batch", "_bisect_batch")) == []

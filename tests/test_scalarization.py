@@ -151,7 +151,7 @@ class TestMinimizeBlocks:
             self.assert_bitwise(F, C, k, np.concatenate([F, rng.normal(size=(70, m))]))
 
     def test_cloud_above_the_block_budget(self):
-        # 3000 points by 6 rows exceed the budget: one reference per block
+        # 3000 points by 3 coordinates exceed half the budget: one reference per block
         rng = np.random.default_rng(33)
         k = np.array([1.0, 2.0, 0.5])
         C = OrderCone(Polyhedron(tuple(HalfSpace(a, 0.0) for a in (
@@ -162,7 +162,7 @@ class TestMinimizeBlocks:
 
     @pytest.mark.parametrize("budget", [1, 100, 777])
     def test_block_edges(self, budget, monkeypatch):
-        # small budgets put block edges at 1, 16 and 129 references of 6 points by 1 row
+        # small budgets put block edges at 1, 16 and 129 references of 6 points by 1 coordinate
         monkeypatch.setattr("ulset.scalarization._BLOCK_FLOATS", budget)
         rng = np.random.default_rng(budget)
         k = np.array([1.0])
@@ -186,17 +186,17 @@ class TestMinimizeBlocks:
         rng.shuffle(rows)
         return OrderCone(Polyhedron(tuple(HalfSpace(a, 0.0) for a in rows)))
 
-    @pytest.mark.parametrize("n, refs", [(40, 120), (2100, 15)], ids=["B>1", "B=1"])
+    @pytest.mark.parametrize("n, refs", [(40, 250), (4200, 15)], ids=["B>1", "B=1"])
     def test_wide_cones_with_two_static_rows(self, n, refs):
-        # _minimize's contiguous (B, m, n) differences against _keys's
-        # strided per-reference blocks
+        # _minimize's one _keys call per block of B references against
+        # one _keys call per reference
         rng = np.random.default_rng(n)
         for _ in range(4):
             m = int(rng.integers(2, 5))
             k = rng.uniform(0.2, 2.0, size=m)
             C = self.wide_cone(rng, m, k)
             assert 5 <= len(C.rep.halfspaces) <= 8
-            block = max(1, _BLOCK_FLOATS // (n * max(m, len(C.rep.halfspaces))))
+            block = max(1, _BLOCK_FLOATS // (n * m))
             assert (block > 1) == (n == 40) and block < refs
             F = np.round(rng.normal(size=(n, m)), 1)
             R = np.concatenate([F[:3], np.round(rng.normal(size=(refs - 3, m)), 1)])
@@ -321,11 +321,12 @@ class TestOrderCone:
         assert not C.maybe_pointed()
 
     def test_non_pointed_warns(self):
-        # halfplane: contains e2 and -e2
+        # halfplane: contains e2 and -e2; the warning names this call
         rep = Polyhedron((HalfSpace([-1.0, 0.0], 0.0),))
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             OrderCone(rep, generators=(np.array([0.0, 1.0]), np.array([0.0, -1.0]),
                                        np.array([1.0, 0.0])))
+        assert caught[0].filename == __file__
 
 
 class TestCsv:
