@@ -138,6 +138,30 @@ def test_sets_reach_every_kind():
     assert np.isfinite(poly).any() and (poly == np.inf).any()
 
 
+class TestReferenceBlocks:
+    """_keys on a block of B point sets laid out coordinate-major, as
+    _minimize lays out the differences F - a of B references, equals one
+    _keys call per point set, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["polyhedron", "shift", "union", "intersection", "complement"])
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_block_matches_slices(self, kind, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        s = sets(rng)[kind]
+        Y = np.round(rng.normal(scale=2.0, size=(6, n, 3)), 1)
+        Y[0] = 0.0  # on every row of p
+        Y[1] = K  # on p's static row
+        h = kernel_handle(s, K)
+        # (m, B * n), C-ordered, handed over as its (B * n, m) transpose
+        D = np.ascontiguousarray(np.moveaxis(Y, -1, 0)).reshape(3, -1).T
+        assert D.flags.f_contiguous and not D.flags.c_contiguous
+        want = np.stack([_keys(h, y) for y in Y])
+        assert _keys(h, D).reshape(6, n).tobytes() == want.tobytes()
+        # one point per block: blocks cut across the point sets
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 1)
+        assert _keys(h, D).reshape(6, n).tobytes() == want.tobytes()
+
+
 class TestRowPlan:
     """The row plan gives, bit for bit, the keys and membership masks of the
     walk of the set tree it replaced (conftest's reference_closed_batch and
