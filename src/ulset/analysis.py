@@ -37,11 +37,10 @@ from .evaluator import (
     Strategy,
     key_text,
     make_handle,
-    _block_bounds,
     _dual_handle,
     _dual_keys,
     _keys,
-    _point_floats,
+    _spans,
 )
 from .geometry import Polyhedron, SetExpr, Shift, contains_many, _as_vector
 
@@ -199,14 +198,13 @@ def _blocks(h: FunctionalHandle, n: int, columns: int = 0):
     """The [a, b) blocks in which a check on h draws, evaluates and
     reduces n samples of up to ``columns`` extra floats each.
 
-    Without many extra columns they are the blocks the evaluator's
-    :func:`_keys` runs n points of h in (see :func:`_block_bounds`), so a
-    block is one kernel call. A sample's key depends on that sample alone,
-    whatever block or call it is in, so every key is that of one pass over
-    all the samples.
+    They are the blocks :func:`_spans` gives for samples of
+    max(h.point_floats, columns) floats, so without many extra columns a
+    block is one kernel call of :func:`_keys`. A sample's key depends on
+    that sample alone, whatever block or call it is in, so every key is
+    that of one pass over all the samples.
     """
-    bounds = _block_bounds(n, max(_point_floats(h), columns))
-    return zip(bounds, bounds[1:])
+    return _spans(n, max(h.point_floats, columns))
 
 
 #: The most samples one call draws (classify_convexity draws two per

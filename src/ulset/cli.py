@@ -28,10 +28,11 @@ from .evaluator import (
     key_text,
     make_handle,
     _keys,
+    _spans,
 )
 from .geometry import (Polyhedron, set_from_json, _CONE_FILE, _CONFIG, _field, _invalid, _list,
                        _number, _rows, _vector)
-from .scalarization import OrderCone, load_points_csv, _read_points_csv, _CHUNK_LINES
+from .scalarization import OrderCone, load_points_csv, _read_points_csv, _LINE_FLOATS
 
 CHECK_SUITES = ("sublevel", "translation", "recession", "dual", "convexity")
 
@@ -111,8 +112,8 @@ def _cmd_eval(args) -> int:
     # every point is evaluated before the first write, so an error leaves stdout empty
     i = 0
     for part in parts:
-        for a in range(0, len(part), _CHUNK_LINES):
-            keys = part[a:a + _CHUNK_LINES].tolist()
+        for a, b in _spans(len(part), _LINE_FLOATS):
+            keys = part[a:b].tolist()
             sys.stdout.write("".join(f"{j},{key_text(v)}\n" for j, v in enumerate(keys, i)))
             i += len(keys)
     return 0
@@ -150,8 +151,14 @@ def _run_suite(h, name: str, samples: int, seed: int) -> list[analysis.PropertyR
 
 
 def _cmd_check(args) -> int:
-    h = _load_config(args.config, args.k)
     names = CHECK_SUITES if args.suite == "all" else (args.suite,)
+    if args.seed < 0:
+        raise UlsetError(f"--seed must be a non-negative integer, got {args.seed}")
+    analysis._sample_count(args.samples)
+    if "convexity" in names and args.samples > analysis.MAX_SAMPLES // 2:
+        raise UlsetError(f"--samples must be at most {analysis.MAX_SAMPLES // 2} for the "
+                         f"convexity suite, which draws two points per sample; got {args.samples}")
+    h = _load_config(args.config, args.k)
     reports = []
     for name in names:
         reports.extend(_run_suite(h, name, args.samples, args.seed))

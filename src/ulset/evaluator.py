@@ -62,9 +62,10 @@ KIND_NU = 2
 #: Stand-in value for -inf when a finite float is needed (contour sign tests).
 MINUS_INF_SENTINEL = -1e30
 
-#: Float64 elements in the largest temporary of one block of points, in
-#: both strategies of :func:`_keys`: 128 KiB, glibc's default mmap
-#: threshold, so a block's temporaries are reused heap, not fresh pages.
+#: Float64 elements in the largest temporary of one block of items, in
+#: both strategies of :func:`_keys` and in every other block loop: 128 KiB,
+#: glibc's default mmap threshold, so a block's temporaries are reused heap,
+#: not fresh pages. :func:`_spans` is its one reader.
 _BLOCK_FLOATS = 2**14
 
 #: Message of the InvalidInput for a row value or key that is not finite.
@@ -235,6 +236,12 @@ class FunctionalHandle:
         """Per leaf of the set's plan, at its index: its rows' :func:`_motion`."""
         return tuple(_motion(leaf.R @ self.direction.k) for leaf in self.set.plan[1])
 
+    @cached_property
+    def point_floats(self) -> int:
+        """Floats per point that size :func:`_keys`'s blocks: the dimension
+        or the most rows of a leaf, whichever is larger."""
+        return max(self.set.dim, *(len(leaf.R) for leaf in self.set.plan[1]))
+
 
 def make_handle(
     s: SetExpr,
@@ -304,18 +311,12 @@ def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
     return fold_plan(h.set.plan[0], Yt, leaf)
 
 
-def _block_bounds(n: int, floats_per_point: int) -> list[int]:
-    """Edges of the near-equal blocks of n points that :func:`_keys` runs on,
-    each of at most _BLOCK_FLOATS // floats_per_point points."""
-    cap = max(1, _BLOCK_FLOATS // floats_per_point)
-    count = max(1, -(-n // cap))
-    return [n * i // count for i in range(count + 1)]
-
-
-def _point_floats(h: FunctionalHandle) -> int:
-    """Floats per point that size :func:`_keys`'s blocks on h:
-    the dimension or the most rows of a leaf, whichever is larger."""
-    return max(h.set.dim, *(len(leaf.R) for leaf in h.set.plan[1]))
+def _spans(n: int, floats_per_item: int):
+    """The [a, b) blocks of n items, in order, each of the most items of
+    floats_per_item floats that fit in _BLOCK_FLOATS floats (at least one);
+    only the last block may be shorter."""
+    cap = max(1, _BLOCK_FLOATS // floats_per_item)
+    return ((a, min(a + cap, n)) for a in range(0, n, cap))
 
 
 def _from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,9 +403,8 @@ def _keys(h: FunctionalHandle, Y) -> np.ndarray:
     """Lattice keys at the points Y: the block loop of :func:`evaluate_batch`."""
     pts = _as_points(Y, h.set.dim)
     kernel = _bisect_batch if h.strategy == Strategy.BISECTION else _closed_batch
-    bounds = _block_bounds(len(pts), _point_floats(h))
     keys = np.empty(len(pts))
-    for a, b in zip(bounds, bounds[1:]):
+    for a, b in _spans(len(pts), h.point_floats):
         keys[a:b] = kernel(h, pts[a:b].T)
     return keys
 
@@ -415,14 +415,13 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     Kind codes are KIND_FINITE / KIND_MINUS_INF / KIND_NU; values are
     meaningful only where the kind is finite.
 
-    Both strategies run on consecutive blocks of the points (see
-    :func:`_block_bounds`), each within _BLOCK_FLOATS floats of
-    temporaries, and fill one key array, so memory grows with the
-    points and not with rows times points; a block is the view
+    Both strategies run on the blocks :func:`_spans` gives for the points,
+    h.point_floats floats each, and fill one key array, so memory grows
+    with the points and not with rows times points; a block is the view
     ``pts[a:b].T``. A point's key depends on that point alone, whatever
-    block, chunk or call it is in (see :func:`fold_plan`), so the
-    keys are bitwise those of one pass over all the points, or of one call
-    per point.
+    block, chunk or call it is in (see :func:`fold_plan`), so the keys are
+    bitwise those of one pass over all the points, or of one call per
+    point.
     """
     return _from_keys(_keys(h, Y))
 
@@ -567,12 +566,12 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     edge from corner a to b the segment end is pa + t*(pb - pa), with
     t = fa / (fa - fb) clamped to [0, 1].
 
-    The grid is evaluated and marched in strips of about
-    _BLOCK_FLOATS // grid_n rows (at least one). Each strip carries the
-    last row of f of the strip before it, so the cells across a strip
-    boundary are marched and every grid point is evaluated once. Memory
-    thus grows with grid_n and the segments, not with grid_n**2, and
-    the segments are those of one pass over the whole grid.
+    The grid is evaluated and marched in strips of rows, the blocks
+    :func:`_spans` gives for grid_n rows of grid_n floats. Each strip
+    carries the last row of f of the strip before it, so the cells across
+    a strip boundary are marched and every grid point is evaluated once.
+    Memory thus grows with grid_n and the segments, not with grid_n**2,
+    and the segments are those of one pass over the whole grid.
 
     Returns one (2, 2) array per segment, in row-major cell order (y
     index outer) and within a cell in table order, without stitching.
@@ -592,20 +591,14 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
 
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)
-    step = max(1, _BLOCK_FLOATS // grid_n)
-    pts = np.empty((step, grid_n, 2))
-    pts[..., 0] = xs
     F = np.empty((0, grid_n))
     usable, ends = False, []
-    for r0 in range(0, grid_n, step):
-        rows = ys[r0:r0 + step]
-        strip = pts[:len(rows)]
-        strip[..., 1] = rows[:, None]
-        keys = _keys(h, strip.reshape(-1, 2))
+    for r0, r1 in _spans(grid_n, grid_n):
+        keys = _keys(h, np.stack(np.meshgrid(xs, ys[r0:r1]), axis=-1).reshape(-1, 2))
         f = np.where(np.isfinite(keys), keys - level,
                      np.where(keys < 0, MINUS_INF_SENTINEL, np.nan))
         # F's first row is grid row r0 - 1, carried, except in the first strip
-        F = np.concatenate([F[-1:], f.reshape(len(rows), grid_n)])
+        F = np.concatenate([F[-1:], f.reshape(r1 - r0, grid_n)])
         any_usable, strip_ends = _march(F, xs, ys[max(r0 - 1, 0):])
         usable |= any_usable
         ends.append(strip_ends)

@@ -12,6 +12,7 @@ independent oracle.
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, UlsetError
-from .evaluator import ExtReal, make_handle, _BLOCK_FLOATS, _keys
+from .evaluator import ExtReal, make_handle, _keys, _spans
 from .geometry import HalfSpace, Polyhedron, contains_many, _as_vector
 
 #: Strict margin for interior-of-cone (weak domination) tests.
@@ -103,9 +104,9 @@ class OrderCone:
     @cached_property
     def _pointed(self) -> bool:
         """:meth:`maybe_pointed`, probed once per cone: the generators, then
-        their pairwise sums g_i + g_j (i < j) for blocks of i, each block
-        within _BLOCK_FLOATS floats. Probes of norm at most 1e-12 are
-        skipped."""
+        their pairwise sums g_i + g_j (i < j) for the blocks of i that
+        :func:`_spans` gives for g * m floats each. Probes of norm at most
+        1e-12 are skipped."""
         if not self.generators:
             return True
         G = np.stack(self.generators)
@@ -118,10 +119,9 @@ class OrderCone:
 
         if two_sided(G):
             return False
-        step = max(1, _BLOCK_FLOATS // (g * m))
-        for i in range(0, g, step):
-            sums = G[i:i + step, None, :] + G[None, :, :]
-            later = np.arange(i, i + len(sums))[:, None] < np.arange(g)
+        for i, j in _spans(g, g * m):
+            sums = G[i:j, None, :] + G[None, :, :]
+            later = np.arange(i, j)[:, None] < np.arange(g)
             if two_sided(sums[later]):
                 return False
         return True
@@ -158,10 +158,10 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
 
     One handle on -C serves every reference point a: the score against a is
     its value at the points F - a, the same subtraction a handle on the
-    shifted cone a - C does. Each block of B references is scored by one
-    :func:`_keys` call on its B * n differences, B the most that fit in
-    _BLOCK_FLOATS floats and at least 1. A point's key depends on that
-    point alone, so the keys are bitwise those of one reference at a time.
+    shifted cone a - C does. Each block of references that :func:`_spans`
+    gives for n * m floats each is scored by one :func:`_keys` call on its
+    differences. A point's key depends on that point alone, so the keys are
+    bitwise those of one reference at a time.
     """
     F = _cloud(F)
     if F.dim != C.dim:
@@ -172,12 +172,11 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
         raise InvalidInput("reference points have non-finite entries")
     h = make_handle(C.negated(), k)
     n, m = F.points.shape
-    block = max(1, _BLOCK_FLOATS // (n * m))
     Ft = np.ascontiguousarray(F.points.T)
     out = []
-    for start in range(0, refs.shape[0], block):
+    for i, j in _spans(refs.shape[0], n * m):
         # differences made in the call die with it; _keys refuses any that overflow
-        keys = _keys(h, (Ft[:, None, :] - refs[start:start + block].T[:, :, None])
+        keys = _keys(h, (Ft[:, None, :] - refs[i:j].T[:, :, None])
                      .reshape(m, -1).T).reshape(-1, n)
         low = keys.min(axis=1)
         hits = keys <= (low + ARGMIN_TOL)[:, None]
@@ -219,12 +218,9 @@ def trace_front(F, C: OrderCone, k, refs) -> dict[int, tuple[int, ...]]:
 
 
 #: A line of a points CSV, or of `ulset eval` output, takes about 30
-#: bytes, four floats' worth.
+#: bytes, four floats' worth: the width :func:`_spans` sizes blocks of
+#: lines by.
 _LINE_FLOATS = 4
-
-#: Lines the chunk reader parses at a time, so that a chunk of lines
-#: takes about _BLOCK_FLOATS floats.
-_CHUNK_LINES = _BLOCK_FLOATS // _LINE_FLOATS
 
 
 def load_points_csv(path) -> PointCloud:
@@ -258,16 +254,20 @@ def _read_points_csv(path, consume):
 
 
 def _read_chunks(f, path, labels=None):
-    """Yield the open file's rows as (n, m) float arrays, _CHUNK_LINES lines
-    at a time, each chunk parsed in C by ``np.loadtxt`` or, where loadtxt
+    """Yield the open file's rows as (n, m) float arrays, a chunk of lines at
+    a time, the blocks :func:`_spans` gives for lines of _LINE_FLOATS floats
+    (the file's length is not known, so they run on until a read comes back
+    empty). Each chunk is parsed in C by ``np.loadtxt`` or, where loadtxt
     refuses it (labels, ragged rows, spellings only Python's ``float``
     accepts), by :func:`_parse_lines`, which gives the same points and
     reports malformed lines; a chunk of blank lines yields nothing. Where
     labels is a list, each row's label ("" for none) is appended to it once
     some row has one. Nothing is yielded once rows disagree on width; that
     and an empty file are reported at the end, after any malformed line."""
-    widths, rows, lineno = set(), 0, 1
-    while lines := list(itertools.islice(f, _CHUNK_LINES)):
+    widths, rows = set(), 0
+    for a, b in _spans(sys.maxsize, _LINE_FLOATS):
+        if not (lines := list(itertools.islice(f, b - a))):
+            break
         tags = None
         try:
             with warnings.catch_warnings():
@@ -277,10 +277,9 @@ def _read_chunks(f, path, labels=None):
             if len(pts):
                 widths.add(pts.shape[1])
         except ValueError:
-            parsed, tags = _parse_lines(lines, lineno)
+            parsed, tags = _parse_lines(lines, a + 1)
             widths.update(map(len, parsed))
             pts = np.array(parsed) if len(widths) == 1 else None
-        lineno += len(lines)
         if len(widths) == 1 and len(pts):
             if labels is not None and (tags or labels):
                 labels.extend([""] * (rows - len(labels)) + (tags or [""] * len(pts)))

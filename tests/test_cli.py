@@ -12,6 +12,7 @@ import ulset.cli as cli
 import ulset.evaluator as evaluator
 from ulset.cli import main
 from ulset.evaluator import ExtReal, key_text
+from ulset.scalarization import _LINE_FLOATS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,7 +134,7 @@ class TestEval:
         """CSV chunks of a few lines give the bytes of one _keys call over
         all the points: one point, chunk + 1 points, points between blank
         lines, and a label in the last chunk."""
-        monkeypatch.setattr(cli.scalarization, "_CHUNK_LINES", lines)
+        monkeypatch.setattr(evaluator, "_BLOCK_FLOATS", lines * _LINE_FLOATS)
         cfg = tmp_path / "tq.json"
         cfg.write_text(json.dumps({**TQ_CONFIG, "strategy": strategy}))
         h = cli._load_config(str(cfg), None)
@@ -371,6 +372,31 @@ class TestMalformedInput:
                                      "--samples", "1000000000"], capsys)
         assert "sample count must be at most 1000000" in err
 
+    @pytest.mark.parametrize("suite", ["all", "convexity"])
+    @pytest.mark.parametrize("samples", ["500001", "1000000"])
+    def test_sample_count_above_convexity_cap(self, suite, samples, monkeypatch, capsys):
+        """The convexity suite draws two points per sample: a count it cannot
+        draw is refused in terms of --samples before any suite runs; it once
+        ran the other suites and then refused a count of 2 * samples."""
+        monkeypatch.setattr(cli, "_run_suite", lambda *a: pytest.fail("a suite ran"))
+        err = self._assert_rejected(["check", str(GOLDEN / "three_quadrant.json"), "--suite",
+                                     suite, "--samples", samples], capsys)
+        assert err == ("error: --samples must be at most 500000 for the convexity suite, "
+                       f"which draws two points per sample; got {samples}\n")
+
+    def test_convexity_cap_leaves_other_suites(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_run_suite",
+                            lambda h, name, samples, seed: calls.append((name, samples)) or [])
+        assert main(["check", str(GOLDEN / "three_quadrant.json"), "--suite", "sublevel",
+                     "--samples", "600000"]) == 0
+        assert calls == [("sublevel", 600000)]
+
+    def test_negative_seed(self, cone_config, capsys):
+        # numpy's own message, "expected non-negative integer", named no option
+        err = self._assert_rejected(["check", cone_config, "--seed", "-1"], capsys)
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+
     def test_memory_error(self, cone_config, monkeypatch, capsys):
         def exhausted(h, Y):
             raise MemoryError("Unable to allocate 14.9 GiB for an array")
@@ -460,7 +486,7 @@ class TestMalformedInput:
                                                                capsys):
         """A malformed line chunks after a point whose value overflows is
         the error reported, as where the whole file is parsed first."""
-        monkeypatch.setattr(cli.scalarization, "_CHUNK_LINES", 1)
+        monkeypatch.setattr(evaluator, "_BLOCK_FLOATS", _LINE_FLOATS)
         cfg = tmp_path / "set.json"
         cfg.write_text(json.dumps({"dim": 2, "k": [1e-8, 1.0], "set": {
             "type": "polyhedron", "halfspaces": [{"a": [1, 0], "b": 0}]}}))

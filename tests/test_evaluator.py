@@ -34,8 +34,8 @@ from ulset import (
 )
 from ulset.cli import _load_config, main
 from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
-                             KIND_MINUS_INF, KIND_NU, _block_bounds, _closed_batch, _motion,
-                             _keys, _rows_keys, _translate_outside)
+                             KIND_MINUS_INF, KIND_NU, _closed_batch, _motion, _keys, _rows_keys,
+                             _spans, _translate_outside)
 from ulset.geometry import contains_many, set_to_json
 from ulset.scalarization import OrderCone, _minimize
 from conftest import (three_quadrant_value, kernel_handle, neg_orthant, random_polyhedral_fixture,
@@ -244,22 +244,25 @@ class TestBlockedEvaluation:
         rng = np.random.default_rng(3 * blocks + extra)
         s = sets(rng)[kind]
         k = -K if kind == "complement" else K
-        n = blocks * (_BLOCK_FLOATS // max(3, *(len(leaf.R) for leaf in s.plan[1]))) + extra
+        h = make_handle(s, k)
+        n = blocks * (_BLOCK_FLOATS // h.point_floats) + extra
         Y = np.round(rng.normal(scale=2.0, size=(n, 3)), 1)
         Y[:n // 3] = 0.0  # on every row of the sets' first polyhedron
         Y[n // 3:n // 2] = K  # on its static row
-        keys = _keys(make_handle(s, k), Y)
-        assert keys.tobytes() == _closed_batch(make_handle(s, k), Y.T).tobytes()
+        keys = _keys(h, Y)
+        assert keys.tobytes() == _closed_batch(h, Y.T).tobytes()
 
     @pytest.mark.parametrize("width", [1, 3, 4, 5000, 2**14, 2**15])
-    def test_block_bounds(self, width):
+    def test_spans(self, width):
         cap = max(1, _BLOCK_FLOATS // width)
         for n in [*range(0, 40), cap - 1, cap, cap + 1, 2 * cap + 1, 5 * cap + 3]:
-            bounds = _block_bounds(n, width)
-            sizes = np.diff(bounds)
-            assert bounds[0] == 0 and bounds[-1] == n
-            assert sizes.max() - sizes.min() <= 1  # near-equal
-            assert sizes.max() <= max(cap, 3)
+            spans = list(_spans(n, width))
+            assert [0, *(b for _, b in spans)] == [*(a for a, _ in spans), n]  # [0, n) in order
+            assert all(b - a == cap for a, b in spans[:-1])
+            assert all(0 < b - a <= cap for a, b in spans[-1:])
+        assert list(_spans(0, width)) == []
+        if width > _BLOCK_FLOATS:
+            assert list(_spans(3, width)) == [(0, 1), (1, 2), (2, 3)]
 
     def test_bisection_memory_bounded(self):
         # one pass over 50k points held several (rows, n) temporaries of
@@ -770,3 +773,9 @@ def test_only_the_evaluator_names_its_kernels():
     module but evaluator names _closed_batch or _bisect_batch."""
     assert _named_outside(("evaluator.py",),
                           lambda name: name in ("_closed_batch", "_bisect_batch")) == []
+
+
+def test_only_the_evaluator_names_the_block_budget():
+    """Every block loop takes its edges from _spans: no module but
+    evaluator names _BLOCK_FLOATS."""
+    assert _named_outside(("evaluator.py",), lambda name: name == "_BLOCK_FLOATS") == []

@@ -167,7 +167,6 @@ SMALL_BUDGETS = (1, 45, 123)
     for budget in SMALL_BUDGETS for case in CLI_CASES])
 def test_cli_output_in_small_blocks(budget, argv, expected, code, monkeypatch, capsys):
     monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
-    monkeypatch.setattr("ulset.scalarization._BLOCK_FLOATS", budget)
     assert main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / expected).read_bytes()
 

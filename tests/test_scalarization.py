@@ -24,7 +24,8 @@ from ulset import (
 )
 from ulset.evaluator import _BLOCK_FLOATS, _keys
 import ulset.scalarization as scalarization
-from ulset.scalarization import ARGMIN_TOL, _minimize, _parse_lines, _read_points_csv
+from ulset.scalarization import (ARGMIN_TOL, _LINE_FLOATS, _minimize, _parse_lines,
+                                 _read_points_csv)
 
 
 def random_cloud(rng, m, n_max=50):
@@ -163,7 +164,7 @@ class TestMinimizeBlocks:
     @pytest.mark.parametrize("budget", [1, 100, 777])
     def test_block_edges(self, budget, monkeypatch):
         # small budgets put block edges at 1, 16 and 129 references of 6 points by 1 coordinate
-        monkeypatch.setattr("ulset.scalarization._BLOCK_FLOATS", budget)
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
         rng = np.random.default_rng(budget)
         k = np.array([1.0])
         F = np.round(rng.normal(size=(6, 1)), 1)
@@ -312,7 +313,7 @@ class TestOrderCone:
         # C = {x1 >= 0} holds the line x1 = 0, and of all the probes only
         # g_4 + g_5 lies on it; at one generator per block, its block is the
         # last that holds a pair
-        monkeypatch.setattr(scalarization, "_BLOCK_FLOATS", 1)
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 1)
         rep = Polyhedron((HalfSpace([-1.0, 0.0], 0.0),))
         gens = (*(np.array([2.0, 0.1 * i]) for i in range(4)), np.array([1.0, 0.5]),
                 np.array([-1.0, 1.0]))
@@ -486,7 +487,7 @@ def test_chunked_read_agrees_with_line_parser(tmp_path, monkeypatch, lines, make
     """Every case in chunks of a few lines against the line parser over the
     whole file: a width change after the first chunk, for one, still fails
     with "rows disagree on dimension: [2, 3]"."""
-    monkeypatch.setattr(scalarization, "_CHUNK_LINES", lines)
+    monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", lines * _LINE_FLOATS)
     path = tmp_path / "pts.csv"
     path.write_text(make(lines), newline="")
     _assert_reads_agree(path, numeric)
@@ -495,7 +496,7 @@ def test_chunked_read_agrees_with_line_parser(tmp_path, monkeypatch, lines, make
 def test_chunks_hold_whole_lines(tmp_path, monkeypatch):
     """Chunks of 2 lines: the blank-only chunk yields nothing and the last
     row comes alone."""
-    monkeypatch.setattr(scalarization, "_CHUNK_LINES", 2)
+    monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 2 * _LINE_FLOATS)
     path = tmp_path / "pts.csv"
     path.write_text("1,2\n3,4\n\n\n5,6\n7,8\n\n9,10\n")
     assert [c.tolist() for c in _read_chunks(path)] == [
