@@ -6,7 +6,12 @@ on the whole set grammar, with monotone bisection as an opt-in oracle, verifies
 its defining identities as seeded property checks, separates point
 clouds from sets, scalarizes finite multiobjective clouds against
 reference points, and exposes the induced gauges and order-unit norms.
+The `analysis` and `norms` modules load on first use; every public name
+can still be imported from `ulset`.
 """
+
+import importlib.util
+import sys
 
 from .errors import (
     DirectionRejected,
@@ -50,24 +55,6 @@ from .evaluator import (
     evaluate_scaled,
     make_handle,
 )
-from .analysis import (
-    HOLDS,
-    INAPPLICABLE,
-    VIOLATED,
-    LipschitzEstimate,
-    MonotoneCone,
-    PropertyReport,
-    SeparationVerdict,
-    check_dual_relation,
-    check_monotone,
-    check_recession_inequality,
-    check_sublevel_identity,
-    check_subgradient_bound,
-    check_translation_invariance,
-    classify_convexity,
-    estimate_lipschitz,
-    separate,
-)
 from .scalarization import (
     OrderCone,
     PointCloud,
@@ -76,7 +63,35 @@ from .scalarization import (
     trace_front,
     weakly_efficient,
 )
-from .norms import check_norm_score_identity, gauge_cone_shift, order_unit_norm
+
+
+def _lazy(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+analysis, norms = _lazy("analysis"), _lazy("norms")
+_LAZY_NAMES = dict.fromkeys((
+    "HOLDS", "INAPPLICABLE", "VIOLATED", "LipschitzEstimate", "MonotoneCone", "PropertyReport",
+    "SeparationVerdict", "check_dual_relation", "check_monotone", "check_recession_inequality",
+    "check_sublevel_identity", "check_subgradient_bound", "check_translation_invariance",
+    "classify_convexity", "estimate_lipschitz", "separate"), analysis) | dict.fromkeys((
+    "check_norm_score_identity", "gauge_cone_shift", "order_unit_norm"), norms)
+
+
+def __getattr__(name: str):
+    """A name of a LazyLoader module, whose code runs on first attribute access."""
+    if name in _LAZY_NAMES:
+        return getattr(_LAZY_NAMES[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_NAMES))
+
 
 __version__ = "0.1.0"
 

@@ -373,6 +373,11 @@ def classify_convexity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 4
     "subadditive" and "sublinear" (derived from the first two). A
     midpoint or sum that leaves the domain counts against the flag.
     """
+    _sample_count(n_samples)
+    if n_samples > MAX_SAMPLES // 2:
+        raise InvalidInput(f"cannot draw {n_samples} samples: the convexity check draws two "
+                           f"points per sample, so the sample count must be at most "
+                           f"{MAX_SAMPLES // 2}")
     rng = np.random.default_rng(seed)
     P, V, E = _draw_domain(h, 2 * n_samples, rng, bbox, extra_cols=2)
     half = len(P) // 2

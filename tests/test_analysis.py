@@ -292,6 +292,13 @@ class TestSampleCount:
         with pytest.raises(InvalidInput, match=f"sample count must be at most {MAX_SAMPLES}"):
             run(cone_diag, MAX_SAMPLES + 1)
 
+    @pytest.mark.parametrize("n_samples", [MAX_SAMPLES // 2 + 1, MAX_SAMPLES])
+    def test_convexity_count_above_half_cap_invalid(self, cone_diag, n_samples):
+        # the refusal once named 2n, a count the caller never passed
+        with pytest.raises(InvalidInput, match=f"^cannot draw {n_samples} samples: .* two "
+                                               f"points per sample, .* at most {MAX_SAMPLES // 2}$"):
+            classify_convexity(cone_diag, n_samples)
+
 
 def _block_runs():
     """One run per sampled check, each a list of report lines; the
