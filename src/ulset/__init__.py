@@ -6,8 +6,8 @@ on the whole set grammar, with monotone bisection as an opt-in oracle, verifies
 its defining identities as seeded property checks, separates point
 clouds from sets, scalarizes finite multiobjective clouds against
 reference points, and exposes the induced gauges and order-unit norms.
-The `analysis` and `norms` modules load on first use; every public name
-can still be imported from `ulset`.
+The `analysis`, `norms` and `scalarization` modules load on first use;
+every public name can still be imported from `ulset`.
 """
 
 import importlib.util
@@ -55,14 +55,6 @@ from .evaluator import (
     evaluate_scaled,
     make_handle,
 )
-from .scalarization import (
-    OrderCone,
-    PointCloud,
-    load_points_csv,
-    scalarize,
-    trace_front,
-    weakly_efficient,
-)
 
 
 def _lazy(name: str):
@@ -73,13 +65,15 @@ def _lazy(name: str):
     return module
 
 
-analysis, norms = _lazy("analysis"), _lazy("norms")
+analysis, norms, scalarization = _lazy("analysis"), _lazy("norms"), _lazy("scalarization")
 _LAZY_NAMES = dict.fromkeys((
     "HOLDS", "INAPPLICABLE", "VIOLATED", "LipschitzEstimate", "MonotoneCone", "PropertyReport",
     "SeparationVerdict", "check_dual_relation", "check_monotone", "check_recession_inequality",
     "check_sublevel_identity", "check_subgradient_bound", "check_translation_invariance",
     "classify_convexity", "estimate_lipschitz", "separate"), analysis) | dict.fromkeys((
-    "check_norm_score_identity", "gauge_cone_shift", "order_unit_norm"), norms)
+    "check_norm_score_identity", "gauge_cone_shift", "order_unit_norm"), norms) | dict.fromkeys((
+    "OrderCone", "PointCloud", "load_points_csv", "scalarize", "trace_front",
+    "weakly_efficient"), scalarization)
 
 
 def __getattr__(name: str):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, PreconditionFailed, UlsetError
+from .errors import InvalidInput, PreconditionFailed, UlsetError, record
 from .evaluator import (
     NU,
     ExtReal,
@@ -87,7 +87,7 @@ class PropertyReport:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class MonotoneCone:
     """Conic hull of finitely many generators; no generators means the zero cone."""
 
@@ -106,8 +106,10 @@ class MonotoneCone:
         return np.stack(self.generators)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SeparationVerdict:
+    """Result of :func:`separate`: the offending points, in cloud order."""
+
     disjoint: bool
     mode: str
     offending_indices: tuple[int, ...]
@@ -115,8 +117,10 @@ class SeparationVerdict:
     offending_values: tuple[ExtReal, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class LipschitzEstimate:
+    """Result of :func:`estimate_lipschitz`: the sampled slope and the certified bound."""
+
     l_emp: float
     l_bound: ExtReal
     interior: bool
@@ -209,8 +213,9 @@ def _blocks(h: FunctionalHandle, n: int, columns: int = 0):
 
 #: The most samples one call draws (classify_convexity draws two per
 #: requested sample). A check evaluates and reduces its samples block by
-#: block, but it keeps each kept sample's point, key and extra columns,
-#: (dim + 1 + extra) floats, for the pairings of later blocks: the
+#: block, but it keeps each kept sample's point, key and extra columns
+#: (at most two, or check_monotone's step of dim floats, whatever the
+#: cone's generator count), for the pairings of later blocks: the
 #: convexity pairs join the first and the second half of the draw. So a
 #: larger count is refused rather than left to exhaust memory.
 MAX_SAMPLES = 10**6
@@ -224,13 +229,23 @@ def _sample_count(n: int) -> None:
                            f"{MAX_SAMPLES}")
 
 
-def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
+def _steps(E: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The cone steps (0.3 * |e|) @ G of the rows e of E. A lone row is
+    multiplied as two copies: a one-row product goes through gemv, which
+    rounds unlike gemm, so each step's bits depend on its row alone."""
+    W = np.abs(np.repeat(E, 2, axis=0) if len(E) == 1 else E) * 0.3
+    return (W @ G)[: len(E)]
+
+
+def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0, G=None):
     """Rejection-sample up to n domain points (value not nu) from the box.
 
     Returns the points, their lattice keys and the extra columns: extra
     uniform columns in [-10, 10] are drawn alongside each candidate so
     that rejection does not disturb the pairing. Oversampling is capped
-    at 10x.
+    at 10x. Given a generator matrix G of at most extra_cols rows, each
+    kept sample holds its :func:`_steps` along G, dim floats, in place of
+    its extra columns.
 
     A round draws n candidates block by block, then their extra columns
     block by block; Generator.uniform split by rows gives the rows of
@@ -241,7 +256,8 @@ def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
     _sample_count(n)
     lo, hi = bbox
     dim = h.set.dim
-    P, V, E = np.empty((n, dim)), np.empty(n), np.empty((n, extra_cols))
+    P, V = np.empty((n, dim)), np.empty(n)
+    E = np.empty((n, extra_cols if G is None else dim))
     blocks = list(_blocks(h, n, extra_cols))
     kept = 0
     for _ in range(10):  # rounds of n candidates
@@ -262,6 +278,8 @@ def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0):
         if extra_cols:
             for a, b in blocks:
                 extras = rng.uniform(-10.0, 10.0, size=(b - a, extra_cols))[keep[a:b]]
+                if G is not None:
+                    extras = _steps(extras[:, : len(G)], G)
                 E[first: first + len(extras)] = extras
                 first += len(extras)
     return P[:kept], V[:kept], E[:kept]
@@ -334,12 +352,11 @@ def check_monotone(h: FunctionalHandle, cone: MonotoneCone, strict: bool = False
     """
     rng = np.random.default_rng(seed)
     G = cone.matrix(h.set.dim)
-    P, V, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=max(G.shape[0], 1))
+    P, V, S = _draw_domain(h, n_samples, rng, bbox, extra_cols=max(G.shape[0], 1), G=G)
     k = h.direction.k
     functional, escaped = _Worst(0.0), _Worst(0.0)
-    for a, b in _blocks(h, len(P), G.shape[0]):
-        y, v = P[a:b], V[a:b]
-        B = (np.abs(E[a:b, : G.shape[0]]) * 0.3) @ G
+    for a, b in _blocks(h, len(P)):
+        y, v, B = P[a:b], V[a:b], S[a:b]
         v1 = _keys(h, y - B)
         ok = v1 < np.inf
         y2, step, v1, v2 = y[ok], B[ok], v1[ok], v[ok]

@@ -11,6 +11,7 @@ must spell a positive finite JSON number, like the config's t_max.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ from .evaluator import (
 )
 from .geometry import (Polyhedron, set_from_json, _CONE_FILE, _CONFIG, _field, _invalid, _list,
                        _number, _rows, _vector)
-from .scalarization import OrderCone, load_points_csv, _read_points_csv, _LINE_FLOATS
 
 CHECK_SUITES = ("sublevel", "translation", "recession", "dual", "convexity")
 
@@ -106,13 +106,14 @@ def _cmd_eval(args) -> int:
     if args.point:
         parts = [_keys(h, _stack_points(args.point))]
     elif args.points:
-        parts = _read_points_csv(args.points, lambda chunks: [_keys(h, pts) for pts in chunks])
+        parts = scalarization._read_points_csv(
+            args.points, lambda chunks: [_keys(h, pts) for pts in chunks])
     else:
         raise UlsetError("pass --point or --points")
     # every point is evaluated before the first write, so an error leaves stdout empty
     i = 0
     for part in parts:
-        for a, b in _spans(len(part), _LINE_FLOATS):
+        for a, b in _spans(len(part), scalarization._LINE_FLOATS):
             keys = part[a:b].tolist()
             sys.stdout.write("".join(f"{j},{key_text(v)}\n" for j, v in enumerate(keys, i)))
             i += len(keys)
@@ -169,7 +170,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_separate(args) -> int:
     h = _load_config(args.config, args.k)
-    cloud = load_points_csv(args.points)
+    cloud = scalarization.load_points_csv(args.points)
     verdict = analysis.separate(h, cloud, mode=args.mode)
     doc = {
         "disjoint": verdict.disjoint,
@@ -184,22 +185,22 @@ def _cmd_separate(args) -> int:
     return 0 if verdict.disjoint else 1
 
 
-def _load_cone(args, dim: int) -> OrderCone:
+def _load_cone(args, dim: int) -> scalarization.OrderCone:
     if args.cone_file:
         doc = _read_json(args.cone_file)
         rows = _rows(*_field(doc, _CONE_FILE, "halfspaces"), dim, 0.0)
         gens = [_vector(g, p, dim) for g, p in _list(*_field(doc, _CONE_FILE, "generators", []))]
-        return OrderCone(Polyhedron(rows), generators=tuple(gens) or None)
+        return scalarization.OrderCone(Polyhedron(rows), generators=tuple(gens) or None)
     if args.cone == "nonneg":
-        return OrderCone.nonneg(dim)
+        return scalarization.OrderCone.nonneg(dim)
     raise UlsetError(f"unknown cone {args.cone!r}; use nonneg or --cone-file")
 
 
 def _cmd_pareto(args) -> int:
-    cloud = load_points_csv(args.points)
+    cloud = scalarization.load_points_csv(args.points)
     cone = _load_cone(args, cloud.dim)
     k = _parse_vector(args.k)
-    refs = load_points_csv(args.refs).points if args.refs else cloud.points
+    refs = scalarization.load_points_csv(args.refs).points if args.refs else cloud.points
     lines = ["ref_index,point_index,value"]
     for r, (arg, key) in enumerate(scalarization._minimize(cloud, cone, k, refs)):
         lines.extend(f"{r},{i},{key_text(key)}" for i in arg)
@@ -275,6 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command line argv, or sys.argv[1:] where argv is None, and
+    return the exit code.
+
+    With argv None, main owns the process (the console script, ``python
+    -m ulset.cli``), so it freezes the garbage collector once the imports
+    are done: no collection, those at exit included, rescans the objects
+    they made. A caller that passes argv, and every library caller, keeps
+    its collector as it is.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -34,12 +34,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import EmptyContour, InvalidInput, PreconditionFailed, Unsupported, UlsetError
+from .errors import EmptyContour, InvalidInput, PreconditionFailed, Unsupported, UlsetError, record
 from .geometry import (
     AK_POSITIVE_MIN,
     EPS_MEMBERSHIP,
@@ -80,7 +79,7 @@ def key_text(key: float) -> str:
     return repr(float(key))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ExtReal:
     """Value lattice {finite, -inf, nu} with the nu-is-incomparable order.
 
@@ -211,7 +210,7 @@ class Strategy(str, enum.Enum):
     BISECTION = "bisection"
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class FunctionalHandle:
     """A set, a certified direction, and a pinned evaluation strategy."""
 

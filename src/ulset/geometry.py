@@ -26,13 +26,12 @@ import itertools
 import reprlib
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DirectionRejected, InvalidInput, Unsupported
+from .errors import DirectionRejected, InvalidInput, Unsupported, record
 
 #: Default absolute slack on a·y - b for membership tests.
 EPS_MEMBERSHIP = 1e-9
@@ -74,7 +73,7 @@ def _as_points(Y, dim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class HalfSpace:
     """Closed halfspace {x : a·x <= b}."""
 
@@ -114,7 +113,7 @@ class SetExpr:
         return _compile(self, leaves), tuple(leaves)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Polyhedron(SetExpr):
     """Intersection of finitely many closed halfspaces."""
 
@@ -146,7 +145,7 @@ class Polyhedron(SetExpr):
         return b
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SetUnion(SetExpr):
     """Finite union of set expressions."""
 
@@ -166,7 +165,7 @@ class SetUnion(SetExpr):
         return self.members[0].dim
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SetIntersection(SetExpr):
     """Finite intersection of set expressions."""
 
@@ -186,7 +185,7 @@ class SetIntersection(SetExpr):
         return self.members[0].dim
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Shift(SetExpr):
     """Translation {offset + x : x in base}."""
 
@@ -201,7 +200,7 @@ class Shift(SetExpr):
         return self.base.dim
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ComplementClosure(SetExpr):
     """Closure of the complement of a polyhedron (or union of polyhedra).
 
@@ -230,7 +229,7 @@ class ComplementClosure(SetExpr):
         return self.base.members if isinstance(self.base, SetUnion) else (self.base,)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class RecessionCone:
     """Polyhedral cone of directions u with x + t*u staying in the set.
 
@@ -258,7 +257,7 @@ class RecessionCone:
         return Polyhedron(self.halfspaces)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Direction:
     """Translation direction k plus the recession-cone rows certifying it.
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 import itertools
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, UlsetError
+from .errors import InvalidInput, UlsetError, record
 from .evaluator import ExtReal, make_handle, _keys, _spans
 from .geometry import HalfSpace, Polyhedron, contains_many, _as_vector
 
@@ -30,7 +29,7 @@ INT_CONE_MARGIN = 1e-9
 ARGMIN_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PointCloud:
     """Finite list of objective vectors, optionally labeled."""
 
@@ -57,7 +56,7 @@ class PointCloud:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class OrderCone:
     """Polyhedral ordering cone {x : a_i·x <= 0} with optional generators.
 
@@ -80,7 +79,7 @@ class OrderCone:
             object.__setattr__(self, "generators", gens)
             if not self.maybe_pointed():
                 warnings.warn("order cone generators indicate a non-pointed cone",
-                              stacklevel=3)  # the caller of the generated __init__
+                              stacklevel=3)  # the caller of __init__
 
     @property
     def dim(self) -> int:

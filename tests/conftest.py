@@ -19,6 +19,7 @@ from ulset import (
     make_handle,
     recession_cone,
 )
+import ulset.analysis as analysis
 from ulset.evaluator import _keys
 from ulset.geometry import AK_POSITIVE_MIN, EPS_MEMBERSHIP, contains_many, _as_points, _as_vector
 
@@ -221,6 +222,83 @@ def biased_eval(bias_scale=0.05):
         return np.where(np.isfinite(keys), keys + bump, keys)
 
     return patched
+
+
+# check_monotone before its draw kept steps: the draw kept every extra column
+# of a kept sample, (n, generators) floats, and each block of kept samples
+# made its steps (0.3 * |E|) @ G from them.
+
+
+def reference_draw_domain(h, n: int, rng, bbox, extra_cols: int):
+    """Rejection-sample as analysis._draw_domain does, keeping each kept
+    sample's point, key and all of its extra columns."""
+    lo, hi = bbox
+    dim = h.set.dim
+    P, V, E = np.empty((n, dim)), np.empty(n), np.empty((n, extra_cols))
+    blocks = list(analysis._blocks(h, n, extra_cols))
+    kept = 0
+    for _ in range(10):
+        if kept == n:
+            break
+        first = kept
+        keep = np.zeros(n, dtype=bool)
+        for a, b in blocks:
+            cand = rng.uniform(lo, hi, size=(b - a, dim))
+            if kept == n:
+                continue
+            keys = _keys(h, cand)
+            rows = np.flatnonzero(keys < np.inf)[: n - kept]
+            keep[a + rows] = True
+            P[kept: kept + len(rows)] = cand[rows]
+            V[kept: kept + len(rows)] = keys[rows]
+            kept += len(rows)
+        for a, b in blocks:
+            extras = rng.uniform(-10.0, 10.0, size=(b - a, extra_cols))[keep[a:b]]
+            E[first: first + len(extras)] = extras
+            first += len(extras)
+    return P[:kept], V[:kept], E[:kept]
+
+
+def reference_check_monotone(h, cone, strict: bool = False, n_samples: int = 1000,
+                             seed: int = 42, bbox=analysis.DEFAULT_BBOX):
+    """analysis.check_monotone on the reference draw, with each block's steps
+    made from the extra columns of that block of kept samples, in blocks of
+    kept samples sized for those columns."""
+    rng = np.random.default_rng(seed)
+    G = cone.matrix(h.set.dim)
+    P, V, E = reference_draw_domain(h, n_samples, rng, bbox, max(G.shape[0], 1))
+    k = h.direction.k
+    functional, escaped = analysis._Worst(0.0), analysis._Worst(0.0)
+    for a, b in analysis._blocks(h, len(P), G.shape[0]):
+        y, v = P[a:b], V[a:b]
+        W = np.abs(E[a:b, : G.shape[0]]) * 0.3
+        # one deviation: a one-row product goes through gemv, which rounds
+        # unlike gemm, so a lone row is multiplied as two copies, as
+        # geometry.fold_plan folds a lone point
+        B = (np.repeat(W, 2, axis=0) @ G)[:1] if b - a == 1 else W @ G
+        v1 = _keys(h, y - B)
+        ok = v1 < np.inf
+        y2, step, v1, v2 = y[ok], B[ok], v1[ok], v[ok]
+        defect = analysis._le_defect(v1, v2, slack=1e-7)
+        if strict:
+            gap = analysis.STRICT_MARGIN * (1.0 + np.abs(v2))
+            moved = np.linalg.norm(step, axis=1) > 1e-6
+            defect = np.maximum(defect, np.where(moved, analysis._le_defect(v1, v2 - gap), 0.0))
+        functional.add(defect, lambda i: {
+            "inputs": {"y2": y2[i].tolist(), "step": step[i].tolist()},
+            "values": {"phi_y1": analysis._ext_json(v1[i]),
+                       "phi_y2": analysis._ext_json(v2[i])},
+        })
+        finite = np.isfinite(v)
+        boundary = y[finite] - v[finite, None] * k - B[finite]
+        escaped.add((~contains_many(h.set, boundary, 1e-6)).astype(float), lambda i: {
+            "inputs": {"boundary_minus_step": boundary[i].tolist(),
+                       "step": B[finite][i].tolist()},
+            "values": {"set_level": "boundary point minus step escaped the set"},
+        })
+    worst = functional if functional.defect >= escaped.defect else escaped
+    name = "strictly_monotone" if strict else "monotone"
+    return analysis._verdict(name, seed, n_samples, worst, applicable=functional.count)
 
 
 def rec_handle_for(h):

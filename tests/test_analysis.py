@@ -32,7 +32,8 @@ from ulset import (
     make_handle,
     separate,
 )
-from conftest import biased_eval, neg_orthant, rec_handle_for, three_quadrant_union
+from conftest import (biased_eval, neg_orthant, rec_handle_for, reference_check_monotone,
+                      three_quadrant_union)
 
 
 class TestSublevelIdentity:
@@ -407,3 +408,52 @@ class TestBlocks:
             tracemalloc.stop()
         assert reports["convex"].applicable == 20_000
         assert peak < 3 * 2**20
+
+
+def _random_cone(generators: int, dim: int) -> MonotoneCone:
+    return MonotoneCone(tuple(np.random.default_rng(1).normal(size=(generators, dim))))
+
+
+class TestMonotoneSteps:
+    """check_monotone keeps each kept sample's step, dim floats, instead of
+    one extra column per cone generator."""
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["monotone", "strict"])
+    @pytest.mark.parametrize("generators", [0, 1, 2, 7, 200])
+    def test_reports_match_reference(self, generators, strict):
+        handles = [make_handle(neg_orthant(2), [1.0, 1.0]),
+                   make_handle(neg_orthant(2), [1.0, 0.0]),
+                   make_handle(three_quadrant_union(), [1.0, 0.0]),
+                   make_handle(three_quadrant_union(), [1.0, 0.0], strategy="bisection"),
+                   make_handle(neg_orthant(3), [1.0, 0.5, 2.0])]
+        for h in handles:
+            cone = _random_cone(generators, h.set.dim)
+            for n, seed in [(1, 1), (2, 2), (37, 3), (400, 42)]:
+                assert (check_monotone(h, cone, strict, n, seed).to_json_line()
+                        == reference_check_monotone(h, cone, strict, n, seed).to_json_line())
+
+    @pytest.mark.parametrize("budget", [1, 45, 123])
+    def test_wide_cone_independent_of_block_size(self, budget, monkeypatch):
+        # each step is a gemm row, never a one-row gemv product, so its
+        # bits, and the witness that prints them, do not move with the blocks
+        h = make_handle(three_quadrant_union(), [1.0, 0.0])
+        cone = _random_cone(200, 2)
+        whole = [check_monotone(h, cone, strict, 300, 3).to_json_line() for strict in (0, 1)]
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+        assert [check_monotone(h, cone, strict, 300, 3).to_json_line()
+                for strict in (0, 1)] == whole
+
+    def test_memory_bounded(self):
+        # 20k samples along 200 generators in 3-d: keeping the extra
+        # columns took 30.5 MiB of a 31.5 MiB peak; the steps take 0.5 MiB
+        h = make_handle(neg_orthant(3), [1.0, 0.5, 2.0])
+        cone = _random_cone(200, 3)
+        check_monotone(h, cone, n_samples=10, seed=1)
+        tracemalloc.start()
+        try:
+            report = check_monotone(h, cone, n_samples=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.applicable == 20_000
+        assert peak < 4 * 2**20

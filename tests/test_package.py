@@ -1,7 +1,10 @@
 """The package's import behaviour, each case in a fresh interpreter:
-`analysis` and `norms` are registered lazily and run only for the
-subcommands that use them, while every public name stays importable."""
+`analysis`, `norms` and `scalarization` are registered lazily and run only
+for the subcommands that use them, while every public name stays
+importable; and the garbage collector is frozen only where `cli.main`
+owns the process."""
 
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ulset
+from ulset import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 TQ = str(GOLDEN / "three_quadrant.json")
@@ -42,19 +46,37 @@ print(json.dumps({"code": code, "ran": sorted(ran)}))
 """
 
 
-@pytest.mark.parametrize("argv, lazy_ran", [
-    (["eval", TQ, "--point", "0.5,0.5"], []),
-    (["contour", TQ, "--level", "0.5", "--bbox=-2,-2,2,2", "--grid", "8"], []),
-    (PARETO, []),
-    (["check", TQ, "--samples", "1"], ["analysis.py"]),
-    (["separate", TQ, "--points", str(GOLDEN / "points.csv")], ["analysis.py"]),
-    (["norm", "--k", "1,1", "--point", "0.5,-2"], ["analysis.py", "norms.py"]),
-], ids=["eval", "contour", "pareto", "check", "separate", "norm"])
-def test_only_check_separate_and_norm_run_analysis(argv, lazy_ran):
-    doc = _fresh(EXECUTED, *argv)
+COMMANDS = {
+    "eval": ["eval", TQ, "--point", "0.5,0.5"],
+    "eval_points": ["eval", TQ, "--points", str(GOLDEN / "points.csv")],
+    "contour": ["contour", TQ, "--level", "0.5", "--bbox=-2,-2,2,2", "--grid", "8"],
+    "pareto": PARETO,
+    "check": ["check", TQ, "--samples", "1"],
+    "separate": ["separate", TQ, "--points", str(GOLDEN / "points.csv")],
+    "norm": ["norm", "--k", "1,1", "--point", "0.5,-2"],
+}
+LAZY = ("analysis.py", "norms.py", "scalarization.py")
+
+
+LAZY_RAN = {
+    # eval reads the width of an output line from scalarization
+    "eval": ["scalarization.py"],
+    "eval_points": ["scalarization.py"],
+    "contour": [],
+    "pareto": ["scalarization.py"],
+    "check": ["analysis.py"],
+    "separate": ["analysis.py", "scalarization.py"],
+    "norm": ["analysis.py", "norms.py", "scalarization.py"],
+}
+
+
+@pytest.mark.parametrize("command", LAZY_RAN)
+def test_only_check_separate_and_norm_run_analysis(command):
+    lazy_ran = LAZY_RAN[command]
+    doc = _fresh(EXECUTED, *COMMANDS[command])
     assert doc["code"] in (0, 1)
     assert "evaluator.py" in doc["ran"]
-    assert [f for f in doc["ran"] if f in ("analysis.py", "norms.py")] == lazy_ran
+    assert [f for f in doc["ran"] if f in LAZY] == lazy_ran
 
 
 def test_public_names_resolve_after_eval():
@@ -66,7 +88,7 @@ import ulset
 from ulset import cli
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["eval", {TQ!r}, "--point", "0.5,0.5"])
-registered = [n in sys.modules for n in ("ulset.analysis", "ulset.norms")]
+registered = [n in sys.modules for n in ("ulset.analysis", "ulset.norms", "ulset.scalarization")]
 modules = [m for n, m in sys.modules.items() if n.startswith("ulset.")]
 names = [n for n in ulset.__all__ if n != "__version__"]
 unresolved = [n for n in names
@@ -75,4 +97,28 @@ unresolved = [n for n in names
 print(json.dumps({{"registered": registered, "unresolved": unresolved,
                   "missing_from_dir": sorted(set(ulset.__all__) - set(dir(ulset)))}}))
 """)
-    assert doc == {"registered": [True, True], "unresolved": [], "missing_from_dir": []}
+    assert doc == {"registered": [True, True, True], "unresolved": [], "missing_from_dir": []}
+
+
+# the freeze count is read at exit, after the interpreter's last collection
+FREEZE = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count()))
+from ulset.cli import main
+sys.exit(main({}))
+"""
+
+
+@pytest.mark.parametrize("call, frozen", [("", True), ("sys.argv[1:]", False)],
+                         ids=["main()", "main(argv)"])
+def test_collector_frozen_only_when_main_owns_the_process(call, frozen):
+    count = _fresh(FREEZE.format(call), *COMMANDS["eval"])
+    assert (count > 0) == frozen
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_with_argv_leaves_the_collector(command, capsys):
+    """Tests and the benchmark's tracer call main(argv) in their own process."""
+    before = gc.get_freeze_count()
+    assert cli.main(COMMANDS[command]) in (0, 1)
+    assert gc.get_freeze_count() == before
