@@ -587,7 +587,7 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     if not np.isfinite(_keys(h, ybar[None, :])[0]):
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     k = h.direction.k
-    pos, _, _, ak, _ = h.motions[0]  # the one leaf's rows moving along k, and their a·k
+    pos, _, _, ak, _, _ = h.motions[0]  # the one leaf's rows moving along k, and their a·k
     ratios = (poly.normals @ (ybar - offset) - poly.offsets)[pos] / ak[:, 0]
     j = int(np.argmax(ratios))
     row = poly.normals[pos][j]

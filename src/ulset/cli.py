@@ -30,6 +30,7 @@ from .evaluator import (
     make_handle,
     _keys,
     _spans,
+    _LINE_FLOATS,
 )
 from .geometry import (Polyhedron, set_from_json, _CONE_FILE, _CONFIG, _field, _invalid, _list,
                        _number, _rows, _vector)
@@ -113,7 +114,7 @@ def _cmd_eval(args) -> int:
     # every point is evaluated before the first write, so an error leaves stdout empty
     i = 0
     for part in parts:
-        for a, b in _spans(len(part), scalarization._LINE_FLOATS):
+        for a, b in _spans(len(part), _LINE_FLOATS):
             keys = part[a:b].tolist()
             sys.stdout.write("".join(f"{j},{key_text(v)}\n" for j, v in enumerate(keys, i)))
             i += len(keys)

@@ -67,6 +67,11 @@ MINUS_INF_SENTINEL = -1e30
 #: not fresh pages. :func:`_spans` is its one reader.
 _BLOCK_FLOATS = 2**14
 
+#: A line of a points CSV, or of `ulset eval` output, takes about 30
+#: bytes, four floats' worth: the width :func:`_spans` sizes blocks of
+#: lines by.
+_LINE_FLOATS = 4
+
 #: Message of the InvalidInput for a row value or key that is not finite.
 _OVERFLOW = "a value of the functional overflows the float range"
 
@@ -264,11 +269,17 @@ def make_handle(
 
 def _motion(ak: np.ndarray) -> tuple:
     """How rows with a·k in ak move along k: the mask of moving rows (a·k >
-    AK_POSITIVE_MIN), whether all and any move, their a·k as a column, and
-    the translate column, a·k on the moving rows and 0 on the static ones."""
+    AK_POSITIVE_MIN), whether all and any move, their a·k as a column,
+    whether that column is all exactly 1.0, and the translate column, a·k
+    on the moving rows and 0 on the static ones.
+
+    x / 1.0 is x bit for bit for every double x, -0.0, subnormals and
+    ±inf included, so :func:`_rows_keys` skips the division of rows whose
+    a·k are all 1.0, as on the nonnegative orthant with k = (1, ..., 1)."""
     moving = ak > AK_POSITIVE_MIN
-    return (moving, bool(moving.all()), bool(moving.any()), ak[moving, None],
-            np.where(moving, ak, 0.0)[:, None])
+    divisor = ak[moving, None]
+    return (moving, bool(moving.all()), bool(moving.any()), divisor,
+            bool((divisor == 1.0).all()), np.where(moving, ak, 0.0)[:, None])
 
 
 def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
@@ -280,9 +291,11 @@ def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
     row order. A static row is -inf where the point satisfies it and nu
     where it does not. A value that is not finite, on either kind of
     row, is refused. G is a temporary of the caller's and is divided in
-    place, so that a block holds one array of its size, not two.
+    place, so that a block holds one array of its size, not two. Where
+    every moving row has a·k exactly 1.0 the division is an identity (see
+    :func:`_motion`) and is skipped; the refusal after it still runs.
     """
-    moving, all_moving, any_moving, divisor, _ = motion
+    moving, all_moving, any_moving, divisor, unit, _ = motion
     parts = []
     if not all_moving:
         S = G[~moving]
@@ -292,20 +305,35 @@ def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
         parts.append(np.where(violated.all(0) if union else violated.any(0), np.inf, -np.inf))
     if any_moving:
         T = G if all_moving else G[moving]
-        T /= divisor
+        if not unit:
+            T /= divisor
         if not np.isfinite(T).all():
             raise InvalidInput(_OVERFLOW)
         parts.append(T.min(0) if union else T.max(0))
     return reduce(np.minimum if union else np.maximum, parts)
 
 
+def _row_values(rows, P: np.ndarray) -> np.ndarray:
+    """R·y - c on a plan leaf's rows at the points P, coordinate-major, as
+    a new (rows, n) array.
+
+    x - (+0.0) is x bit for bit for every double x, -0.0, subnormals and
+    ±inf included, so a leaf whose offsets are all +0.0 (``rows.zero``),
+    such as a cone through the origin, skips the subtraction. x - (-0.0)
+    turns -0.0 into +0.0, so a leaf with a -0.0 offset, as a complement
+    member reversing b = 0 has, still subtracts.
+    """
+    G = rows.R @ P
+    if not rows.zero:
+        G -= rows.c
+    return G
+
+
 def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
     """Keys at the points Yt, coordinate-major (m, n), from the set's plan
     and the row motions cached on h."""
     def leaf(rows, P):
-        G = rows.R @ P
-        G -= rows.c
-        return _rows_keys(G, h.motions[rows.i], rows.union)
+        return _rows_keys(_row_values(rows, P), h.motions[rows.i], rows.union)
 
     return fold_plan(h.set.plan[0], Yt, leaf)
 
@@ -339,8 +367,7 @@ def _translate_outside(h: FunctionalHandle, Yt: np.ndarray, t) -> np.ndarray:
     a static row. A row value that is not finite is refused."""
     def leaf(rows, P):
         *_, column = h.motions[rows.i]
-        G = rows.R @ P
-        G -= rows.c
+        G = _row_values(rows, P)
         G -= column * t
         if not np.isfinite(G).all():
             raise InvalidInput(_OVERFLOW)

@@ -283,7 +283,8 @@ class Direction:
 
 #: Leaf i of a row plan: rows R·y <= c (c a column), all of which hold, or
 #: with union one: a complement member's rows, reversed once to (-a)·y <= -b.
-Leaf = namedtuple("Leaf", "i R c union")
+#: zero: whether every entry of c is +0.0; a reversed b = 0 is -0.0, not +0.0.
+Leaf = namedtuple("Leaf", "i R c union zero")
 #: Inner plan node: the elementwise min (union) or max of its members'
 #: arrays in member order, at the points less offset (a column) for a shift.
 Fold = namedtuple("Fold", "offset union members")
@@ -294,7 +295,8 @@ def _compile(s: SetExpr, leaves: list, union: bool = False):
     it appends to leaves. ``union`` marks s as a complement member."""
     if isinstance(s, Polyhedron):
         R, c = (-s.normals, -s.offsets) if union else (s.normals, s.offsets)
-        leaves.append(Leaf(len(leaves), R, c[:, None], union))
+        zero = not (c.any() or np.signbit(c).any())
+        leaves.append(Leaf(len(leaves), R, c[:, None], union, zero))
         return leaves[-1]
     if isinstance(s, Shift):
         return Fold(s.offset[:, None], False, (_compile(s.base, leaves),))

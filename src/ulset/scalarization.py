@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, UlsetError, record
-from .evaluator import ExtReal, make_handle, _keys, _spans
+from .evaluator import ExtReal, make_handle, _keys, _spans, _LINE_FLOATS
 from .geometry import HalfSpace, Polyhedron, contains_many, _as_vector
 
 #: Strict margin for interior-of-cone (weak domination) tests.
@@ -214,12 +214,6 @@ def trace_front(F, C: OrderCone, k, refs) -> dict[int, tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # CSV interchange
-
-
-#: A line of a points CSV, or of `ulset eval` output, takes about 30
-#: bytes, four floats' worth: the width :func:`_spans` sizes blocks of
-#: lines by.
-_LINE_FLOATS = 4
 
 
 def load_points_csv(path) -> PointCloud:

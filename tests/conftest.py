@@ -64,11 +64,12 @@ def reference_contains(s, pts: np.ndarray, eps: float) -> np.ndarray:
     raise TypeError(f"no reference for {type(s).__name__}")
 
 
-def kernel_handle(s, k) -> FunctionalHandle:
-    """A closed-form handle on s and k with no certificate, so that kernel
-    tests can use one k for every set, a complement closure included."""
+def kernel_handle(s, k, strategy=Strategy.CLOSED_FORM) -> FunctionalHandle:
+    """A handle on s and k with no certificate, by default on the closed
+    form, so that kernel tests can use one k for every set, a complement
+    closure included."""
     return FunctionalHandle(s, Direction(k, RecessionCone((), exact=False), False),
-                            Strategy.CLOSED_FORM)
+                            Strategy(strategy))
 
 
 # The closed form and the outside mask before the row plan: one walk of the
@@ -114,7 +115,9 @@ def reference_rows_keys(G: np.ndarray, ak: np.ndarray, union: bool) -> np.ndarra
 
 
 def reference_closed_batch(s, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Keys at the points Y, an (n, m) array."""
+    """Keys at the points Y, an (n, m) array, from (R·y - c) / a·k on every
+    moving row: c is subtracted and a·k divided by whatever their values,
+    +0.0 and 1.0 included."""
     return reference_fold_rows(s, Y, lambda R, c, P, union: reference_rows_keys(
         R @ P.T - c[:, None], R @ k, union))
 

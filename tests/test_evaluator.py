@@ -33,14 +33,15 @@ from ulset import (
     make_handle,
 )
 from ulset.cli import _load_config, main
-from ulset.evaluator import (_BLOCK_FLOATS, AK_POSITIVE_MIN, EPS_MEMBERSHIP, KIND_FINITE,
-                             KIND_MINUS_INF, KIND_NU, _closed_batch, _motion, _keys, _rows_keys,
-                             _spans, _translate_outside)
+from ulset.analysis import check_subgradient_bound
+from ulset.evaluator import (_BLOCK_FLOATS, _OVERFLOW, AK_POSITIVE_MIN, EPS_MEMBERSHIP,
+                             KIND_FINITE, KIND_MINUS_INF, KIND_NU, _closed_batch, _motion, _keys,
+                             _rows_keys, _spans, _translate_outside)
 from ulset.geometry import contains_many, set_to_json
 from ulset.scalarization import OrderCone, _minimize
-from conftest import (three_quadrant_value, kernel_handle, neg_orthant, random_polyhedral_fixture,
-                      reference_bisect, reference_closed_batch, reference_outside, reference_translates,
-                      three_quadrant_union)
+from conftest import (three_quadrant_value, biased_eval, kernel_handle, neg_orthant,
+                      random_polyhedral_fixture, reference_bisect, reference_closed_batch,
+                      reference_outside, reference_translates, three_quadrant_union)
 
 
 class TestClosedFormValues:
@@ -229,6 +230,117 @@ class TestRowsKernel:
                          rng.normal(size=(rows, 50)))
             want = self.row_fold(G, ak, union)
             assert _rows_keys(G, _motion(ak), union).tobytes() == want.tobytes()  # consumes G
+
+
+class TestExactSkips:
+    """A leaf whose offsets are all +0.0 skips subtracting them, and rows
+    whose a·k are all 1.0 skip dividing by it. Both are identities on
+    every double, so both strategies' keys equal, bit for bit, those of
+    conftest's unskipped references, at points with ±0.0, subnormal and
+    near-overflow coordinates; -0.0 offsets, which turn a -0.0 row value
+    into +0.0, are still subtracted; and a row value that overflows is
+    refused on a skipping leaf too."""
+
+    ONES = np.ones(3)
+    EYE = np.eye(3)
+    STATIC = np.array([1.0, -1.0, 0.0])  # a·k == 0 for k = (1, 1, 1) and (2, 2, 0.5)
+    # the leaves' +0.0 offsets, then whether all of a leaf's moving rows have a·k 1.0
+    CASES = {
+        "cone": ("cone", ONES, [True], [True]),
+        "cone_ak_not_1": ("cone", np.array([0.5, 1.0, 2.0]), [True], [False]),
+        "mixed": ("mixed", ONES, [True], [True]),
+        "mixed_ak_not_1": ("mixed", np.array([2.0, 2.0, 0.5]), [True], [False]),
+        "offsets": ("offsets", ONES, [False], [True]),
+        "complement": ("complement", ONES, [False], [True]),
+        "complement_mixed": ("complement_mixed", ONES, [False], [True]),
+        "complement_ak_not_1": ("complement", np.array([0.5, 1.0, 2.0]), [False], [False]),
+        "all": ("all", ONES, [True, False, True], [True, True, True]),
+    }
+
+    @classmethod
+    def sets(cls):
+        def poly(rows, offsets):
+            return Polyhedron(tuple(HalfSpace(a, b) for a, b in zip(rows, offsets)))
+
+        cone = poly(cls.EYE, [0.0] * 3)
+        mixed = poly([*cls.EYE, cls.STATIC], [0.0] * 4)
+        offsets = poly(cls.EYE, [0.5, -1.0, 2.0])
+        return {
+            "cone": cone,
+            "mixed": mixed,
+            "offsets": offsets,
+            # a complement member's rows through the origin reverse to offsets of -0.0
+            "complement": ComplementClosure(poly(-cls.EYE, [0.0] * 3)),
+            "complement_mixed": ComplementClosure(poly([*-cls.EYE, cls.STATIC], [0.0] * 4)),
+            "all": SetIntersection((SetUnion((cone, Shift(offsets, [0.25, -0.5, 1.0]))), mixed)),
+        }
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(29)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                   8e307, -8e307, 1.5, -0.5]
+        Y = np.round(rng.normal(scale=2.0, size=(60, 3)), 1)
+        Y[:40] = rng.choice(special, size=(40, 3))
+        Y[40], Y[41] = 0.0, -0.0
+        return Y
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_flags(self, case):
+        kind, k, zero, unit = self.CASES[case]
+        s = self.sets()[kind]
+        h = kernel_handle(s, k)
+        assert [leaf.zero for leaf in s.plan[1]] == zero
+        assert [motion[4] for motion in h.motions] == unit
+        if kind.startswith("complement"):
+            (leaf,) = s.plan[1]
+            assert not leaf.c.any() and np.signbit(leaf.c).all()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_closed_form_matches_unskipped(self, case):
+        kind, k, *_ = self.CASES[case]
+        s = self.sets()[kind]
+        Y = self.points()
+        want = reference_closed_batch(s, k, Y)
+        assert _keys(kernel_handle(s, k), Y).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bisection_matches_unskipped(self, case):
+        kind, k, *_ = self.CASES[case]
+        s = self.sets()[kind]
+        h = kernel_handle(s, k, Strategy.BISECTION)
+        Y = self.points()
+        assert _keys(h, Y).tobytes() == reference_bisect(h, Y).tobytes()
+
+    @pytest.mark.parametrize("strategy", ["closed_form", "bisection"])
+    def test_unit_row_overflow_refused(self, strategy):
+        # -C's one row (1, 1) has a·k = 1 and offset +0.0: both steps are skipped
+        C, k = OrderCone(Polyhedron((HalfSpace([-1.0, -1.0], 0.0),))), np.array([0.5, 0.5])
+        h = kernel_handle(C.negated(), k, strategy)
+        assert h.set.plan[1][0].zero and h.motions[0][4]
+        with pytest.raises(InvalidInput, match=_OVERFLOW), np.errstate(over="ignore"):
+            _keys(h, [[1e308, 1e308], [0.0, 0.0]])
+        if strategy == "closed_form":
+            with pytest.raises(InvalidInput, match=_OVERFLOW), np.errstate(over="ignore"):
+                _minimize(np.array([[1e308, 1e308], [0.0, 0.0]]), C, k, np.zeros((1, 2)))
+
+    def test_subgradient_report_on_unit_rows(self, monkeypatch):
+        # every row, and every row of the certified cone, has a·k = 1; the
+        # expected reports are those of the code before the skips
+        p = Polyhedron(tuple(HalfSpace(a, b) for a, b in zip(self.EYE, [0.5, -1.0, 2.0])))
+        h = make_handle(Shift(p, [0.25, -0.5, 1.0]), self.ONES)
+        assert h.motions[0][4]
+        ybar = [0.3, -2.0, 1.0]
+        assert check_subgradient_bound(h, ybar, 500, seed=7).to_json_line() == (
+            '{"applicable": 500, "max_defect": 0.0, "name": "subgradient_bound", "samples": 500, '
+            '"seed": 7, "verdict": "Holds", "witness": null}')
+        monkeypatch.setattr("ulset.analysis._keys", biased_eval(-0.05))
+        assert check_subgradient_bound(h, ybar, 500, seed=7).to_json_line() == (
+            '{"applicable": 500, "max_defect": 12.891301227177454, "name": "subgradient_bound", '
+            '"samples": 500, "seed": 7, "verdict": "Violated", "witness": {"inputs": {"y": '
+            '[9.20141834052352, 7.080181426836905, -8.985807080678775], "ybar": [0.3, -2.0, 1.0]}, '
+            '"values": {"cone_bound": -3.989882886653934, "linear": 8.90141834052352, '
+            '"subgradient": [1.0, 0.0, 0.0]}}}')
 
 
 class TestBlockedEvaluation:

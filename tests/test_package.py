@@ -59,8 +59,7 @@ LAZY = ("analysis.py", "norms.py", "scalarization.py")
 
 
 LAZY_RAN = {
-    # eval reads the width of an output line from scalarization
-    "eval": ["scalarization.py"],
+    "eval": [],
     "eval_points": ["scalarization.py"],
     "contour": [],
     "pareto": ["scalarization.py"],
