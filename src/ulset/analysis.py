@@ -42,7 +42,7 @@ from .evaluator import (
     _keys,
     _spans,
 )
-from .geometry import Polyhedron, SetExpr, Shift, contains_many, _as_vector
+from .geometry import Polyhedron, SetExpr, Shift, contains_many, _as_vector, _rows_at
 
 HOLDS = "Holds"
 VIOLATED = "Violated"
@@ -204,9 +204,9 @@ def _blocks(h: FunctionalHandle, n: int, columns: int = 0):
 
     They are the blocks :func:`_spans` gives for samples of
     max(h.point_floats, columns) floats, so without many extra columns a
-    block is one kernel call of :func:`_keys`. A sample's key depends on
-    that sample alone, whatever block or call it is in, so every key is
-    that of one pass over all the samples.
+    block is one kernel call of :func:`_keys`. A sample's key and cone
+    step depend on that sample alone (see :func:`_rows_at`), so every key
+    is that of one pass over all the samples.
     """
     return _spans(n, max(h.point_floats, columns))
 
@@ -229,14 +229,6 @@ def _sample_count(n: int) -> None:
                            f"{MAX_SAMPLES}")
 
 
-def _steps(E: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The cone steps (0.3 * |e|) @ G of the rows e of E. A lone row is
-    multiplied as two copies: a one-row product goes through gemv, which
-    rounds unlike gemm, so each step's bits depend on its row alone."""
-    W = np.abs(np.repeat(E, 2, axis=0) if len(E) == 1 else E) * 0.3
-    return (W @ G)[: len(E)]
-
-
 def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0, G=None):
     """Rejection-sample up to n domain points (value not nu) from the box.
 
@@ -244,8 +236,8 @@ def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0, G=
     uniform columns in [-10, 10] are drawn alongside each candidate so
     that rejection does not disturb the pairing. Oversampling is capped
     at 10x. Given a generator matrix G of at most extra_cols rows, each
-    kept sample holds its :func:`_steps` along G, dim floats, in place of
-    its extra columns.
+    kept sample holds its cone step (0.3 * |e|) @ G, dim floats, in place
+    of its extra columns e.
 
     A round draws n candidates block by block, then their extra columns
     block by block; Generator.uniform split by rows gives the rows of
@@ -279,7 +271,7 @@ def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0, G=
             for a, b in blocks:
                 extras = rng.uniform(-10.0, 10.0, size=(b - a, extra_cols))[keep[a:b]]
                 if G is not None:
-                    extras = _steps(extras[:, : len(G)], G)
+                    extras = _rows_at(np.abs(extras[:, : len(G)]) * 0.3, G)
                 E[first: first + len(extras)] = extras
                 first += len(extras)
     return P[:kept], V[:kept], E[:kept]
@@ -538,7 +530,7 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
     k = h.direction.k
     if h.direction.interior:
         l_bound = ExtReal.finite(
-            max(float(np.linalg.norm(r.a)) / float(r.a @ k) for r in rows))
+            max(float(np.linalg.norm(r.a)) / float(_rows_at(r.a, k)) for r in rows))
     else:
         l_bound = NU
     rng = np.random.default_rng(seed)
@@ -588,10 +580,10 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     k = h.direction.k
     pos, _, _, ak, _, _ = h.motions[0]  # the one leaf's rows moving along k, and their a·k
-    ratios = (poly.normals @ (ybar - offset) - poly.offsets)[pos] / ak[:, 0]
+    ratios = (_rows_at(poly.normals, ybar - offset) - poly.offsets)[pos] / ak[:, 0]
     j = int(np.argmax(ratios))
     row = poly.normals[pos][j]
-    ystar = row / float(row @ k)
+    ystar = row / float(_rows_at(row, k))
 
     rec = make_handle(h.direction.cert.to_polyhedron(), k, t_max=h.t_max, tol=h.tol)
     rng = np.random.default_rng(seed)
@@ -600,7 +592,7 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     for a, b in _blocks(rec, n_samples):
         y = rng.uniform(lo, hi, size=(b - a, h.set.dim))
         rhs = _keys(rec, y - ybar)
-        lhs = (y - ybar) @ ystar
+        lhs = _rows_at(y - ybar, ystar)
         worst.add(_le_defect(lhs, rhs), lambda i: {
             "inputs": {"y": y[i].tolist(), "ybar": ybar.tolist()},
             "values": {"linear": float(lhs[i]), "cone_bound": _ext_json(rhs[i]),

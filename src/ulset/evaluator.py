@@ -48,6 +48,9 @@ from .geometry import (
     certify_direction,
     fold_plan,
     _as_points,
+    _outside,
+    _row_values,
+    _rows_at,
 )
 
 DEFAULT_T_MAX = 1e12
@@ -238,7 +241,7 @@ class FunctionalHandle:
     @cached_property
     def motions(self) -> tuple:
         """Per leaf of the set's plan, at its index: its rows' :func:`_motion`."""
-        return tuple(_motion(leaf.R @ self.direction.k) for leaf in self.set.plan[1])
+        return tuple(_motion(_rows_at(leaf.R, self.direction.k)) for leaf in self.set.plan[1])
 
     @cached_property
     def point_floats(self) -> int:
@@ -301,8 +304,7 @@ def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
         S = G[~moving]
         if not np.isfinite(S).all():
             raise InvalidInput(_OVERFLOW)
-        violated = S > EPS_MEMBERSHIP
-        parts.append(np.where(violated.all(0) if union else violated.any(0), np.inf, -np.inf))
+        parts.append(np.where(_outside(union, S <= EPS_MEMBERSHIP), np.inf, -np.inf))
     if any_moving:
         T = G if all_moving else G[moving]
         if not unit:
@@ -311,22 +313,6 @@ def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
             raise InvalidInput(_OVERFLOW)
         parts.append(T.min(0) if union else T.max(0))
     return reduce(np.minimum if union else np.maximum, parts)
-
-
-def _row_values(rows, P: np.ndarray) -> np.ndarray:
-    """R·y - c on a plan leaf's rows at the points P, coordinate-major, as
-    a new (rows, n) array.
-
-    x - (+0.0) is x bit for bit for every double x, -0.0, subnormals and
-    ±inf included, so a leaf whose offsets are all +0.0 (``rows.zero``),
-    such as a cone through the origin, skips the subtraction. x - (-0.0)
-    turns -0.0 into +0.0, so a leaf with a -0.0 offset, as a complement
-    member reversing b = 0 has, still subtracts.
-    """
-    G = rows.R @ P
-    if not rows.zero:
-        G -= rows.c
-    return G
 
 
 def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
@@ -371,8 +357,7 @@ def _translate_outside(h: FunctionalHandle, Yt: np.ndarray, t) -> np.ndarray:
         G -= column * t
         if not np.isfinite(G).all():
             raise InvalidInput(_OVERFLOW)
-        holds = G <= EPS_MEMBERSHIP
-        return ~(holds.any(0) if rows.union else holds.all(0))
+        return _outside(rows.union, G <= EPS_MEMBERSHIP)
 
     return fold_plan(h.set.plan[0], Yt, leaf)
 
@@ -445,7 +430,7 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     h.point_floats floats each, and fill one key array, so memory grows
     with the points and not with rows times points; a block is the view
     ``pts[a:b].T``. A point's key depends on that point alone, whatever
-    block, chunk or call it is in (see :func:`fold_plan`), so the keys are
+    block, chunk or call it is in (see :func:`_rows_at`), so the keys are
     bitwise those of one pass over all the points, or of one call per
     point.
     """
@@ -499,7 +484,7 @@ def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
             "dual evaluation needs a polyhedron or a union of polyhedra"
         ) from exc
     for ci, child in enumerate(comp.polyhedra):
-        ak = child.normals @ h.direction.k
+        ak = _rows_at(child.normals, h.direction.k)
         bad = np.where(ak <= AK_POSITIVE_MIN)[0]
         if bad.size:
             i = int(bad[0])

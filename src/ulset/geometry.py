@@ -307,18 +307,45 @@ def _compile(s: SetExpr, leaves: list, union: bool = False):
     raise Unsupported(f"set grammar does not cover {type(s).__name__}")
 
 
+def _rows_at(R: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """R @ P, the package's one product of set rows with points or with k.
+
+    With both 2-d, a lone column of P or lone row of R is multiplied as two
+    copies, as gemv can round unlike a wider gemm: so a point's bits do not
+    depend on its block, at inner dimension <= 4 on the kernels CI runs."""
+    m, n = len(R), P.shape[-1]
+    if R.ndim == P.ndim == 2 and 1 in (m, n):
+        return (R.repeat(1 + (m == 1), axis=0) @ P.repeat(1 + (n == 1), axis=1))[:m, :n]
+    return R @ P
+
+
+def _row_values(rows, P: np.ndarray) -> np.ndarray:
+    """R·y - c on a plan leaf's rows at the points P, coordinate-major, as
+    a new (rows, n) array.
+
+    x - (+0.0) is x bit for bit for every double x, -0.0, subnormals and
+    ±inf included, so a leaf whose offsets are all +0.0 (``rows.zero``),
+    such as a cone through the origin, skips the subtraction. x - (-0.0)
+    turns -0.0 into +0.0, so a leaf with a -0.0 offset, as a complement
+    member reversing b = 0 has, still subtracts.
+    """
+    G = _rows_at(rows.R, P)
+    if not rows.zero:
+        G -= rows.c
+    return G
+
+
+def _outside(union: bool, holds: np.ndarray) -> np.ndarray:
+    """Outside mask of a leaf from its rows' holds: inside needs all to hold, or any if union."""
+    return ~(holds.any(0) if union else holds.all(0))
+
+
 def fold_plan(node, Yt: np.ndarray, leaf) -> np.ndarray:
     """Fold a plan node into one value per point of Yt, an (m, n) array of
     coordinate-major points, where leaf(node, Yt) gives a leaf's: the
     closed form on lattice keys (-inf < finite < nu), or membership on an
-    outside mask, where min is logical and, max logical or.
-
-    A point's value depends on that point alone, whatever block, chunk or
-    call it is in: a lone point is folded as two copies of itself, since a
-    one-column matrix product goes through gemv, which can round unlike
-    the same column of a wider product."""
-    if Yt.shape[1] == 1:
-        return fold_plan(node, Yt.repeat(2, axis=1), leaf)[:1]
+    outside mask, where min is logical and, max logical or. Leaves meet
+    the points in :func:`_rows_at`, which owns the lone-point rule."""
     if isinstance(node, Leaf):
         return leaf(node, Yt)
     if node.offset is not None:
@@ -330,17 +357,15 @@ def fold_plan(node, Yt: np.ndarray, leaf) -> np.ndarray:
 def contains_many(s: SetExpr, Y, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
     """Vectorized membership test; returns a boolean array, one per row of Y.
 
-    Each halfspace is tested as a·y <= b + eps.
+    Each halfspace is tested as a·y <= b + eps; the evaluator's a·y - b <= eps
+    (:func:`_row_values`) can disagree within an ulp of b + eps, until one
+    rule is chosen for both (see the README).
     """
     if eps < 0:
         raise InvalidInput("membership tolerance must be nonnegative")
     pts = _as_points(Y, s.dim)
-
-    def outside(rows, Yt):
-        holds = rows.R @ Yt <= rows.c + eps
-        return ~(holds.any(0) if rows.union else holds.all(0))
-
-    return ~fold_plan(s.plan[0], pts.T, outside)
+    return ~fold_plan(s.plan[0], pts.T,
+                      lambda rows, Yt: _outside(rows.union, _rows_at(rows.R, Yt) <= rows.c + eps))
 
 
 def contains(s: SetExpr, y, eps: float = EPS_MEMBERSHIP) -> bool:
@@ -379,7 +404,7 @@ def certify_direction(s: SetExpr, k) -> Direction:
     """
     kv = _as_vector(k, s.dim, "direction")
     cone = recession_cone(s)
-    products = [float(h.a @ kv) for h in cone.halfspaces]
+    products = [float(_rows_at(h.a, kv)) for h in cone.halfspaces]
     for i, p in enumerate(products):
         if p < -CERT_SLACK:
             raise DirectionRejected(

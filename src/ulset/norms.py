@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DirectionRejected, InvalidInput, PreconditionFailed
 from .evaluator import make_handle, _keys
-from .geometry import INTERIOR_MARGIN, Shift, _as_vector
+from .geometry import INTERIOR_MARGIN, Shift, _as_vector, _rows_at
 from .analysis import (PropertyReport, _Worst, _blocks, _eq_defect, _ext_json, _sample_count,
                        _verdict)
 from .scalarization import OrderCone
@@ -98,7 +98,7 @@ def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
     G = np.stack(C.generators)
     worst = _Worst(1e-7)
     for lo, hi in _blocks(score, n_samples, len(G)):
-        Y = a + rng.uniform(0.0, 5.0, size=(hi - lo, len(G))) @ G
+        Y = a + _rows_at(rng.uniform(0.0, 5.0, size=(hi - lo, len(G))), G)
         lhs = _order_unit_values(norm, Y - a)
         rhs = _keys(score, Y)
         worst.add(_eq_defect(lhs, rhs, mismatch=1.0 + np.abs(lhs)), lambda i: {

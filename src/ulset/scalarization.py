@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput, UlsetError, record
 from .evaluator import ExtReal, make_handle, _keys, _spans, _LINE_FLOATS
-from .geometry import HalfSpace, Polyhedron, contains_many, _as_vector
+from .geometry import HalfSpace, Polyhedron, contains_many, _as_points, _as_vector, _rows_at
 
 #: Strict margin for interior-of-cone (weak domination) tests.
 INT_CONE_MARGIN = 1e-9
@@ -127,10 +127,8 @@ class OrderCone:
 
     def interior_contains_many(self, Y) -> np.ndarray:
         """Strict membership a_i·y < -margin on every row, vectorized."""
-        pts = np.asarray(Y, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        return (self.rep.normals @ pts.T < -INT_CONE_MARGIN).all(axis=0)
+        pts = _as_points(Y, self.dim)
+        return (_rows_at(self.rep.normals, pts.T) < -INT_CONE_MARGIN).all(axis=0)
 
 
 def _cloud(points) -> PointCloud:
@@ -159,8 +157,8 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
     its value at the points F - a, the same subtraction a handle on the
     shifted cone a - C does. Each block of references that :func:`_spans`
     gives for n * m floats each is scored by one :func:`_keys` call on its
-    differences. A point's key depends on that point alone, so the keys are
-    bitwise those of one reference at a time.
+    differences. Keys depend on their point alone (see :func:`_rows_at`), so
+    they are bitwise those of one reference at a time.
     """
     F = _cloud(F)
     if F.dim != C.dim:

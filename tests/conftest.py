@@ -277,7 +277,7 @@ def reference_check_monotone(h, cone, strict: bool = False, n_samples: int = 100
         W = np.abs(E[a:b, : G.shape[0]]) * 0.3
         # one deviation: a one-row product goes through gemv, which rounds
         # unlike gemm, so a lone row is multiplied as two copies, as
-        # geometry.fold_plan folds a lone point
+        # geometry._rows_at multiplies a lone row or point
         B = (np.repeat(W, 2, axis=0) @ G)[:1] if b - a == 1 else W @ G
         v1 = _keys(h, y - B)
         ok = v1 < np.inf

@@ -195,7 +195,7 @@ class TestRowPlan:
         h = kernel_handle(s, k)
 
         for y in Y:
-            # fold_plan runs a lone point as two copies of itself: its key is the first
+            # _rows_at multiplies a lone point as two copies of itself: its key is the first
             want = reference_closed_batch(s, k, y.repeat(2, axis=0) if n == 1 else y)[:n]
             for P in (y.T, np.ascontiguousarray(y.T)):
                 assert _closed_batch(h, P).tobytes() == want.tobytes()
@@ -891,3 +891,22 @@ def test_only_the_evaluator_names_the_block_budget():
     """Every block loop takes its edges from _spans: no module but
     evaluator names _BLOCK_FLOATS."""
     assert _named_outside(("evaluator.py",), lambda name: name == "_BLOCK_FLOATS") == []
+
+
+def test_only_rows_at_multiplies():
+    """Every product over set rows goes through geometry._rows_at, which
+    owns the lone-operand rule: the package's every @ is inside it, and no
+    module names dot, matmul, einsum, inner, vdot or tensordot."""
+    src = Path(__file__).parent.parent / "src" / "ulset"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+    def matmults(tree):
+        return sum(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+    rows_at, = (node for node in ast.walk(trees["geometry.py"])
+                if isinstance(node, ast.FunctionDef) and node.name == "_rows_at")
+    assert matmults(rows_at) > 0
+    assert {name: matmults(tree) for name, tree in trees.items()} == {
+        name: matmults(rows_at) if name == "geometry.py" else 0 for name in trees}
+    assert _named_outside((), lambda name: name in (
+        "dot", "matmul", "einsum", "inner", "vdot", "tensordot")) == []

@@ -21,7 +21,7 @@ from ulset import (
     set_to_json,
 )
 from ulset.evaluator import _translate_outside, make_handle
-from ulset.geometry import EPS_MEMBERSHIP
+from ulset.geometry import EPS_MEMBERSHIP, _rows_at
 from conftest import neg_orthant, reference_contains, three_quadrant_union
 
 
@@ -153,6 +153,30 @@ def test_translate_rule_matches_membership_of_translates(case):
     assert clear.mean() > 0.9
     inside = ~_translate_outside(make_handle(s, k), Y.T, t)
     assert (inside[clear] == contains_many(s, X)[clear]).all()
+
+
+@pytest.mark.parametrize("width", [2, 3, 7, 45, 300])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+class TestRowsAt:
+    """A column's (row's) bits depend on that column (row) alone, however
+    many share the product. Only inner dimensions 1-4 are checked: wider
+    products round a column by their width under some BLAS kernels."""
+
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_each_column_is_its_own_product(self, d, width, rows):
+        rng = np.random.default_rng(100 * d + width)
+        R, P = rng.normal(size=(rows, d)), rng.normal(scale=3.0, size=(d, width))
+        wide = _rows_at(R, P)
+        for j in range(width):
+            assert wide[:, [j]].tobytes() == _rows_at(R, P[:, [j]]).tobytes()
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_each_row_is_its_own_product(self, d, width, cols):
+        rng = np.random.default_rng(100 * d + width + 1)
+        W, G = np.abs(rng.uniform(-10, 10, size=(width, d))) * 0.3, rng.normal(size=(d, cols))
+        wide = _rows_at(W, G)
+        for i in range(width):
+            assert wide[[i]].tobytes() == _rows_at(W[[i]], G).tobytes()
 
 
 class TestRecessionCone:

@@ -97,6 +97,17 @@ class TestWeaklyEfficient:
         F = PointCloud(np.array([[0.0, 1.0], [0.0, 2.0]]))
         assert weakly_efficient(F, orthant2) == [0, 1]
 
+    def test_non_finite_difference_rejected(self, orthant2):
+        # (1e308, 1e308) - (-1e308, -1e308) overflows; 0·inf must not read as efficient
+        F = np.array([[1e308, 1e308], [-1e308, -1e308]])
+        assert weakly_efficient(0.1 * F, orthant2) == [1]
+        with pytest.raises(InvalidInput, match="finite coordinates"), np.errstate(over="ignore"):
+            weakly_efficient(F, orthant2)
+
+    def test_interior_test_refuses_wrong_width(self, orthant2):
+        with pytest.raises(InvalidInput, match=r"shape \(n, 2\)"):
+            orthant2.interior_contains_many(np.ones((4, 3)))
+
 
 class TestMinimizeBlocks:
     """Blocked scoring gives, bit for bit, what one _keys call per
