@@ -143,7 +143,11 @@ def scalarize(F, C: OrderCone, k, a) -> tuple[list[int], ExtReal]:
     Returns (indices of all minimizers within 1e-9 of the minimum over
     finite scores, minimal value). Points scoring nu are excluded; if
     every point scores nu the argmin is empty and the value is nu. A
-    -inf score short-circuits the minimum.
+    -inf score short-circuits the minimum. The score is that of a handle
+    on -C at F - a, and :func:`_minimize` finds its minimizers by filter
+    and refine: where every row of -C moves along k, only the points that
+    a certified filter cannot rule out get an exact key, and the result is
+    bitwise that of scoring every point.
     """
     arg, key = _minimize(F, C, k, _as_vector(a, C.dim, "reference point")[None, :])[0]
     return arg, ExtReal.from_key(key)
@@ -155,32 +159,117 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
 
     One handle on -C serves every reference point a: the score against a is
     its value at the points F - a, the same subtraction a handle on the
-    shifted cone a - C does. Each block of references that :func:`_spans`
-    gives for n * m floats each is scored by one :func:`_keys` call on its
-    differences. Keys depend on their point alone (see :func:`_rows_at`), so
-    they are bitwise those of one reference at a time.
+    shifted cone a - C does. The references go in the blocks that
+    :func:`_spans` gives for n floats each, the (B, n) filter values below,
+    or for n·m, their differences, where a row of -C is static; each block
+    is scored by filter and refine.
+
+    Filter. Where every row R_r of -C moves along k (R_r·k >
+    AK_POSITIVE_MIN), the score of F_p against a is
+    max_r R_r·(F_p - a)/(R_r·k). So U = R·F/(R·k) is taken once for the
+    cloud and V = R·a/(R·k) once per block, and the filter value of F_p
+    against a is A_p = max_r (U_rp - V_ra): one (B, n) array per block, with
+    no difference built and nothing validated again.
+
+    Bound. Let S_r = Σ_j |R_rj|·(max_p |F_pj| + max_a |a_j|)/(R_r·k), the
+    maxima over the cloud and the block, γ_j = j·u/(1 - j·u) and u = 2**-53.
+    The exact key rounds F_p - a, the m products of a row and their sum, and
+    the division; the filter rounds the products and sums of U and V, their
+    divisions and U - V. Either way a row's value lies within γ_{m+2}·S_r of
+    the real R_r·(F_p - a)/(R_r·k), and so does the max over rows: a filter
+    value lies within 2·γ_{m+2}·max_r S_r of the exact key. With
+    E = 4·γ_{m+3}·max_r S_r + 2**-1000 (γ_{m+3} for the rounding of S
+    itself, 2**-1000 for underflow), every point whose key is within
+    ARGMIN_TOL of the least key has A_p <= min A + ARGMIN_TOL + 2E. The
+    threshold gets a relative margin of 2**-50 for its own rounding and that
+    of the key comparison, and the points at or below it are the block's
+    candidates. A block takes the filter only where max_r S_r < 2**1021, so no
+    difference or key of it overflows. Where a row of -C is static, or the
+    bound is larger or not finite, every point of the block is a candidate.
+
+    Refine. Candidates gather over blocks; at the end of a block where they
+    number at least the block's B·n, their differences F_p - a go to one
+    :func:`_keys` call, so memory stays bounded even where every point ties.
+    Each reference's minimum is the least exact key of its candidates
+    (``np.minimum.reduceat``), and its indices are those of the candidates
+    within ARGMIN_TOL of it. Keys depend on their point alone (see
+    :func:`_rows_at`), so values and indices are bitwise those of one
+    :func:`_keys` call per reference on all of F - a; a block whose every
+    point is a candidate refuses a difference or key that overflows as
+    that call does.
     """
     F = _cloud(F)
     if F.dim != C.dim:
         raise InvalidInput(f"cloud has dimension {F.dim}, cone has {C.dim}")
+    if not np.isfinite(F.points).all():
+        raise InvalidInput("point cloud has non-finite entries")
     if refs.ndim != 2 or refs.shape[1] != C.dim:
         raise InvalidInput(f"reference points have shape {refs.shape}, cone has dimension {C.dim}")
     if not np.isfinite(refs).all():
         raise InvalidInput("reference points have non-finite entries")
     h = make_handle(C.negated(), k)
     n, m = F.points.shape
-    Ft = np.ascontiguousarray(F.points.T)
-    out = []
-    for i, j in _spans(refs.shape[0], n * m):
-        # differences made in the call die with it; _keys refuses any that overflow
-        keys = _keys(h, (Ft[:, None, :] - refs[i:j].T[:, :, None])
-                     .reshape(m, -1).T).reshape(-1, n)
-        low = keys.min(axis=1)
-        hits = keys <= (low + ARGMIN_TOL)[:, None]
-        # -inf is the least key, so it wins; a cloud scoring nu everywhere has no minimizer
-        out.extend(([] if lo == np.inf else np.flatnonzero(hit).tolist(), lo)
-                   for lo, hit in zip(low.tolist(), hits))
+    R, (_, all_moving, _, ak, *_) = h.set.normals, h.motions[0]
+    if all_moving:
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = _rows_at(R, F.points.T)
+            U /= ak
+        absR = np.abs(R)
+        Fmax = np.maximum(F.points.max(axis=0), -F.points.min(axis=0))
+        gamma = (m + 3) * 2.0**-53 / (1 - (m + 3) * 2.0**-53)
+    out, pending, count = [], [], 0
+    for i, j in _spans(len(refs), n if all_moving else n * m):
+        mask = None
+        if all_moving:
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = (_rows_at(absR, Fmax + np.abs(refs[i:j]).max(axis=0)) / ak[:, 0]).max()
+            if s < 2.0**1021:
+                mask = _candidates(U, _rows_at(R, refs[i:j].T) / ak,
+                                   ARGMIN_TOL + 2 * (4 * gamma * s + 2.0**-1000))
+        # candidates as flat indices reference * n + point, in order
+        pending.append(np.arange(i * n, j * n) if mask is None else np.flatnonzero(mask) + i * n)
+        count += len(pending[-1])
+        del mask
+        if count >= (j - i) * n or j == len(refs):
+            pairs, pending, count = np.concatenate(pending), [], 0
+            out.extend(_refine(h, F.points, refs, pairs))
     return out
+
+
+def _candidates(U: np.ndarray, V: np.ndarray, reach: float) -> np.ndarray:
+    """The (B, n) mask of a block's candidates, A <= min A + reach with a
+    relative margin of 2**-50, where A is the max over rows of U - V: U the
+    cloud's (rows, n) filter values and V the block's (rows, B) ones (see
+    :func:`_minimize`)."""
+    A = np.subtract(U[0], V[0][:, None])
+    T = np.empty_like(A)
+    for u, v in zip(U[1:], V[1:]):
+        np.maximum(A, np.subtract(u, v[:, None], out=T), out=A)
+    low = A.min(axis=1)
+    return A <= (low + reach + 2.0**-50 * (np.abs(low) + reach))[:, None]
+
+
+def _refine(h, F: np.ndarray, refs: np.ndarray, pairs: np.ndarray) -> list[tuple[list[int], float]]:
+    """:func:`_minimize`'s result for consecutive references, from the exact
+    keys of their candidates alone: pairs holds the candidates as flat
+    indices reference * n + point into the (n, m) cloud F, in order, at
+    least one for each reference."""
+    r, p = np.divmod(pairs, len(F))
+    # C-ordered (m, c), the layout whose keys TestReferenceBlocks pins
+    D = np.take(F.T, p, axis=1)
+    D -= np.take(refs.T, r, axis=1)
+    keys = _keys(h, D.T)
+    del D
+    # counts by bincount: a reduction of bools cast to ints takes a 128 KiB
+    # buffer, which showed in the peak RSS of a small pareto
+    r -= r[0]
+    counts = np.bincount(r)
+    low = np.minimum.reduceat(keys, np.cumsum(counts) - counts)
+    hit = keys <= (low + ARGMIN_TOL)[r]
+    args, stops = p[hit].tolist(), np.bincount(r[hit], minlength=len(low)).cumsum().tolist()
+    # -inf is the least key, so it wins; a cloud scoring nu everywhere has no minimizer
+    return [([] if lo == np.inf else args[a:b], lo)
+            for lo, a, b in zip(low.tolist(), [0] + stops, stops)]
 
 
 def weakly_efficient(F, C: OrderCone) -> list[int]:

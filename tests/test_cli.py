@@ -392,6 +392,16 @@ class TestMalformedInput:
                      "--samples", "600000"]) == 0
         assert calls == [("sublevel", 600000)]
 
+    @pytest.mark.parametrize("refs", [False, True], ids=["cloud-as-refs", "refs-file"])
+    def test_non_finite_cloud_is_named(self, refs, tmp_path, capsys):
+        # the cloud's nan was blamed on the reference points without --refs,
+        # and on "points" in general with it
+        pts = tmp_path / "f.csv"
+        pts.write_text("0,3\nnan,1\n")
+        extra = ["--refs", str(GOLDEN / "points.csv")] if refs else []
+        err = self._assert_rejected(["pareto", "--points", str(pts), "--k", "1,1", *extra], capsys)
+        assert err == "error: point cloud has non-finite entries\n"
+
     def test_negative_seed(self, cone_config, capsys):
         # numpy's own message, "expected non-negative integer", named no option
         err = self._assert_rejected(["check", cone_config, "--seed", "-1"], capsys)

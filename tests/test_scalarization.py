@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulset import (
     DirectionRejected,
@@ -223,6 +224,125 @@ class TestMinimizeBlocks:
         assert len(_minimize(F, orthant2, [1.0, 1.0], refs[:-1])) == 2 * 1365
         with pytest.raises(InvalidInput, match="finite coordinates"), np.errstate(over="ignore"):
             _minimize(F, orthant2, [1.0, 1.0], refs)
+
+
+class TestFilterRefine:
+    """Where every row of -C moves along k, _minimize gives exact keys only
+    to the points its certified filter cannot rule out: bit for bit what
+    one _keys call per reference gives (TestMinimizeBlocks.per_reference)."""
+
+    assert_bitwise = TestMinimizeBlocks.assert_bitwise
+
+    @staticmethod
+    def moving_cone(rng, m, k):
+        """1-6 rows a with a·k < 0 by a margin, so every row of -C moves
+        along k, with a·k other than 1."""
+        rows, count = [], int(rng.integers(1, 7))
+        while len(rows) < count:
+            a = rng.normal(size=m) * rng.uniform(0.5, 3.0)
+            a = -a if a @ k > 0 else a
+            if a @ k < -0.1 * np.linalg.norm(a) * np.linalg.norm(k):
+                rows.append(a)
+        return OrderCone(Polyhedron(tuple(HalfSpace(a, 0.0) for a in rows)))
+
+    @staticmethod
+    def scored(F, C, k, refs):
+        """_minimize's result and the number of points it gave exact keys."""
+        with mock.patch.object(scalarization, "_keys", wraps=_keys) as spy:
+            out = _minimize(F, C, k, refs)
+        return out, sum(len(call.args[1]) for call in spy.call_args_list)
+
+    @staticmethod
+    def near_ties(rng, F, k):
+        """F with copies of some of its points moved by 0.5, 1 and 1.5
+        ARGMIN_TOL along k, which moves their scores by as much."""
+        picks = F[rng.integers(0, len(F), size=4)]
+        return np.concatenate([F, *(picks + c * ARGMIN_TOL * k for c in (0.5, 1.0, 1.5))])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e9])
+    def test_moving_cones(self, scale):
+        # coarse coordinates give duplicates and exact ties; at 1e9 a tie
+        # within ARGMIN_TOL is one of floats a few ulp apart
+        rng = np.random.default_rng(41 + int(np.log10(scale)))
+        for _ in range(24):
+            m = int(rng.integers(1, 5))
+            k = rng.uniform(0.2, 2.0, size=m)
+            C = self.moving_cone(rng, m, k)
+            F = self.near_ties(rng, np.round(rng.normal(size=(int(rng.integers(1, 300)), m)), 1)
+                               * scale, k)
+            refs = np.concatenate([F[:5], F[-3:], np.round(rng.normal(size=(30, m)), 1) * scale,
+                                   rng.normal(size=(5, m)) * scale])
+            self.assert_bitwise(F, C, k, refs)
+            assert self.scored(F, C, k, refs)[1] < len(F) * len(refs)
+
+    def test_one_point_clouds_and_duplicates(self):
+        rng = np.random.default_rng(42)
+        for m in (1, 2, 3, 4):
+            k = rng.uniform(0.2, 2.0, size=m)
+            C = self.moving_cone(rng, m, k)
+            y = rng.normal(size=(1, m))
+            for F in (y, np.repeat(y, 5, axis=0), np.concatenate([y, y + k, y])):
+                self.assert_bitwise(F, C, k, np.concatenate([y, F, rng.normal(size=(20, m))]))
+
+    def test_cloud_above_the_block_budget(self):
+        # 17000 points exceed the budget alone: one reference per block
+        rng = np.random.default_rng(43)
+        k = np.array([1.0, 2.0])
+        C = OrderCone(Polyhedron((HalfSpace([-1.0, 0.25], 0.0), HalfSpace([0.5, -1.0], 0.0))))
+        F = np.round(rng.normal(size=(17000, 2)), 2)
+        assert len(F) > _BLOCK_FLOATS
+        refs = np.concatenate([F[:3], rng.normal(size=(4, 2))])
+        self.assert_bitwise(F, C, k, refs)
+        assert self.scored(F, C, k, refs)[1] < len(F)
+
+    @pytest.mark.parametrize("budget", [1, 100, 777])
+    def test_block_edges(self, budget, monkeypatch):
+        # blocks of 1, 16 and 129 references of 6 points, the candidates
+        # refined together across block edges
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+        rng = np.random.default_rng(budget)
+        k = np.array([1.5, 0.5])
+        C = self.moving_cone(rng, 2, k)
+        F = np.round(rng.normal(size=(6, 2)), 1)
+        refs = np.concatenate([F, np.round(rng.normal(size=(300, 2)), 1)])
+        self.assert_bitwise(F, C, k, refs)
+        assert self.scored(F, C, k, refs)[1] < len(F) * len(refs)
+
+    def test_bound_beyond_the_float_range(self):
+        # near 1e308 S is not below 2**1021, so every point is a candidate,
+        # though every difference and key is finite
+        F = np.array([[1e308, 1e308], [1e308, 9e307], [8e307, 1e308]])
+        k = np.array([1.0, 1.0])
+        self.assert_bitwise(F, OrderCone.nonneg(2), k, F)
+        assert self.scored(F, OrderCone.nonneg(2), k, F)[1] == len(F) ** 2
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_scores_a_few_ulp_apart(self, data):
+        # points a few ulp from one point y, scored against y, against points
+        # a few ulp from it and against one far reference
+        m = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        k = rng.uniform(0.2, 2.0, size=m)
+        C = self.moving_cone(rng, m, k)
+        y = rng.normal(size=m) * 10.0 ** data.draw(st.integers(-3, 9))
+        F = y + rng.integers(-3, 4, size=(data.draw(st.integers(1, 60)), m)) * np.spacing(y)
+        refs = np.concatenate([y[None], F[:3], y + rng.integers(-3, 4, size=(3, m)) * np.spacing(y),
+                               rng.normal(size=(1, m)) * np.abs(y).max()])
+        self.assert_bitwise(F, C, k, refs)
+
+    def test_ties_refine_one_block_at_a_time(self):
+        # 2000 identical points all tie, 4,000,000 candidates in all: beyond
+        # what the result itself holds, a block's worth is held at a time
+        F, refs = np.ones((2000, 3)), np.random.default_rng(44).normal(size=(2000, 3))
+        tracemalloc.start()
+        try:
+            out = _minimize(F, OrderCone.nonneg(3), np.ones(3), refs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(arg == list(range(2000)) for arg, _ in out)
+        assert peak - held < 4 * 2**20
 
 
 class TestTraceFront:
