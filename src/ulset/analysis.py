@@ -42,7 +42,7 @@ from .evaluator import (
     _keys,
     _spans,
 )
-from .geometry import Polyhedron, SetExpr, Shift, contains_many, _as_vector, _rows_at
+from .geometry import contains_many, fold_plan, _as_vector, _exact, _row_values, _rows_at
 
 HOLDS = "Holds"
 VIOLATED = "Violated"
@@ -518,19 +518,20 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
                        bbox=DEFAULT_BBOX) -> LipschitzEstimate:
     """Empirical slope versus the certified row bound.
 
-    The certified bound max ||a||_2 / (a·k) over recession-cone rows
-    applies only when the direction is interior-certified; otherwise it
-    is nu. The sampled slope must not exceed the bound; if it does, the
-    evaluation machinery is inconsistent and this raises.
+    The certified bound max ||a||_2 / (a·k) over the rows h's row motions
+    move, with their a·k, applies only when the direction is
+    interior-certified; otherwise it is nu. The sampled slope must not
+    exceed the bound; if it does, the evaluation is inconsistent and this
+    raises.
     """
     _sample_count(n_pairs)
-    rows = h.direction.cert.halfspaces
-    if not rows:
+    if not h.direction.cert.halfspaces:
         raise PreconditionFailed("a certified recession cone is required")
-    k = h.direction.k
     if h.direction.interior:
-        l_bound = ExtReal.finite(
-            max(float(np.linalg.norm(r.a)) / float(_rows_at(r.a, k)) for r in rows))
+        l_bound = ExtReal.finite(max(
+            float(np.linalg.norm(a)) / float(ak)
+            for leaf, motion in zip(h.set.plan[1], h.motions)
+            for a, ak in zip(leaf.R[motion.moving], motion.divisor[:, 0])))
     else:
         l_bound = NU
     rng = np.random.default_rng(seed)
@@ -549,43 +550,31 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
     return LipschitzEstimate(l_emp, l_bound, h.direction.interior)
 
 
-def _unwrap_polyhedron(s: SetExpr):
-    offset = np.zeros(s.dim)
-    while isinstance(s, Shift):
-        offset = offset + s.offset
-        s = s.base
-    if isinstance(s, Polyhedron):
-        return s, offset
-    return None
-
-
 def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
                             seed: int = 42, bbox=DEFAULT_BBOX) -> PropertyReport:
     """Linearization bound y*·(y - ybar) <= phi_cone(y - ybar).
 
     y* is a_j / (a_j·k) for the lowest-index row attaining the
-    closed-form max at ybar. Needs a plain (possibly shifted)
-    polyhedron, an interior-certified direction and a finite value at
-    ybar; anything else reports Inapplicable. Every row of the certified
-    cone moves along k, so phi_cone is finite everywhere.
+    closed-form max at ybar, both as the closed form takes them. Needs a
+    plan of one leaf with no union or complement, an interior-certified
+    direction and a finite value at ybar; anything else reports
+    Inapplicable. Every row of the certified cone moves along k, so
+    phi_cone is finite everywhere.
     """
     _sample_count(n_samples)
     name = "subgradient_bound"
-    unwrapped = _unwrap_polyhedron(h.set)
-    if unwrapped is None or not h.direction.interior:
+    root, leaves = h.set.plan
+    if len(leaves) != 1 or not _exact(root) or not h.direction.interior:
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
-    poly, offset = unwrapped
     ybar = _as_vector(ybar, h.set.dim, "ybar")
     if not np.isfinite(_keys(h, ybar[None, :])[0]):
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
-    k = h.direction.k
-    pos, _, _, ak, _, _ = h.motions[0]  # the one leaf's rows moving along k, and their a·k
-    ratios = (_rows_at(poly.normals, ybar - offset) - poly.offsets)[pos] / ak[:, 0]
+    motion = h.motions[0]
+    ratios = fold_plan(root, ybar[:, None], _row_values)[motion.moving, 0] / motion.divisor[:, 0]
     j = int(np.argmax(ratios))
-    row = poly.normals[pos][j]
-    ystar = row / float(_rows_at(row, k))
+    ystar = leaves[0].R[motion.moving][j] / motion.divisor[j, 0]
 
-    rec = make_handle(h.direction.cert.to_polyhedron(), k, t_max=h.t_max, tol=h.tol)
+    rec = make_handle(h.direction.cert.to_polyhedron(), h.direction.k, t_max=h.t_max, tol=h.tol)
     rng = np.random.default_rng(seed)
     lo, hi = bbox
     worst = _Worst(1e-7)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections import namedtuple
 from functools import cached_property, reduce
 
 import numpy as np
@@ -48,9 +49,9 @@ from .geometry import (
     certify_direction,
     fold_plan,
     _as_points,
+    _leaf_ak,
     _outside,
     _row_values,
-    _rows_at,
 )
 
 DEFAULT_T_MAX = 1e12
@@ -241,7 +242,7 @@ class FunctionalHandle:
     @cached_property
     def motions(self) -> tuple:
         """Per leaf of the set's plan, at its index: its rows' :func:`_motion`."""
-        return tuple(_motion(_rows_at(leaf.R, self.direction.k)) for leaf in self.set.plan[1])
+        return tuple(map(_motion, _leaf_ak(self.set, self.direction.k)))
 
     @cached_property
     def point_floats(self) -> int:
@@ -270,7 +271,10 @@ def make_handle(
 # (-inf wins) and an intersection the elementwise max (nu wins).
 
 
-def _motion(ak: np.ndarray) -> tuple:
+Motion = namedtuple("Motion", "moving all_moving any_moving divisor unit column")
+
+
+def _motion(ak: np.ndarray) -> Motion:
     """How rows with a·k in ak move along k: the mask of moving rows (a·k >
     AK_POSITIVE_MIN), whether all and any move, their a·k as a column,
     whether that column is all exactly 1.0, and the translate column, a·k
@@ -281,11 +285,11 @@ def _motion(ak: np.ndarray) -> tuple:
     a·k are all 1.0, as on the nonnegative orthant with k = (1, ..., 1)."""
     moving = ak > AK_POSITIVE_MIN
     divisor = ak[moving, None]
-    return (moving, bool(moving.all()), bool(moving.any()), divisor,
-            bool((divisor == 1.0).all()), np.where(moving, ak, 0.0)[:, None])
+    return Motion(moving, bool(moving.all()), bool(moving.any()), divisor,
+                  bool((divisor == 1.0).all()), np.where(moving, ak, 0.0)[:, None])
 
 
-def _rows_keys(G: np.ndarray, motion: tuple, union: bool) -> np.ndarray:
+def _rows_keys(G: np.ndarray, motion: Motion, union: bool) -> np.ndarray:
     """Keys of the intersection (or union) of the halfspaces whose a·y - b
     are the rows of G, which move along k as ``motion`` says.
 
@@ -352,9 +356,8 @@ def _translate_outside(h: FunctionalHandle, Yt: np.ndarray, t) -> np.ndarray:
     subtracted from y first, where it would round away y's distance to
     a static row. A row value that is not finite is refused."""
     def leaf(rows, P):
-        *_, column = h.motions[rows.i]
         G = _row_values(rows, P)
-        G -= column * t
+        G -= h.motions[rows.i].column * t
         if not np.isfinite(G).all():
             raise InvalidInput(_OVERFLOW)
         return _outside(rows.union, G <= EPS_MEMBERSHIP)
@@ -483,9 +486,8 @@ def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
         raise PreconditionFailed(
             "dual evaluation needs a polyhedron or a union of polyhedra"
         ) from exc
-    for ci, child in enumerate(comp.polyhedra):
-        ak = _rows_at(child.normals, h.direction.k)
-        bad = np.where(ak <= AK_POSITIVE_MIN)[0]
+    for ci, ak in enumerate(_leaf_ak(comp, -h.direction.k)):
+        bad = np.flatnonzero(ak <= AK_POSITIVE_MIN)
         if bad.size:
             i = int(bad[0])
             raise PreconditionFailed(
@@ -565,7 +567,7 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     The functional is sampled on a grid_n x grid_n grid over
     bbox = (x0, y0, x1, y1); each grid point holds f = phi - level, with
     -inf as the sentinel MINUS_INF_SENTINEL. Cells touching a nu corner
-    are skipped. The level must be finite.
+    are skipped. The level, and the bbox's positive width and height, must be finite.
 
     A corner is above the level when f >= 0, so a corner exactly at the
     level is above. The corners 00, 10, 11, 01 (x index first) give the
@@ -597,8 +599,8 @@ def contour2d(h: FunctionalHandle, level: float, bbox, grid_n: int) -> list[np.n
     if not (8 <= grid_n <= 4096):
         raise InvalidInput("grid_n must lie in [8, 4096]")
     x0, y0, x1, y1 = (float(v) for v in bbox)
-    if not (x1 > x0 and y1 > y0):
-        raise InvalidInput("bbox must satisfy x1 > x0 and y1 > y0")
+    if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):  # NaN fails too
+        raise InvalidInput(f"bbox {[x0, y0, x1, y1]} needs 0 < x1 - x0 < inf, 0 < y1 - y0 < inf")
 
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)

@@ -42,11 +42,8 @@ NORMAL_MIN = 1e-12
 #: Allowed negative slack on a·k when certifying a direction.
 CERT_SLACK = 1e-9
 
-#: Strict margin on a·k for an interior certificate.
-INTERIOR_MARGIN = 1e-9
-
 #: Rows with a·k at or below this do not move along k: both evaluation
-#: strategies treat them as static.
+#: strategies treat them as static, and the certificate as not interior.
 AK_POSITIVE_MIN = 1e-9
 
 
@@ -261,9 +258,10 @@ class RecessionCone:
 class Direction:
     """Translation direction k plus the recession-cone rows certifying it.
 
-    ``interior`` records whether the certificate puts k strictly inside
-    the negated cone (every row has a·k above the interior margin), which
-    is what finite-valuedness and Lipschitz classification key on.
+    ``interior`` records whether no row of the set's plan is static, as
+    the handle's row motions read it (a·k > AK_POSITIVE_MIN on every row):
+    k strictly inside the negated cone, which is what finite-valuedness
+    and Lipschitz classification key on.
     """
 
     k: np.ndarray
@@ -317,6 +315,13 @@ def _rows_at(R: np.ndarray, P: np.ndarray) -> np.ndarray:
     if R.ndim == P.ndim == 2 and 1 in (m, n):
         return (R.repeat(1 + (m == 1), axis=0) @ P.repeat(1 + (n == 1), axis=1))[:m, :n]
     return R @ P
+
+
+def _leaf_ak(s: SetExpr, kv: np.ndarray) -> tuple:
+    """a·k of each leaf's rows in s's plan, in leaf order: the package's one
+    product of set rows with a direction. A complement member's leaf holds
+    its reversed rows, whose (-a)·(-k) is a·k bit for bit."""
+    return tuple(_rows_at(leaf.R, kv) for leaf in s.plan[1])
 
 
 def _row_values(rows, P: np.ndarray) -> np.ndarray:
@@ -399,20 +404,20 @@ def _exact(node) -> bool:
 def certify_direction(s: SetExpr, k) -> Direction:
     """Certify that k is an admissible translation direction for s.
 
-    The certificate checks a·k >= -1e-9 against every recession-cone row
-    and records whether all rows clear the strict interior margin.
+    The certificate checks a·k >= -1e-9, as :func:`_leaf_ak` gives it, on
+    every row of the set's plan, naming a failing row by its index in the
+    recession cone, and calls k interior when no row is static.
     """
     kv = _as_vector(k, s.dim, "direction")
     cone = recession_cone(s)
-    products = [float(_rows_at(h.a, kv)) for h in cone.halfspaces]
-    for i, p in enumerate(products):
-        if p < -CERT_SLACK:
-            raise DirectionRejected(
-                f"recession-cone row {i} with normal {cone.halfspaces[i].a.tolist()} "
-                f"has a·k = {p:.3g} < -{CERT_SLACK:g}"
-            )
-    interior = bool(products) and all(p > INTERIOR_MARGIN for p in products)
-    return Direction(kv, cone, interior)
+    ak = np.concatenate(_leaf_ak(s, kv))
+    bad = np.flatnonzero(ak < -CERT_SLACK)
+    if bad.size:
+        a = np.concatenate([leaf.R for leaf in s.plan[1]])[bad[0]]
+        i = [h.a.tobytes() for h in cone.halfspaces].index(a.tobytes())
+        raise DirectionRejected(f"recession-cone row {i} with normal {a.tolist()} "
+                                f"has a·k = {float(ak[bad[0]]):.3g} < -{CERT_SLACK:g}")
+    return Direction(kv, cone, bool((ak > AK_POSITIVE_MIN).all()))
 
 
 def complement_closure(s: SetExpr) -> SetUnion:

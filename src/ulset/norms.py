@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DirectionRejected, InvalidInput, PreconditionFailed
 from .evaluator import make_handle, _keys
-from .geometry import INTERIOR_MARGIN, Shift, _as_vector, _rows_at
+from .geometry import AK_POSITIVE_MIN, Shift, _as_vector, _rows_at
 from .analysis import (PropertyReport, _Worst, _blocks, _eq_defect, _ext_json, _sample_count,
                        _verdict)
 from .scalarization import OrderCone
@@ -32,12 +32,12 @@ def _gauge_values(handle, Y) -> np.ndarray:
 def gauge_cone_shift(C: OrderCone, k, y) -> float | np.ndarray:
     """Minkowski gauge of (cone + k): positive part of the translation score.
 
-    Requires a·k above the strict interior margin on every row of the
-    cone's halfspace form. Accepts a single point or an (n, m) batch.
+    Requires an interior certificate, a·k > AK_POSITIVE_MIN on every row
+    of the cone's halfspace form. Accepts a single point or an (n, m) batch.
     """
     h = make_handle(C.rep, _as_vector(k, C.dim, "direction"))
     if not h.direction.interior:
-        raise DirectionRejected(f"some cone row has a·k <= {INTERIOR_MARGIN:g}; "
+        raise DirectionRejected(f"some cone row has a·k <= {AK_POSITIVE_MIN:g}; "
                                 "the direction is not strictly interior to the negated cone")
     pts = np.asarray(y, dtype=float)
     single = pts.ndim == 1
@@ -55,7 +55,7 @@ def _order_unit_handle(C: OrderCone, k):
                                  "the order interval gauge would only be a seminorm")
     h = make_handle(C.negated(), k)
     if not h.direction.interior:
-        raise DirectionRejected(f"some row of the negated cone has a·k <= {INTERIOR_MARGIN:g}; "
+        raise DirectionRejected(f"some row of the negated cone has a·k <= {AK_POSITIVE_MIN:g}; "
                                 "the order unit must lie strictly inside the cone")
     return h
 

@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -21,7 +23,8 @@ from ulset import (
 )
 import ulset.analysis as analysis
 from ulset.evaluator import _keys
-from ulset.geometry import AK_POSITIVE_MIN, EPS_MEMBERSHIP, contains_many, _as_points, _as_vector
+from ulset.geometry import (AK_POSITIVE_MIN, EPS_MEMBERSHIP, contains_many, _as_points, _as_vector,
+                            _leaf_ak)
 
 
 def three_quadrant_union() -> SetUnion:
@@ -120,6 +123,43 @@ def reference_closed_batch(s, k: np.ndarray, Y: np.ndarray) -> np.ndarray:
     +0.0 and 1.0 included."""
     return reference_fold_rows(s, Y, lambda R, c, P, union: reference_rows_keys(
         R @ P.T - c[:, None], R @ k, union))
+
+
+def reference_exact(s, k, y):
+    """The closed form's key at the point y in exact rational arithmetic: a
+    Fraction, -inf or nu (+inf), by a walk of the set tree.
+
+    Each row is moving or static by the float a·k a handle on s and k
+    reads (geometry._leaf_ak), taken exactly as a Fraction, so that kinds
+    agree with the closed form's by construction. At the point z a row
+    sees (y less every shift above it, exactly), a moving row is reached
+    at t = (a·z - b) / (a·k); a static row gives -inf where a·z - b <=
+    EPS_MEMBERSHIP and nu elsewhere. A polyhedron's rows combine by max,
+    a complement member's reversed rows (-a)·z <= -b by min, a union's
+    members by min, and an intersection's and a complement's by max."""
+    aks = iter(_leaf_ak(s, _as_vector(k, s.dim)))
+    eps = Fraction(EPS_MEMBERSHIP)
+
+    def rows(p, z, sign):  # sign -1: a complement member, whose leaf holds -a
+        keys = []
+        for h, ak in zip(p.halfspaces, next(aks).tolist()):
+            g = sign * (sum(Fraction(a) * zi for a, zi in zip(h.a.tolist(), z)) - Fraction(h.b))
+            keys.append(g / Fraction(ak) if ak > AK_POSITIVE_MIN
+                        else -math.inf if g <= eps else math.inf)
+        return max(keys) if sign > 0 else min(keys)
+
+    def walk(s, z):
+        if isinstance(s, Polyhedron):
+            return rows(s, z, 1)
+        if isinstance(s, Shift):
+            return walk(s.base, [zi - Fraction(o) for zi, o in zip(z, s.offset.tolist())])
+        if isinstance(s, (SetUnion, SetIntersection)):
+            return (min if isinstance(s, SetUnion) else max)(walk(m, z) for m in s.members)
+        if isinstance(s, ComplementClosure):
+            return max(rows(p, z, -1) for p in s.polyhedra)
+        raise TypeError(f"no reference for {type(s).__name__}")
+
+    return walk(s, [Fraction(v) for v in np.asarray(y, dtype=float).tolist()])
 
 
 def reference_outside(s, pts: np.ndarray, holds) -> np.ndarray:

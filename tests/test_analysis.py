@@ -238,6 +238,20 @@ class TestSubgradientBound:
         r = check_subgradient_bound(cone_edge, [0.0, -1.0], 100, seed=42)
         assert r.verdict == INAPPLICABLE
 
+    @pytest.mark.parametrize("bias", [0.0, -0.05], ids=["exact", "biased"])
+    def test_one_member_intersection_as_its_polyhedron(self, bias, monkeypatch):
+        # a plan of one leaf with no union or complement is applicable
+        # whatever wraps the leaf: the same report, witness included
+        if bias:
+            monkeypatch.setattr("ulset.analysis._keys", biased_eval(bias))
+        P = Shift(Polyhedron((HalfSpace([1.0, 0.5], 0.25), HalfSpace([0.2, 1.0], -1.0))),
+                  [0.5, -0.25])
+        k, ybar = [1.0, 1.0], [0.3, 0.7]
+        want = check_subgradient_bound(make_handle(P, k), ybar, 300, seed=5)
+        assert want.verdict == (VIOLATED if bias else HOLDS)
+        for s in (SetIntersection((P,)), Shift(SetIntersection((P,)), [0.0, 0.0])):
+            assert check_subgradient_bound(make_handle(s, k), ybar, 300, seed=5) == want
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("check", [

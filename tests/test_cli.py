@@ -402,6 +402,17 @@ class TestMalformedInput:
         err = self._assert_rejected(["pareto", "--points", str(pts), "--k", "1,1", *extra], capsys)
         assert err == "error: point cloud has non-finite entries\n"
 
+    @pytest.mark.parametrize("bbox, shown", [
+        ("0,0,inf,1", "[0.0, 0.0, inf, 1.0]"),
+        ("-1e308,-1,1e308,1", "[-1e+308, -1.0, 1e+308, 1.0]"),  # the width overflows
+        ("0,nan,1,1", "[0.0, nan, 1.0, 1.0]"),
+    ])
+    def test_non_finite_bbox_is_named(self, bbox, shown, cone_config, capsys):
+        # the grid's non-finite points were blamed on "points"
+        err = self._assert_rejected(["contour", cone_config, "--level", "0", f"--bbox={bbox}"],
+                                    capsys)
+        assert err == f"error: bbox {shown} needs 0 < x1 - x0 < inf, 0 < y1 - y0 < inf\n"
+
     def test_negative_seed(self, cone_config, capsys):
         # numpy's own message, "expected non-negative integer", named no option
         err = self._assert_rejected(["check", cone_config, "--seed", "-1"], capsys)

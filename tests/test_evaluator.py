@@ -2,14 +2,17 @@ import ast
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulset import (
     ComplementClosure,
+    DirectionRejected,
     EmptyContour,
     FunctionalHandle,
     HalfSpace,
@@ -34,6 +37,7 @@ from ulset import (
 )
 from ulset.cli import _load_config, main
 from ulset.analysis import check_subgradient_bound
+from ulset.norms import gauge_cone_shift
 from ulset.evaluator import (_BLOCK_FLOATS, _OVERFLOW, AK_POSITIVE_MIN, EPS_MEMBERSHIP,
                              KIND_FINITE, KIND_MINUS_INF, KIND_NU, _closed_batch, _motion, _keys,
                              _rows_keys, _spans, _translate_outside)
@@ -41,7 +45,8 @@ from ulset.geometry import contains_many, set_to_json
 from ulset.scalarization import OrderCone, _minimize
 from conftest import (three_quadrant_value, biased_eval, kernel_handle, neg_orthant,
                       random_polyhedral_fixture, reference_bisect, reference_closed_batch,
-                      reference_outside, reference_translates, three_quadrant_union)
+                      reference_exact, reference_outside, reference_translates,
+                      three_quadrant_union)
 
 
 class TestClosedFormValues:
@@ -341,6 +346,131 @@ class TestExactSkips:
             '[9.20141834052352, 7.080181426836905, -8.985807080678775], "ybar": [0.3, -2.0, 1.0]}, '
             '"values": {"cone_bound": -3.989882886653934, "linear": 8.90141834052352, '
             '"subgradient": [1.0, 0.0, 0.0]}}}')
+
+
+class TestNearThresholdRows:
+    """A row whose a·k lies within rounding of AK_POSITIVE_MIN is static or
+    moving by the one a·k of geometry._leaf_ak: the certificate calls k
+    interior exactly when the handle's row motions move every row, so a
+    direction certified interior never takes the gauge out of its domain.
+    When the certificate took each row's a·k as a 1-d dot and the motions
+    as one gemv, the two differed in the last bit on about 7% of these
+    cones under the default OpenBLAS kernel."""
+
+    @staticmethod
+    def cones(n=1000):
+        """n seeded 3-d cones {a·x <= 0}: two rows well inside along k and a
+        third at a·k = AK_POSITIVE_MIN up to rounding."""
+        rng = np.random.default_rng(31)
+        for _ in range(n):
+            k = rng.normal(size=3)
+            rows = [(a if a @ k >= 0 else -a) + 0.5 * k for a in rng.normal(size=(2, 3))]
+            w = rng.normal(size=3)
+            w -= (w @ k) / (k @ k) * k
+            rows.append(w + AK_POSITIVE_MIN / (k @ k) * k)
+            yield Polyhedron(tuple(HalfSpace(a, 0.0) for a in rows)), k
+
+    def test_interior_iff_every_row_moves(self):
+        interior = []
+        for P, k in self.cones():
+            h = make_handle(P, k)
+            assert h.direction.interior == all(m.all_moving for m in h.motions)
+            interior.append(h.direction.interior)
+        assert 0 < sum(interior) < len(interior)  # the third row falls on both sides
+
+    def test_certified_gauge_stays_in_domain(self):
+        # y = a on the third row: a·y > EPS_MEMBERSHIP, so nu there if that row is static
+        for P, k in self.cones():
+            try:
+                gauge_cone_shift(OrderCone(P), k, P.normals[-1:])
+            except DirectionRejected:
+                assert not make_handle(P, k).direction.interior
+
+
+@st.composite
+def exact_cases(draw, dim):
+    """A set over the whole grammar, nested two deep, with a direction,
+    every shift offset in it, and up to four points, all with coordinates
+    in [-4, 4]."""
+    num = st.floats(-4.0, 4.0)
+    offsets = []
+
+    def vector():
+        v = np.array(draw(st.lists(num, min_size=dim, max_size=dim)))
+        if not np.linalg.norm(v) > 1e-12:  # a normal or k must not be zero
+            v[0] = 1.0
+        return v
+
+    def poly():
+        return Polyhedron(tuple(HalfSpace(vector(), draw(num))
+                                for _ in range(draw(st.integers(1, 3)))))
+
+    def node(depth):
+        kind = draw(st.sampled_from(["polyhedron", "complement", "shift", "union",
+                                     "intersection"][: 5 if depth else 2]))
+        if kind == "polyhedron":
+            return poly()
+        if kind == "complement":
+            members = tuple(poly() for _ in range(draw(st.integers(1, 2))))
+            return ComplementClosure(members[0] if len(members) == 1 else SetUnion(members))
+        if kind == "shift":
+            offsets.append(vector())
+            return Shift(node(depth - 1), offsets[-1])
+        members = tuple(node(depth - 1) for _ in range(draw(st.integers(1, 2))))
+        return SetUnion(members) if kind == "union" else SetIntersection(members)
+
+    s = node(2)
+    points = draw(st.lists(st.lists(num, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    return s, vector(), offsets, np.array(points)
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_closed_form_within_forward_error_bound(self, dim):
+        """The closed form's keys have the kinds of conftest's exact oracle,
+        and each finite key lies within this bound of the exact value.
+
+        Let u = 2**-53 and γ_n = n·u / (1 - n·u). A leaf sees y less the
+        offsets of the L shifts above it, subtracted in turn, so each ẑ_i
+        is within γ_L·(|y_i| + Σ|o_i|) of the exact z_i. Its row value
+        a·ẑ - c, a dot of length d and one subtraction in any order the
+        BLAS kernel takes, is within γ_{d+1}·(Σ|a_i·ẑ_i| + |c|) of the
+        exact a·ẑ - c; together, within γ_{d+L+1}·W of a·z - c, with
+        W = Σ|a_i|·(|y_i| + Σ|o_i|) + |c|. The division by the float a·k,
+        the one the oracle divides by, rounds once more: γ_{d+L+2}·W / (a·k).
+        Max and min are exact and move a value by at most the largest
+        error among their operands, so a finite key is within the largest
+        γ_{d+L+2}·W / (a·k) over the moving rows; here L and Σ|o| are taken
+        over every shift of the set and the largest over every moving row.
+        Underflow adds at most 2**-1075 per product and per quotient, which
+        d·2**-1073 / (a·k) + 2**-1074 covers. The rounding of a·k itself is
+        not in the bound: both sides divide by the same float a·k."""
+        u = Fraction(1, 2**53)
+
+        @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+        @given(exact_cases(dim))
+        def check(case):
+            s, k, offsets, Y = case
+            h = kernel_handle(s, k)
+            n = dim + len(offsets) + 2
+            gamma = n * u / (1 - n * u)
+            shifted = [sum(abs(Fraction(o[i])) for o in offsets) for i in range(dim)]
+            for y, key in zip(Y, _keys(h, Y).tolist()):
+                want = reference_exact(s, k, y)
+                assert math.isfinite(key) == math.isfinite(want)
+                if not math.isfinite(key):
+                    assert key == want
+                    continue
+                z = [abs(Fraction(yi)) + oi for yi, oi in zip(y.tolist(), shifted)]
+                bound = max(
+                    (gamma * (sum(abs(Fraction(ai)) * zi for ai, zi in zip(a.tolist(), z))
+                              + abs(Fraction(c))) + dim * Fraction(1, 2**1073)) / Fraction(ak)
+                    for leaf, m in zip(s.plan[1], h.motions)
+                    for a, c, ak in zip(leaf.R[m.moving], leaf.c[m.moving, 0].tolist(),
+                                        m.divisor[:, 0].tolist()))
+                assert abs(Fraction(key) - want) <= bound + Fraction(1, 2**1074)
+
+        check()
 
 
 class TestBlockedEvaluation:
@@ -910,3 +1040,25 @@ def test_only_rows_at_multiplies():
         name: matmults(rows_at) if name == "geometry.py" else 0 for name in trees}
     assert _named_outside((), lambda name: name in (
         "dot", "matmul", "einsum", "inner", "vdot", "tensordot")) == []
+
+
+def test_only_leaf_ak_meets_a_direction():
+    """Every a·k in the package is one of geometry._leaf_ak's: each _rows_at
+    call with a direction in an argument (a name k or kv, or an attribute
+    .k) is inside _leaf_ak, so certification, both strategies, the dual
+    route and the regularity checks read the same a·k for a row."""
+    src = Path(__file__).parent.parent / "src" / "ulset"
+
+    def meets_k(tree):
+        return {(node.lineno, node.col_offset) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and _names(node.func) == ["_rows_at"]
+                and any(isinstance(sub, ast.Name) and sub.id in ("k", "kv")
+                        or isinstance(sub, ast.Attribute) and sub.attr == "k"
+                        for arg in node.args for sub in ast.walk(arg))}
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    leaf_ak, = (node for node in ast.walk(trees["geometry.py"])
+                if isinstance(node, ast.FunctionDef) and node.name == "_leaf_ak")
+    assert meets_k(leaf_ak)
+    assert {name: meets_k(tree) for name, tree in trees.items()} == {
+        name: meets_k(leaf_ak) if name == "geometry.py" else set() for name in trees}
