@@ -518,11 +518,11 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
                        bbox=DEFAULT_BBOX) -> LipschitzEstimate:
     """Empirical slope versus the certified row bound.
 
-    The certified bound max ||a||_2 / (a·k) over the rows h's row motions
-    move, with their a·k, applies only when the direction is
-    interior-certified; otherwise it is nu. The sampled slope must not
-    exceed the bound; if it does, the evaluation is inconsistent and this
-    raises.
+    The certified bound max ||a||_2 / (a·k) over the rows, with a·k from
+    h's row motions, applies only when the direction is interior-certified
+    (the handle checks that every row then moves); otherwise it is nu. The
+    sampled slope must not exceed the bound; if it does, the evaluation is
+    inconsistent and this raises.
     """
     _sample_count(n_pairs)
     if not h.direction.cert.halfspaces:
@@ -531,7 +531,7 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
         l_bound = ExtReal.finite(max(
             float(np.linalg.norm(a)) / float(ak)
             for leaf, motion in zip(h.set.plan[1], h.motions)
-            for a, ak in zip(leaf.R[motion.moving], motion.divisor[:, 0])))
+            for a, ak in zip(leaf.R, motion.divisor[:, 0])))
     else:
         l_bound = NU
     rng = np.random.default_rng(seed)
@@ -569,10 +569,9 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     ybar = _as_vector(ybar, h.set.dim, "ybar")
     if not np.isfinite(_keys(h, ybar[None, :])[0]):
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
-    motion = h.motions[0]
-    ratios = fold_plan(root, ybar[:, None], _row_values)[motion.moving, 0] / motion.divisor[:, 0]
-    j = int(np.argmax(ratios))
-    ystar = leaves[0].R[motion.moving][j] / motion.divisor[j, 0]
+    divisor = h.motions[0].divisor[:, 0]
+    j = int(np.argmax(fold_plan(root, ybar[:, None], _row_values)[:, 0] / divisor))
+    ystar = leaves[0].R[j] / divisor[j]
 
     rec = make_handle(h.direction.cert.to_polyhedron(), h.direction.k, t_max=h.t_max, tol=h.tol)
     rng = np.random.default_rng(seed)

@@ -35,7 +35,7 @@ import enum
 import math
 import operator
 from collections import namedtuple
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -238,6 +238,10 @@ class FunctionalHandle:
             raise InvalidInput("t_max must be positive and finite")
         if not (self.tol > 0):
             raise InvalidInput("tol must be positive")
+        for i, motion in enumerate(self.motions if self.direction.interior else ()):
+            if not motion.moving.all():
+                raise InvalidInput(f"direction claims interior, but row {np.argmin(motion.moving)}"
+                                   f" of leaf {i} has a·k <= {AK_POSITIVE_MIN:g}: it is static")
 
     @cached_property
     def motions(self) -> tuple:
@@ -271,52 +275,46 @@ def make_handle(
 # (-inf wins) and an intersection the elementwise max (nu wins).
 
 
-Motion = namedtuple("Motion", "moving all_moving any_moving divisor unit column")
+Motion = namedtuple("Motion", "moving divisor unit column")
 
 
 def _motion(ak: np.ndarray) -> Motion:
     """How rows with a·k in ak move along k: the mask of moving rows (a·k >
-    AK_POSITIVE_MIN), whether all and any move, their a·k as a column,
-    whether that column is all exactly 1.0, and the translate column, a·k
-    on the moving rows and 0 on the static ones.
+    AK_POSITIVE_MIN), the divisor column, a·k on the moving rows and 1.0
+    on the static ones, whether that column is all exactly 1.0, and the
+    translate column, a·k on the moving rows and 0 on the static ones.
 
     x / 1.0 is x bit for bit for every double x, -0.0, subnormals and
-    ±inf included, so :func:`_rows_keys` skips the division of rows whose
-    a·k are all 1.0, as on the nonnegative orthant with k = (1, ..., 1)."""
+    ±inf included, so :func:`_rows_keys` divides static rows by 1.0 and
+    skips the division where every divisor is 1.0, as on the nonnegative
+    orthant with k = (1, ..., 1)."""
     moving = ak > AK_POSITIVE_MIN
-    divisor = ak[moving, None]
-    return Motion(moving, bool(moving.all()), bool(moving.any()), divisor,
-                  bool((divisor == 1.0).all()), np.where(moving, ak, 0.0)[:, None])
+    divisor = np.where(moving, ak, 1.0)[:, None]
+    return Motion(moving, divisor, bool((divisor == 1.0).all()),
+                  np.where(moving, ak, 0.0)[:, None])
 
 
 def _rows_keys(G: np.ndarray, motion: Motion, union: bool) -> np.ndarray:
     """Keys of the intersection (or union) of the halfspaces whose a·y - b
     are the rows of G, which move along k as ``motion`` says.
 
-    A moving row is reached at t = (a·y - b) / a·k, and the moving rows
-    combine in one max (min) along the row axis, which folds them in
-    row order. A static row is -inf where the point satisfies it and nu
-    where it does not. A value that is not finite, on either kind of
-    row, is refused. G is a temporary of the caller's and is divided in
-    place, so that a block holds one array of its size, not two. Where
-    every moving row has a·k exactly 1.0 the division is an identity (see
-    :func:`_motion`) and is skipped; the refusal after it still runs.
+    Each row gets its key in one pass: a moving row is reached at
+    t = (a·y - b) / a·k, and a static row is -inf where the point
+    satisfies it and nu where it does not. A value that is not finite,
+    on either kind of row, is refused. The keys combine in one max (min)
+    along the row axis, which folds them in row order; a ±inf key never
+    changes which signed zero wins among the moving rows. G is a
+    temporary of the caller's and is overwritten, so that a block holds
+    one array of its size, not two. Where every divisor is exactly 1.0
+    the division is an identity (see :func:`_motion`) and is skipped.
     """
-    moving, all_moving, any_moving, divisor, unit, _ = motion
-    parts = []
-    if not all_moving:
-        S = G[~moving]
-        if not np.isfinite(S).all():
-            raise InvalidInput(_OVERFLOW)
-        parts.append(np.where(_outside(union, S <= EPS_MEMBERSHIP), np.inf, -np.inf))
-    if any_moving:
-        T = G if all_moving else G[moving]
-        if not unit:
-            T /= divisor
-        if not np.isfinite(T).all():
-            raise InvalidInput(_OVERFLOW)
-        parts.append(T.min(0) if union else T.max(0))
-    return reduce(np.minimum if union else np.maximum, parts)
+    if not motion.unit:
+        G /= motion.divisor
+    if not np.isfinite(G).all():
+        raise InvalidInput(_OVERFLOW)
+    static = ~motion.moving
+    G[static] = np.where(G[static] <= EPS_MEMBERSHIP, -np.inf, np.inf)
+    return G.min(0) if union else G.max(0)
 
 
 def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:

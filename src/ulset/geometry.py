@@ -260,8 +260,8 @@ class Direction:
 
     ``interior`` records whether no row of the set's plan is static, as
     the handle's row motions read it (a·k > AK_POSITIVE_MIN on every row):
-    k strictly inside the negated cone, which is what finite-valuedness
-    and Lipschitz classification key on.
+    k strictly inside the negated cone, which finite-valuedness and
+    Lipschitz classification key on; a handle refuses it if a row is static.
     """
 
     k: np.ndarray
@@ -308,12 +308,15 @@ def _compile(s: SetExpr, leaves: list, union: bool = False):
 def _rows_at(R: np.ndarray, P: np.ndarray) -> np.ndarray:
     """R @ P, the package's one product of set rows with points or with k.
 
-    With both 2-d, a lone column of P or lone row of R is multiplied as two
-    copies, as gemv can round unlike a wider gemm: so a point's bits do not
-    depend on its block, at inner dimension <= 4 on the kernels CI runs."""
+    With both 2-d, a lone column of P or lone row of R, and only that
+    operand, is multiplied as two copies, as gemv can round unlike a wider
+    gemm: so a point's bits do not depend on its block, at inner dimension
+    <= 4 on the kernels CI runs."""
     m, n = len(R), P.shape[-1]
     if R.ndim == P.ndim == 2 and 1 in (m, n):
-        return (R.repeat(1 + (m == 1), axis=0) @ P.repeat(1 + (n == 1), axis=1))[:m, :n]
+        R = R.repeat(2, axis=0) if m == 1 else R
+        P = P.repeat(2, axis=1) if n == 1 else P
+        return (R @ P)[:m, :n]
     return R @ P
 
 

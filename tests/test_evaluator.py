@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ulset import (
     ComplementClosure,
+    Direction,
     DirectionRejected,
     EmptyContour,
     FunctionalHandle,
@@ -34,9 +35,10 @@ from ulset import (
     evaluate_many,
     evaluate_scaled,
     make_handle,
+    recession_cone,
 )
 from ulset.cli import _load_config, main
-from ulset.analysis import check_subgradient_bound
+from ulset.analysis import check_subgradient_bound, estimate_lipschitz
 from ulset.norms import gauge_cone_shift
 from ulset.evaluator import (_BLOCK_FLOATS, _OVERFLOW, AK_POSITIVE_MIN, EPS_MEMBERSHIP,
                              KIND_FINITE, KIND_MINUS_INF, KIND_NU, _closed_batch, _motion, _keys,
@@ -227,7 +229,8 @@ class TestRowsKernel:
     @pytest.mark.parametrize("union", [False, True], ids=["intersection", "union"])
     def test_rows_match_pairwise_fold(self, union):
         rng = np.random.default_rng(10 * union)
-        values = np.array([0.0, -0.0, 1e-10, -1e-10, 2e-9, 1.5, -1.5, 3.0])
+        values = np.array([0.0, -0.0, 1e-10, -1e-10, 2e-9, 1.5, -1.5, 3.0, EPS_MEMBERSHIP,
+                           np.nextafter(EPS_MEMBERSHIP, 0.0), np.nextafter(EPS_MEMBERSHIP, 1.0)])
         for _ in range(200):
             rows = int(rng.integers(1, 7))
             ak = rng.choice([0.0, -1e-10, 5e-10, 1e-9, 0.3, 1.0, 2.5], size=rows)
@@ -296,7 +299,7 @@ class TestExactSkips:
         s = self.sets()[kind]
         h = kernel_handle(s, k)
         assert [leaf.zero for leaf in s.plan[1]] == zero
-        assert [motion[4] for motion in h.motions] == unit
+        assert [motion.unit for motion in h.motions] == unit
         if kind.startswith("complement"):
             (leaf,) = s.plan[1]
             assert not leaf.c.any() and np.signbit(leaf.c).all()
@@ -322,7 +325,7 @@ class TestExactSkips:
         # -C's one row (1, 1) has a·k = 1 and offset +0.0: both steps are skipped
         C, k = OrderCone(Polyhedron((HalfSpace([-1.0, -1.0], 0.0),))), np.array([0.5, 0.5])
         h = kernel_handle(C.negated(), k, strategy)
-        assert h.set.plan[1][0].zero and h.motions[0][4]
+        assert h.set.plan[1][0].zero and h.motions[0].unit
         with pytest.raises(InvalidInput, match=_OVERFLOW), np.errstate(over="ignore"):
             _keys(h, [[1e308, 1e308], [0.0, 0.0]])
         if strategy == "closed_form":
@@ -334,7 +337,7 @@ class TestExactSkips:
         # expected reports are those of the code before the skips
         p = Polyhedron(tuple(HalfSpace(a, b) for a, b in zip(self.EYE, [0.5, -1.0, 2.0])))
         h = make_handle(Shift(p, [0.25, -0.5, 1.0]), self.ONES)
-        assert h.motions[0][4]
+        assert h.motions[0].unit
         ybar = [0.3, -2.0, 1.0]
         assert check_subgradient_bound(h, ybar, 500, seed=7).to_json_line() == (
             '{"applicable": 500, "max_defect": 0.0, "name": "subgradient_bound", "samples": 500, '
@@ -374,9 +377,21 @@ class TestNearThresholdRows:
         interior = []
         for P, k in self.cones():
             h = make_handle(P, k)
-            assert h.direction.interior == all(m.all_moving for m in h.motions)
+            assert h.direction.interior == all(m.moving.all() for m in h.motions)
             interior.append(h.direction.interior)
         assert 0 < sum(interior) < len(interior)  # the third row falls on both sides
+
+    def test_interior_claim_with_a_static_row_refused(self):
+        # k = (1, 0) leaves the second row of the second leaf static
+        s = SetIntersection((Polyhedron((HalfSpace([1.0, 0.0], 0.0),)), neg_orthant(2)))
+        for interior in (True, False):
+            direction = Direction([1.0, 0.0], recession_cone(s), interior)
+            if interior:
+                with pytest.raises(InvalidInput, match="row 1 of leaf 1 has a·k <= 1e-09"):
+                    FunctionalHandle(s, direction, Strategy.CLOSED_FORM)
+            else:
+                h = FunctionalHandle(s, direction, Strategy.CLOSED_FORM)
+                assert estimate_lipschitz(h, 10).l_bound is NU
 
     def test_certified_gauge_stays_in_domain(self):
         # y = a on the third row: a·y > EPS_MEMBERSHIP, so nu there if that row is static
@@ -467,7 +482,7 @@ class TestExactOracle:
                               + abs(Fraction(c))) + dim * Fraction(1, 2**1073)) / Fraction(ak)
                     for leaf, m in zip(s.plan[1], h.motions)
                     for a, c, ak in zip(leaf.R[m.moving], leaf.c[m.moving, 0].tolist(),
-                                        m.divisor[:, 0].tolist()))
+                                        m.divisor[m.moving, 0].tolist()))
                 assert abs(Fraction(key) - want) <= bound + Fraction(1, 2**1074)
 
         check()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -177,6 +179,21 @@ class TestRowsAt:
         wide = _rows_at(W, G)
         for i in range(width):
             assert wide[[i]].tobytes() == _rows_at(W[[i]], G).tobytes()
+
+
+def test_lone_row_product_copies_no_points():
+    """_rows_at doubles only the lone operand: a lone row against a block of
+    coordinate-major points allocates the product, not a copy of the points."""
+    P = np.random.default_rng(3).normal(size=(8192, 4)).T
+    R = np.ones((1, 4))
+    tracemalloc.start()
+    try:
+        G = _rows_at(R, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.tobytes() == _rows_at(np.ones((2, 4)), P)[:1].tobytes()
+    assert peak < P.nbytes
 
 
 class TestRecessionCone:
