@@ -239,8 +239,8 @@ class FunctionalHandle:
         if not (self.tol > 0):
             raise InvalidInput("tol must be positive")
         for i, motion in enumerate(self.motions if self.direction.interior else ()):
-            if not motion.moving.all():
-                raise InvalidInput(f"direction claims interior, but row {np.argmin(motion.moving)}"
+            if motion.static.size:
+                raise InvalidInput(f"direction claims interior, but row {motion.static[0]}"
                                    f" of leaf {i} has a·k <= {AK_POSITIVE_MIN:g}: it is static")
 
     @cached_property
@@ -275,14 +275,14 @@ def make_handle(
 # (-inf wins) and an intersection the elementwise max (nu wins).
 
 
-Motion = namedtuple("Motion", "moving divisor unit column")
+Motion = namedtuple("Motion", "static divisor unit column")
 
 
 def _motion(ak: np.ndarray) -> Motion:
-    """How rows with a·k in ak move along k: the mask of moving rows (a·k >
-    AK_POSITIVE_MIN), the divisor column, a·k on the moving rows and 1.0
-    on the static ones, whether that column is all exactly 1.0, and the
-    translate column, a·k on the moving rows and 0 on the static ones.
+    """How rows with a·k in ak move along k: the indices of the static rows
+    (a·k <= AK_POSITIVE_MIN), the divisor column, a·k on the moving rows
+    and 1.0 on the static ones, whether that column is all exactly 1.0,
+    and the translate column, a·k on the moving rows and 0 on the others.
 
     x / 1.0 is x bit for bit for every double x, -0.0, subnormals and
     ±inf included, so :func:`_rows_keys` divides static rows by 1.0 and
@@ -290,7 +290,7 @@ def _motion(ak: np.ndarray) -> Motion:
     orthant with k = (1, ..., 1)."""
     moving = ak > AK_POSITIVE_MIN
     divisor = np.where(moving, ak, 1.0)[:, None]
-    return Motion(moving, divisor, bool((divisor == 1.0).all()),
+    return Motion(np.flatnonzero(~moving), divisor, bool((divisor == 1.0).all()),
                   np.where(moving, ak, 0.0)[:, None])
 
 
@@ -306,14 +306,14 @@ def _rows_keys(G: np.ndarray, motion: Motion, union: bool) -> np.ndarray:
     changes which signed zero wins among the moving rows. G is a
     temporary of the caller's and is overwritten, so that a block holds
     one array of its size, not two. Where every divisor is exactly 1.0
-    the division is an identity (see :func:`_motion`) and is skipped.
-    """
+    the division is an identity (see :func:`_motion`) and is skipped, and
+    where no row is static so is the overwrite."""
     if not motion.unit:
         G /= motion.divisor
     if not np.isfinite(G).all():
         raise InvalidInput(_OVERFLOW)
-    static = ~motion.moving
-    G[static] = np.where(G[static] <= EPS_MEMBERSHIP, -np.inf, np.inf)
+    if motion.static.size:
+        G[motion.static] = np.where(G[motion.static] <= EPS_MEMBERSHIP, -np.inf, np.inf)
     return G.min(0) if union else G.max(0)
 
 

@@ -209,7 +209,7 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
         raise InvalidInput("reference points have non-finite entries")
     h = make_handle(C.negated(), k)
     n, m = F.points.shape
-    R, ak, all_moving = h.set.normals, h.motions[0].divisor, h.motions[0].moving.all()
+    R, ak, all_moving = h.set.normals, h.motions[0].divisor, not h.motions[0].static.size
     if all_moving:
         with np.errstate(over="ignore", invalid="ignore"):
             U = _rows_at(R, F.points.T)

@@ -377,7 +377,7 @@ class TestNearThresholdRows:
         interior = []
         for P, k in self.cones():
             h = make_handle(P, k)
-            assert h.direction.interior == all(m.moving.all() for m in h.motions)
+            assert h.direction.interior == all(not m.static.size for m in h.motions)
             interior.append(h.direction.interior)
         assert 0 < sum(interior) < len(interior)  # the third row falls on both sides
 
@@ -481,8 +481,9 @@ class TestExactOracle:
                     (gamma * (sum(abs(Fraction(ai)) * zi for ai, zi in zip(a.tolist(), z))
                               + abs(Fraction(c))) + dim * Fraction(1, 2**1073)) / Fraction(ak)
                     for leaf, m in zip(s.plan[1], h.motions)
-                    for a, c, ak in zip(leaf.R[m.moving], leaf.c[m.moving, 0].tolist(),
-                                        m.divisor[m.moving, 0].tolist()))
+                    for a, c, ak in zip(np.delete(leaf.R, m.static, 0),
+                                        np.delete(leaf.c[:, 0], m.static).tolist(),
+                                        np.delete(m.divisor[:, 0], m.static).tolist()))
                 assert abs(Fraction(key) - want) <= bound + Fraction(1, 2**1074)
 
         check()
