@@ -6,8 +6,8 @@ on the whole set grammar, with monotone bisection as an opt-in oracle, verifies
 its defining identities as seeded property checks, separates point
 clouds from sets, scalarizes finite multiobjective clouds against
 reference points, and exposes the induced gauges and order-unit norms.
-The `analysis`, `norms` and `scalarization` modules load on first use;
-every public name can still be imported from `ulset`.
+The `analysis`, `norms`, `scalarization` and `boxes` modules load on first
+use; every public name can still be imported from `ulset`.
 """
 
 import importlib.util
@@ -65,7 +65,7 @@ def _lazy(name: str):
     return module
 
 
-analysis, norms, scalarization = _lazy("analysis"), _lazy("norms"), _lazy("scalarization")
+analysis, norms, scalarization, boxes = map(_lazy, ("analysis", "norms", "scalarization", "boxes"))
 _LAZY_NAMES = dict.fromkeys((
     "HOLDS", "INAPPLICABLE", "VIOLATED", "LipschitzEstimate", "MonotoneCone", "PropertyReport",
     "SeparationVerdict", "check_dual_relation", "check_monotone", "check_recession_inequality",

@@ -1,0 +1,149 @@
+"""Exact box prune of the Pareto filter.
+
+:func:`scalarization._minimize` scores a point F_p against a reference a
+by the filter value A_p = max_r (U_rp - V_ra), and needs, for each
+reference, every point with A_p <= min A + reach. :class:`Boxes` finds
+exactly those points while computing few of the A_p: it bounds them a box
+of points at a time. The module loads on first use, so only ``pareto``
+pays for it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .evaluator import _fit, _spans
+
+
+class Boxes:
+    """A cloud's filter values U, (rows, n), split into boxes of about
+    POINTS_PER_BOX points, with the least value of each row over each box,
+    lo (rows, G): :meth:`candidates` finds a block's candidates from them
+    (see :func:`scalarization._minimize`).
+
+    The boxes are the leaves of a k-d tree: each level splits every box at
+    its median on one row of U, the rows in turn, by ``np.argpartition``
+    over the blocks of boxes that :func:`_spans` gives, so a level costs
+    O(n) and holds at most a block, or one box. There are G = 2**L boxes, L
+    the least of log2(n / POINTS_PER_BOX), rounded, and log2(r), rounded
+    down, for r references: the tree's L passes over the cloud then cost
+    less than the r dense passes it saves. Below 16 boxes the prune saves
+    too little to pay for the gathers of the kept points, so there is one
+    box, and the filter is dense; so it is at r = 1. Box g holds the
+    positions starts[g]:starts[g + 1] of order, and U is permuted in place
+    into that order, so the caller's array must not be used again.
+    """
+
+    POINTS_PER_BOX = 16
+
+    def __init__(self, U: np.ndarray, r: int):
+        q, n = U.shape
+        levels = min(round(math.log2(n / self.POINTS_PER_BOX)), r.bit_length() - 1)
+        levels = levels if levels >= 4 else 0
+        # the first split, of the whole cloud, needs no gather
+        order = np.argpartition(U[0], n >> 1) if levels else np.arange(n)
+        for level in range(1, levels):
+            # 2**level boxes of n >> level points, give or take one
+            starts = (np.arange(2**level + 1) * n) >> level
+            half = ((np.arange(1, 2**(level + 1), 2) * n) >> (level + 1)) - starts[:-1]
+            for a, b in _spans(2**level, (n >> level) + 1):
+                seg, size = order[starts[a]:starts[b]], np.diff(starts[a:b + 1])
+                # half takes two values at most
+                key, kth = U[level % q][seg], {half[a:b].min(), half[a:b].max()}
+                if size.min() == size.max():
+                    key = key.reshape(b - a, -1)
+                else:
+                    # the shorter boxes are padded with inf, which the
+                    # partition at their last place keeps there
+                    held = np.arange(size.max()) < size[:, None]
+                    key, values = np.full(held.shape, np.inf), key
+                    key[held] = values
+                    kth.add(size.min())
+                    del values
+                part = np.argpartition(key, sorted(kth), axis=1)
+                del key
+                part += (starts[a:b] - starts[a])[:, None]
+                seg[:] = seg[part.reshape(-1) if size.min() == size.max() else part[held]]
+                del part
+        for row in U:
+            row[:] = row[order]
+        self.U, self.order = U, order
+        self.starts = (np.arange(2**levels + 1) * n) >> levels
+        self.size = np.diff(self.starts)
+        self.lo = np.minimum.reduceat(U, self.starts[:-1], axis=1)
+        #: floats a reference takes in a block: its box bounds, then its
+        #: lowest box's filter values
+        self.floats = len(self.size) + self.size.max()
+
+    def candidates(self, V: np.ndarray, reach: float):
+        """The candidates against the references of V, (rows, B), as arrays of
+        flat indices reference * n + point, each of them the candidates of
+        whole consecutive references, in order: bit for bit the points with
+        A_p <= min A + reach (with the margin of :func:`_threshold`), where
+        A_p = max_r (U_rp - V_ra), as the dense filter finds them. The kept
+        boxes' points go in chunks of whole references of at most the block
+        budget's points, or one reference's if that is more; a chunk that
+        keeps every box is scored dense."""
+        n, B, G = self.U.shape[1], V.shape[1], len(self.size)
+        if G > 1:
+            LB = self._values(self.lo, V)
+            least = LB.argmin(axis=1)
+            ref, pos, first = self._points(np.arange(B), least)
+            ub = np.minimum.reduceat(self._values_at(ref, pos, V), first)
+            lb = LB[np.arange(B), least]
+            cut = ub + reach + 2.0**-48 * (np.maximum(np.abs(ub), np.abs(lb)) + reach)
+            pair_ref, pair_box = np.nonzero(LB <= cut[:, None])
+            del LB
+        else:
+            pair_ref, pair_box = np.arange(B), np.zeros(B, dtype=int)
+        # reference a keeps the boxes pair_box[first[a]:first[a + 1]], its
+        # lowest one at least, and before[a] points precede theirs
+        first = np.searchsorted(pair_ref, np.arange(B + 1))
+        before = np.append(0, np.cumsum(self.size[pair_box]))[first]
+        a = 0
+        while a < B:
+            b = max(a + 1, int(np.searchsorted(before, before[a] + _fit(1), "right")) - 1)
+            if first[b] - first[a] == (b - a) * G:
+                A = self._values(self.U, V[:, a:b])
+                low = A.min(axis=1)
+                ref, pos = np.divmod(np.flatnonzero(A <= _threshold(low, reach)[:, None]), n)
+                ref += a
+            else:
+                ref, pos, _ = self._points(pair_ref[first[a]:first[b]], pair_box[first[a]:first[b]])
+                A = self._values_at(ref, pos, V)
+                low = np.minimum.reduceat(A, before[a:b] - before[a])
+                hit = A <= _threshold(low, reach)[ref - a]
+                ref, pos = ref[hit], pos[hit]
+            yield np.sort(ref * n + self.order[pos])
+            a = b
+
+    @staticmethod
+    def _values(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The (B, n) filter values max_r (U_rp - V_ra)."""
+        A = np.subtract(U[0], V[0][:, None])
+        T = np.empty_like(A)
+        for u, v in zip(U[1:], V[1:]):
+            np.maximum(A, np.subtract(u, v[:, None], out=T), out=A)
+        return A
+
+    def _values_at(self, ref: np.ndarray, pos: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The filter values of the (reference, position) pairs."""
+        A = self.U[0][pos] - V[0][ref]
+        for u, v in zip(self.U[1:], V[1:]):
+            np.maximum(A, u[pos] - v[ref], out=A)
+        return A
+
+    def _points(self, refs: np.ndarray, boxes: np.ndarray):
+        """The (reference, position) pairs of the points of each box paired
+        with a reference, and where each box's pairs start."""
+        size = self.size[boxes]
+        first = np.cumsum(size) - size
+        pos = np.arange(first[-1] + size[-1]) + np.repeat(self.starts[boxes] - first, size)
+        return np.repeat(refs, size), pos, first
+
+
+def _threshold(low: np.ndarray, reach: float) -> np.ndarray:
+    """The candidates' threshold above each least filter value."""
+    return low + reach + 2.0**-50 * (np.abs(low) + reach)

@@ -326,11 +326,16 @@ def _closed_batch(h: FunctionalHandle, Yt: np.ndarray) -> np.ndarray:
     return fold_plan(h.set.plan[0], Yt, leaf)
 
 
+def _fit(floats_per_item: int) -> int:
+    """The most items of floats_per_item floats that fit in _BLOCK_FLOATS
+    floats, and at least one."""
+    return max(1, _BLOCK_FLOATS // floats_per_item)
+
+
 def _spans(n: int, floats_per_item: int):
-    """The [a, b) blocks of n items, in order, each of the most items of
-    floats_per_item floats that fit in _BLOCK_FLOATS floats (at least one);
-    only the last block may be shorter."""
-    cap = max(1, _BLOCK_FLOATS // floats_per_item)
+    """The [a, b) blocks of n items, in order, each of the :func:`_fit`
+    items of floats_per_item floats; only the last block may be shorter."""
+    cap = _fit(floats_per_item)
     return ((a, min(a + cap, n)) for a in range(0, n, cap))
 
 

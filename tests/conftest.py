@@ -251,6 +251,27 @@ def reference_bisect(h, Y: np.ndarray) -> np.ndarray:
     return hi
 
 
+def reference_candidates(U: np.ndarray, V: np.ndarray, reach: float) -> np.ndarray:
+    """The (B, n) mask of a block's Pareto candidates, by the dense filter
+    scalarization._minimize ran before its box prune: A <= min A + reach
+    with a relative margin of 2**-50, where A is the max over rows of U - V,
+    U the cloud's (rows, n) filter values and V the block's (rows, B) ones,
+    every pair computed."""
+    A = np.subtract(U[0], V[0][:, None])
+    T = np.empty_like(A)
+    for u, v in zip(U[1:], V[1:]):
+        np.maximum(A, np.subtract(u, v[:, None], out=T), out=A)
+    low = A.min(axis=1)
+    return A <= (low + reach + 2.0**-50 * (np.abs(low) + reach))[:, None]
+
+
+def reference_weakly_efficient(F: np.ndarray, C: OrderCone) -> list[int]:
+    """The weakly efficient points of F, one point at a time against every
+    point of F, as scalarization.weakly_efficient tested them before it
+    went in blocks."""
+    return [i for i in range(len(F)) if not C.interior_contains_many(F[i] - F).any()]
+
+
 def biased_eval(bias_scale=0.05):
     """Fault injector: adds bias_scale * ||y||^2 to every finite value.
 

@@ -1034,8 +1034,8 @@ def test_only_the_evaluator_names_its_kernels():
 
 
 def test_only_the_evaluator_names_the_block_budget():
-    """Every block loop takes its edges from _spans: no module but
-    evaluator names _BLOCK_FLOATS."""
+    """Every block loop takes its edges from _spans or its sizes from _fit:
+    no module but evaluator names _BLOCK_FLOATS."""
     assert _named_outside(("evaluator.py",), lambda name: name == "_BLOCK_FLOATS") == []
 
 

@@ -55,7 +55,7 @@ COMMANDS = {
     "separate": ["separate", TQ, "--points", str(GOLDEN / "points.csv")],
     "norm": ["norm", "--k", "1,1", "--point", "0.5,-2"],
 }
-LAZY = ("analysis.py", "norms.py", "scalarization.py")
+LAZY = ("analysis.py", "boxes.py", "norms.py", "scalarization.py")
 
 
 LAZY_RAN = {

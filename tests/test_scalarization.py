@@ -24,14 +24,25 @@ from ulset import (
     weakly_efficient,
 )
 from ulset.evaluator import _BLOCK_FLOATS, _keys
+from ulset.geometry import _rows_at
 import ulset.scalarization as scalarization
+from ulset.boxes import Boxes
 from ulset.scalarization import (ARGMIN_TOL, _LINE_FLOATS, _minimize, _parse_lines,
                                  _read_points_csv)
+
+from conftest import reference_candidates, reference_weakly_efficient
 
 
 def random_cloud(rng, m, n_max=50):
     n = int(rng.integers(2, n_max + 1))
     return PointCloud(rng.uniform(-5, 5, size=(n, m)))
+
+
+def sphere_front(rng, n, m=3):
+    """n points on the unit sphere's positive orthant, pushed out by radial
+    noise, so that a part of them is dominated."""
+    u = np.abs(rng.normal(size=(n, m)))
+    return u / np.linalg.norm(u, axis=1, keepdims=True) * (1 + 0.05 * np.abs(rng.normal(size=(n, 1))))
 
 
 class TestScalarize:
@@ -108,6 +119,24 @@ class TestWeaklyEfficient:
     def test_interior_test_refuses_wrong_width(self, orthant2):
         with pytest.raises(InvalidInput, match=r"shape \(n, 2\)"):
             orthant2.interior_contains_many(np.ones((4, 3)))
+
+    @pytest.mark.parametrize("budget, n_max", [(_BLOCK_FLOATS, 400), (64, 120)])
+    def test_blocks_match_one_point_at_a_time(self, budget, n_max, monkeypatch):
+        # coarse coordinates give ties, the repeated rows duplicates; a small
+        # budget splits the cloud into many blocks of points and of columns
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+        rng = np.random.default_rng(budget)
+        for m in (1, 2, 3, 4):
+            k = rng.uniform(0.2, 2.0, size=m)
+            for C in (OrderCone.nonneg(m), TestFilterRefine.moving_cone(rng, m, k)):
+                F = np.round(rng.normal(size=(int(rng.integers(1, n_max)), m)), 1)
+                F = np.concatenate([F, F[:10]])
+                assert weakly_efficient(F, C) == reference_weakly_efficient(F, C)
+
+    def test_noisy_front(self):
+        F = sphere_front(np.random.default_rng(62), 1500)
+        C = OrderCone.nonneg(3)
+        assert weakly_efficient(F, C) == reference_weakly_efficient(F, C)
 
 
 class TestMinimizeBlocks:
@@ -343,6 +372,123 @@ class TestFilterRefine:
             tracemalloc.stop()
         assert all(arg == list(range(2000)) for arg, _ in out)
         assert peak - held < 4 * 2**20
+
+
+class TestBoxPrune:
+    """Boxes.candidates finds, as flat indices reference * n + point, the
+    candidates the dense filter marks (conftest's reference_candidates) for
+    the same U, V and reach, from box bounds and the points of the boxes
+    those cannot rule out."""
+
+    @staticmethod
+    def filter_values(rng, F, refs, rows=None):
+        """_minimize's U and V for the cloud F and the references refs, on a
+        cone of rows rows (1-6 at random by default) a random k moves along."""
+        m = F.shape[1]
+        k = rng.uniform(0.2, 2.0, size=m)
+        count, cone = rows or int(rng.integers(1, 7)), []
+        while len(cone) < count:
+            a = rng.normal(size=m) * rng.uniform(0.5, 3.0)
+            a = -a if a @ k > 0 else a
+            if a @ k < -0.1 * np.linalg.norm(a) * np.linalg.norm(k):
+                cone.append(HalfSpace(a, 0.0))
+        h = make_handle(OrderCone(Polyhedron(tuple(cone))).negated(), k)
+        R, ak = h.set.normals, h.motions[0].divisor
+        return _rows_at(R, F.T) / ak, _rows_at(R, refs.T) / ak
+
+    @staticmethod
+    def assert_exact(U, V, reach=ARGMIN_TOL, pruned=True):
+        boxes = Boxes(U.copy(), V.shape[1])
+        assert (len(boxes.lo[0]) > 1) == pruned
+        got = np.concatenate(list(boxes.candidates(V, reach)))
+        assert got.tolist() == np.flatnonzero(reference_candidates(U, V, reach)).tolist()
+
+    @pytest.mark.parametrize("reach", [ARGMIN_TOL, 1e-2])
+    def test_noisy_sphere_front(self, reach):
+        rng = np.random.default_rng(51)
+        F = sphere_front(rng, 2000)
+        self.assert_exact(*self.filter_values(rng, F, F, rows=3), reach)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("budget", [_BLOCK_FLOATS, 40])
+    def test_gaussian_blobs(self, m, budget, monkeypatch):
+        # a small budget splits the tree's levels and the kept points into
+        # many blocks
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+        rng = np.random.default_rng(52 + m)
+        for rows in range(1, 7):
+            centres = rng.normal(size=(5, m)) * 5
+            F = centres[rng.integers(0, 5, size=600)] + rng.normal(size=(600, m)) * 0.3
+            refs = np.concatenate([F[:8], rng.normal(size=(40, m)) * 5])
+            self.assert_exact(*self.filter_values(rng, F, refs, rows))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_rounded_coordinates(self, scale):
+        # duplicates and exact ties; at 1e9 a tie within ARGMIN_TOL is one of
+        # floats a few ulp apart
+        rng = np.random.default_rng(53)
+        for m in (1, 2, 3, 4):
+            F = np.round(rng.normal(size=(800, m)), 1) * scale
+            refs = np.concatenate([F[:20], np.round(rng.normal(size=(30, m)), 1) * scale])
+            self.assert_exact(*self.filter_values(rng, F, refs))
+
+    def test_identical_points(self):
+        rng = np.random.default_rng(54)
+        F = np.full((500, 3), 0.7)
+        self.assert_exact(*self.filter_values(rng, F, rng.normal(size=(64, 3))))
+
+    def test_one_point_and_one_reference_take_one_box(self):
+        rng = np.random.default_rng(55)
+        F = rng.normal(size=(1, 3))
+        self.assert_exact(*self.filter_values(rng, F, rng.normal(size=(40, 3))), pruned=False)
+        F = sphere_front(rng, 2000)
+        self.assert_exact(*self.filter_values(rng, F, F[:1]), pruned=False)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_references_far_outside(self, scale):
+        rng = np.random.default_rng(56)
+        F = sphere_front(rng, 1000) * scale
+        far = rng.normal(size=(30, 3))
+        refs = far / np.linalg.norm(far, axis=1, keepdims=True) * 1e3 * scale
+        self.assert_exact(*self.filter_values(rng, F, refs))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_values_a_few_ulp_apart(self, data):
+        m = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = rng.normal(size=m) * 10.0 ** data.draw(st.integers(-3, 9))
+        F = y + rng.integers(-3, 4, size=(data.draw(st.integers(300, 600)), m)) * np.spacing(y)
+        refs = np.concatenate([y[None], F[:3], y + rng.integers(-3, 4, size=(20, m)) * np.spacing(y)])
+        self.assert_exact(*self.filter_values(rng, F, refs))
+
+    def test_front_scores_few_filter_values(self, monkeypatch):
+        # _minimize on a 2000-point noisy 3-d front against itself computes
+        # fewer than 10% of the n·r filter values of points; with one box it
+        # computes every one of them, to the same result
+        F = sphere_front(np.random.default_rng(57), 2000)
+        values, values_at = Boxes._values, Boxes._values_at
+
+        def scored():
+            counts = []
+
+            def dense(U, V):
+                if U.shape[1] == len(F):  # not the box bounds
+                    counts.append(U.shape[1] * V.shape[1])
+                return values(U, V)
+
+            def gathered(self, ref, pos, V):
+                counts.append(len(pos))
+                return values_at(self, ref, pos, V)
+
+            with mock.patch.object(Boxes, "_values", staticmethod(dense)), \
+                    mock.patch.object(Boxes, "_values_at", gathered):
+                return _minimize(F, OrderCone.nonneg(3), np.ones(3), F), sum(counts)
+
+        out, count = scored()
+        assert count < 0.1 * len(F) ** 2
+        monkeypatch.setattr(Boxes, "POINTS_PER_BOX", len(F))
+        assert scored() == (out, len(F) ** 2)
 
 
 class TestTraceFront:
