@@ -25,7 +25,6 @@ not a proof.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +53,9 @@ DEFAULT_BBOX = (-10.0, 10.0)
 STRICT_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
-    """Outcome of one sampled check.
+    """Outcome of one sampled check; reports compare and hash by value.
 
     ``witness`` holds the inputs and values of the worst violation when
     the verdict is Violated, else None. ``samples`` is the requested
@@ -72,19 +71,16 @@ class PropertyReport:
     seed: int
     applicable: int
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "verdict": self.verdict,
-                "witness": self.witness,
-                "max_defect": self.max_defect,
-                "samples": self.samples,
-                "seed": self.seed,
-                "applicable": self.applicable,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @record

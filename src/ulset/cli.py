@@ -6,12 +6,17 @@ property was Violated or the cloud is not disjoint, 2 invalid input or
 configuration, or memory ran out. The ULSET_TMAX environment variable
 overrides the bracketing horizon t_max of every handle the CLI builds; it
 must spell a positive finite JSON number, like the config's t_max.
+
+Every table (eval, contour, pareto) is written in blocks of lines, after the
+whole computation, so a command that fails writes none of it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import itertools
 import json
 import os
 import sys
@@ -82,13 +87,16 @@ def _load_config(path: str, k_flag: str | None):
                        tol=_number(*_field(doc, _CONFIG, "tol", DEFAULT_TOL)))
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write text to the file at path, or to stdout when no path is given."""
-    if path:
-        with open(path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_table(lines, path: str | None) -> None:
+    """Write the lines, each ending in a newline, to the file at path or to
+    stdout, one write per block of lines :func:`_spans` gives for lines of
+    _LINE_FLOATS floats, so the table never sits in memory as one string."""
+    lines = iter(lines)
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as f:
+        for a, b in _spans(sys.maxsize, _LINE_FLOATS):
+            if not (block := "".join(itertools.islice(lines, b - a))):
+                return
+            f.write(block)
 
 
 def _stack_points(texts: list[str]) -> np.ndarray:
@@ -111,13 +119,8 @@ def _cmd_eval(args) -> int:
             args.points, lambda chunks: [_keys(h, pts) for pts in chunks])
     else:
         raise UlsetError("pass --point or --points")
-    # every point is evaluated before the first write, so an error leaves stdout empty
-    i = 0
-    for part in parts:
-        for a, b in _spans(len(part), _LINE_FLOATS):
-            keys = part[a:b].tolist()
-            sys.stdout.write("".join(f"{j},{key_text(v)}\n" for j, v in enumerate(keys, i)))
-            i += len(keys)
+    keys = enumerate(itertools.chain.from_iterable(map(np.ndarray.tolist, parts)))
+    _write_table((f"{i},{key_text(v)}\n" for i, v in keys), None)
     return 0
 
 
@@ -127,10 +130,10 @@ def _cmd_contour(args) -> int:
     if bbox.shape[0] != 4:
         raise UlsetError("--bbox needs x0,y0,x1,y1")
     segments = contour2d(h, args.level, tuple(bbox), args.grid)
-    # every polyline is one two-point segment, so row r belongs to polyline r // 2
-    rows = np.reshape(segments, (-1, 2)).tolist()
-    _write_output("polyline_id,x,y\n" + "".join(
-        f"{r // 2},{x!r},{y!r}\n" for r, (x, y) in enumerate(rows)), args.out)
+    # every polyline is one two-point segment, so point r belongs to polyline r // 2
+    ends = enumerate(itertools.chain.from_iterable(map(np.ndarray.tolist, segments)))
+    _write_table(itertools.chain(["polyline_id,x,y\n"], (
+        f"{r // 2},{x!r},{y!r}\n" for r, (x, y) in ends)), args.out)
     return 0
 
 
@@ -202,22 +205,18 @@ def _cmd_pareto(args) -> int:
     cone = _load_cone(args, cloud.dim)
     k = _parse_vector(args.k)
     refs = scalarization.load_points_csv(args.refs).points if args.refs else cloud.points
-    lines = ["ref_index,point_index,value"]
-    for r, (arg, key) in enumerate(scalarization._minimize(cloud, cone, k, refs)):
-        lines.extend(f"{r},{i},{key_text(key)}" for i in arg)
-    _write_output("\n".join(lines) + "\n", args.out)
+    minima = enumerate((arg, key_text(key))
+                       for arg, key in scalarization._minimize(cloud, cone, k, refs))
+    _write_table(itertools.chain(["ref_index,point_index,value\n"], (
+        f"{r},{i},{text}\n" for r, (arg, text) in minima for i in arg)), args.out)
     return 0
 
 
 def _cmd_norm(args) -> int:
     point = _parse_vector(args.point)
     cone = _load_cone(args, point.shape[0])
-    k = _parse_vector(args.k)
-    if args.mode == "unit":
-        val = norms.order_unit_norm(cone, k, point)
-    else:
-        val = norms.gauge_cone_shift(cone, k, point)
-    print(repr(float(val)))
+    norm = norms.order_unit_norm if args.mode == "unit" else norms.gauge_cone_shift
+    print(repr(float(norm(cone, _parse_vector(args.k), point))))
     return 0
 
 

@@ -435,10 +435,12 @@ def evaluate_batch(h: FunctionalHandle, Y) -> tuple[np.ndarray, np.ndarray]:
     Both strategies run on the blocks :func:`_spans` gives for the points,
     h.point_floats floats each, and fill one key array, so memory grows
     with the points and not with rows times points; a block is the view
-    ``pts[a:b].T``. A point's key depends on that point alone, whatever
-    block, chunk or call it is in (see :func:`_rows_at`), so the keys are
-    bitwise those of one pass over all the points, or of one call per
-    point.
+    ``pts[a:b].T``. At inner dimension <= 4, on the OpenBLAS kernels CI
+    runs, a point's key depends on that point alone, whatever block, chunk
+    or call it is in (see :func:`_rows_at`), so the keys are bitwise those
+    of one pass over all the points, or of one call per point. Past that a
+    gemm can round a column by how many columns it has: at d = 16, 24 of
+    40 ``ulset eval --point`` values differ from their ``--points`` lines.
     """
     return _from_keys(_keys(h, Y))
 

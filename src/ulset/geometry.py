@@ -142,44 +142,38 @@ class Polyhedron(SetExpr):
         return b
 
 
+class _Members(SetExpr):
+    """A union or intersection of one or more members of one dimension;
+    _noun is its JSON type, which its error messages name."""
+
+    def __post_init__(self):
+        ms = tuple(self.members)
+        if not ms:
+            raise InvalidInput(f"{self._noun} needs at least one member")
+        dims = {m.dim for m in ms}
+        if len(dims) != 1:
+            raise InvalidInput(f"{self._noun} members disagree on dimension: {sorted(dims)}")
+        object.__setattr__(self, "members", ms)
+
+    @property
+    def dim(self) -> int:
+        return self.members[0].dim
+
+
 @record
-class SetUnion(SetExpr):
+class SetUnion(_Members):
     """Finite union of set expressions."""
 
     members: tuple[SetExpr, ...]
-
-    def __post_init__(self):
-        ms = tuple(self.members)
-        if not ms:
-            raise InvalidInput("union needs at least one member")
-        dims = {m.dim for m in ms}
-        if len(dims) != 1:
-            raise InvalidInput(f"union members disagree on dimension: {sorted(dims)}")
-        object.__setattr__(self, "members", ms)
-
-    @property
-    def dim(self) -> int:
-        return self.members[0].dim
+    _noun = "union"
 
 
 @record
-class SetIntersection(SetExpr):
+class SetIntersection(_Members):
     """Finite intersection of set expressions."""
 
     members: tuple[SetExpr, ...]
-
-    def __post_init__(self):
-        ms = tuple(self.members)
-        if not ms:
-            raise InvalidInput("intersection needs at least one member")
-        dims = {m.dim for m in ms}
-        if len(dims) != 1:
-            raise InvalidInput(f"intersection members disagree on dimension: {sorted(dims)}")
-        object.__setattr__(self, "members", ms)
-
-    @property
-    def dim(self) -> int:
-        return self.members[0].dim
+    _noun = "intersection"
 
 
 @record
@@ -298,7 +292,7 @@ def _compile(s: SetExpr, leaves: list, union: bool = False):
         return leaves[-1]
     if isinstance(s, Shift):
         return Fold(s.offset[:, None], False, (_compile(s.base, leaves),))
-    if isinstance(s, (SetUnion, SetIntersection)):
+    if isinstance(s, _Members):
         return Fold(None, isinstance(s, SetUnion), tuple(_compile(m, leaves) for m in s.members))
     if isinstance(s, ComplementClosure):
         return Fold(None, False, tuple(_compile(p, leaves, True) for p in s.polyhedra))
@@ -526,10 +520,8 @@ def _node_to_json(s: SetExpr) -> dict:
             "type": "polyhedron",
             "halfspaces": [{"a": h.a.tolist(), "b": h.b} for h in s.halfspaces],
         }
-    if isinstance(s, SetUnion):
-        return {"type": "union", "members": [_node_to_json(m) for m in s.members]}
-    if isinstance(s, SetIntersection):
-        return {"type": "intersection", "members": [_node_to_json(m) for m in s.members]}
+    if isinstance(s, _Members):
+        return {"type": s._noun, "members": [_node_to_json(m) for m in s.members]}
     if isinstance(s, Shift):
         return {"type": "shift", "base": _node_to_json(s.base), "y0": s.offset.tolist()}
     if isinstance(s, ComplementClosure):

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import analysis
 from .errors import DirectionRejected, InvalidInput, PreconditionFailed
 from .evaluator import make_handle, _keys
 from .geometry import AK_POSITIVE_MIN, Shift, _as_vector, _rows_at
-from .analysis import (PropertyReport, _Worst, _blocks, _eq_defect, _ext_json, _sample_count,
-                       _verdict)
 from .scalarization import OrderCone
 
 
@@ -80,14 +79,16 @@ def order_unit_norm(C: OrderCone, k, y) -> float | np.ndarray:
 
 
 def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
-                               seed: int = 42) -> PropertyReport:
+                               seed: int = 42) -> analysis.PropertyReport:
     """Sampled identity ||y - a||_{C,k} = score of y against reference a, on a + C.
 
     Samples y = a + (nonnegative combination of the cone generators);
     generators are required. A score that is not finite costs 1 + norm.
-    The combinations are drawn, and the identity reduced, block by block.
+    The combinations are drawn, and the identity reduced, block by block,
+    by the check helpers of :mod:`analysis`, whose code runs only once a
+    check does.
     """
-    _sample_count(n_samples)
+    analysis._sample_count(n_samples)
     if not C.generators:
         raise InvalidInput("cone generators are required to sample a + C")
     k = _as_vector(k, C.dim, "order unit")
@@ -96,13 +97,13 @@ def check_norm_score_identity(C: OrderCone, k, a, n_samples: int = 1000,
     score = make_handle(Shift(C.negated(), a), k)
     rng = np.random.default_rng(seed)
     G = np.stack(C.generators)
-    worst = _Worst(1e-7)
-    for lo, hi in _blocks(score, n_samples, len(G)):
+    worst = analysis._Worst(1e-7)
+    for lo, hi in analysis._blocks(score, n_samples, len(G)):
         Y = a + _rows_at(rng.uniform(0.0, 5.0, size=(hi - lo, len(G))), G)
         lhs = _order_unit_values(norm, Y - a)
         rhs = _keys(score, Y)
-        worst.add(_eq_defect(lhs, rhs, mismatch=1.0 + np.abs(lhs)), lambda i: {
+        worst.add(analysis._eq_defect(lhs, rhs, mismatch=1.0 + np.abs(lhs)), lambda i: {
             "inputs": {"y": Y[i].tolist(), "a": a.tolist()},
-            "values": {"norm": float(lhs[i]), "score": _ext_json(rhs[i])},
+            "values": {"norm": float(lhs[i]), "score": analysis._ext_json(rhs[i])},
         })
-    return _verdict("norm_identity_on_shifted_cone", seed, n_samples, worst)
+    return analysis._verdict("norm_identity_on_shifted_cone", seed, n_samples, worst)

@@ -402,3 +402,12 @@ class TestValidation:
             Polyhedron((HalfSpace([1.0], 0.0), HalfSpace([1.0, 0.0], 0.0)))
         with pytest.raises(InvalidInput):
             SetUnion((neg_orthant(2), neg_orthant(3)))
+
+    @pytest.mark.parametrize("cls, noun", [(SetUnion, "union"), (SetIntersection, "intersection")])
+    def test_member_errors_name_the_node(self, cls, noun):
+        with pytest.raises(InvalidInput, match=f"^{noun} needs at least one member$"):
+            cls(())
+        with pytest.raises(InvalidInput,
+                           match=rf"^{noun} members disagree on dimension: \[2, 3\]$"):
+            cls((neg_orthant(3), neg_orthant(2)))
+        assert set_to_json(cls((neg_orthant(2),)))["set"]["type"] == noun

@@ -53,12 +53,14 @@ small blocks.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ulset.analysis as analysis
+import ulset.cli as cli
 from conftest import biased_eval, neg_orthant, rec_handle_for, three_quadrant_union
 from ulset import (
     MonotoneCone,
@@ -104,6 +106,14 @@ def _contour_argv(name, level, bbox, grid) -> list[str]:
             "--bbox=" + ",".join(map(repr, bbox)), "--grid", str(grid)]
 
 
+#: The three-quadrant contour and nonnegative-orthant pareto calls, also run
+#: with --out.
+CONTOUR_ARGV = ["contour", _path("three_quadrant.json"), "--level", "0.5", "--bbox=-2,-2,2,2",
+                "--grid", "41"]
+PARETO_ARGV = ["pareto", "--points", _path("points.csv"), "--k", "1,1",
+               "--refs", _path("pareto_refs.csv")]
+
+
 #: CLI calls and their golden output file and exit code.
 CLI_CASES = [
     (["check", _path("strict_union.json"), "--suite", "all", "--seed", "42"],
@@ -126,14 +136,11 @@ CLI_CASES = [
      "three_quadrant_bisection_eval.out", 0),
     (["eval", _path("three_quadrant.json"), "--points", _path("points_labelled.csv")],
      "three_quadrant_labelled_eval.out", 0),
-    (["pareto", "--points", _path("points.csv"), "--k", "1,1", "--refs", _path("pareto_refs.csv")],
-     "pareto_nonneg.out", 0),
+    (PARETO_ARGV, "pareto_nonneg.out", 0),
     (["pareto", "--points", _path("points.csv"), "--cone-file", _path("half_plane_cone.json"),
       "--k", "1,0", "--refs", _path("pareto_refs.csv")],
      "pareto_half_plane.out", 0),
-    (["contour", _path("three_quadrant.json"), "--level", "0.5", "--bbox=-2,-2,2,2",
-      "--grid", "41"],
-     "three_quadrant_contour.out", 0),
+    (CONTOUR_ARGV, "three_quadrant_contour.out", 0),
     (["contour", _path("neg_orthant.json"), "--level", "-0.5", "--bbox=-2,-2,2,2",
       "--grid", "41"],
      "neg_orthant_contour.out", 0),
@@ -173,14 +180,55 @@ def test_cli_output_in_small_blocks(budget, argv, expected, code, monkeypatch, c
 
 @pytest.mark.parametrize("argv, expected", [
     (_contour_argv(*CONTOUR_CASES[0][:4]), "contour_saddles.out"),
-    (["pareto", "--points", _path("points.csv"), "--k", "1,1", "--refs", _path("pareto_refs.csv")],
-     "pareto_nonneg.out"),
+    (PARETO_ARGV, "pareto_nonneg.out"),
 ], ids=["contour", "pareto"])
 def test_out_file_matches_golden(argv, expected, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
+
+
+class _Writes:
+    """A text stream, or a file opened for writing, that keeps the text of
+    each write call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+@pytest.mark.parametrize("argv, expected, to_file", [
+    (["eval", _path("three_quadrant.json"), "--points", _path("points.csv")],
+     "three_quadrant_eval.out", False),
+    (CONTOUR_ARGV, "three_quadrant_contour.out", False),
+    (CONTOUR_ARGV, "three_quadrant_contour.out", True),
+    (PARETO_ARGV, "pareto_nonneg.out", False),
+    (PARETO_ARGV, "pareto_nonneg.out", True),
+], ids=["eval", "contour", "contour_out", "pareto", "pareto_out"])
+def test_tables_written_a_block_at_a_time(argv, expected, to_file, monkeypatch):
+    """Under a one-float budget a block of output holds one line, and no
+    write call, to stdout or to --out, holds more than one block."""
+    monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 1)
+    stream = _Writes()
+    if to_file:
+        argv = [*argv, "--out", "table.csv"]
+        monkeypatch.setattr(cli, "open", lambda path, mode="r": stream if mode == "w"
+                            else open(path, mode), raising=False)
+    else:
+        monkeypatch.setattr(sys, "stdout", stream)
+    assert main(argv) == 0
+    assert "".join(stream.calls).encode() == (GOLDEN / expected).read_bytes()
+    assert [text.count("\n") for text in stream.calls] == [1] * len(stream.calls)
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -65,12 +65,12 @@ LAZY_RAN = {
     "pareto": ["scalarization.py"],
     "check": ["analysis.py"],
     "separate": ["analysis.py", "scalarization.py"],
-    "norm": ["analysis.py", "norms.py", "scalarization.py"],
+    "norm": ["norms.py", "scalarization.py"],
 }
 
 
 @pytest.mark.parametrize("command", LAZY_RAN)
-def test_only_check_separate_and_norm_run_analysis(command):
+def test_only_check_and_separate_run_analysis(command):
     lazy_ran = LAZY_RAN[command]
     doc = _fresh(EXECUTED, *COMMANDS[command])
     assert doc["code"] in (0, 1)
