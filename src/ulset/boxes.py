@@ -23,17 +23,21 @@ class Boxes:
     lo (rows, G): :meth:`candidates` finds a block's candidates from them
     (see :func:`scalarization._minimize`).
 
-    The boxes are the leaves of a k-d tree: each level splits every box at
-    its median on one row of U, the rows in turn, by ``np.argpartition``
-    over the blocks of boxes that :func:`_spans` gives, so a level costs
-    O(n) and holds at most a block, or one box. There are G = 2**L boxes, L
-    the least of log2(n / POINTS_PER_BOX), rounded, and log2(r), rounded
-    down, for r references: the tree's L passes over the cloud then cost
-    less than the r dense passes it saves. Below 16 boxes the prune saves
-    too little to pay for the gathers of the kept points, so there is one
-    box, and the filter is dense; so it is at r = 1. Box g holds the
-    positions starts[g]:starts[g + 1] of order, and U is permuted in place
-    into that order, so the caller's array must not be used again.
+    The boxes are the leaves of a k-d tree of L levels, L the least of
+    log2(n / POINTS_PER_BOX), rounded, and log2(r), rounded down, for r
+    references: the tree's L passes over the cloud then cost less than the
+    r dense passes it saves. Below 16 boxes the prune saves too little to
+    pay for the gathers of the kept points, so there is one box, and the
+    filter is dense; so it is at r = 1. Every box but the last is width =
+    ceil(n / 2**L) positions of order wide, and the last holds the rest, so
+    G = ceil(n / width): 125 boxes of 16 points for 2000 points. A node of
+    level l < L is then width << (L - l) positions wide, the last one no
+    wider, and splits after its first width << (L - l - 1) positions on
+    row l of U, the rows in turn: one ``np.argpartition`` over each block
+    of nodes that :func:`_spans` gives, and one for the last node, so a
+    level costs O(n) and holds at most a block, or one node. U is permuted
+    in place into the order of the boxes, so the caller's array must not be
+    used again.
     """
 
     POINTS_PER_BOX = 16
@@ -42,40 +46,27 @@ class Boxes:
         q, n = U.shape
         levels = min(round(math.log2(n / self.POINTS_PER_BOX)), r.bit_length() - 1)
         levels = levels if levels >= 4 else 0
+        width = -(-n // 2**levels)
         # the first split, of the whole cloud, needs no gather
-        order = np.argpartition(U[0], n >> 1) if levels else np.arange(n)
+        order = np.argpartition(U[0], width << (levels - 1)) if levels else np.arange(n)
         for level in range(1, levels):
-            # 2**level boxes of n >> level points, give or take one
-            starts = (np.arange(2**level + 1) * n) >> level
-            half = ((np.arange(1, 2**(level + 1), 2) * n) >> (level + 1)) - starts[:-1]
-            for a, b in _spans(2**level, (n >> level) + 1):
-                seg, size = order[starts[a]:starts[b]], np.diff(starts[a:b + 1])
-                # half takes two values at most
-                key, kth = U[level % q][seg], {half[a:b].min(), half[a:b].max()}
-                if size.min() == size.max():
-                    key = key.reshape(b - a, -1)
-                else:
-                    # the shorter boxes are padded with inf, which the
-                    # partition at their last place keeps there
-                    held = np.arange(size.max()) < size[:, None]
-                    key, values = np.full(held.shape, np.inf), key
-                    key[held] = values
-                    kth.add(size.min())
-                    del values
-                part = np.argpartition(key, sorted(kth), axis=1)
-                del key
-                part += (starts[a:b] - starts[a])[:, None]
-                seg[:] = seg[part.reshape(-1) if size.min() == size.max() else part[held]]
-                del part
+            node, key = width << (levels - level), U[level % q]
+            for a, b in _spans(n // node, node):
+                seg = order[a * node:b * node].reshape(b - a, node)
+                seg[:] = np.take_along_axis(
+                    seg, np.argpartition(key[seg], node >> 1, axis=1), axis=1)
+            seg = order[n // node * node:]
+            if len(seg) > node >> 1:
+                seg[:] = seg[np.argpartition(key[seg], node >> 1)]
         for row in U:
             row[:] = row[order]
         self.U, self.order = U, order
-        self.starts = (np.arange(2**levels + 1) * n) >> levels
-        self.size = np.diff(self.starts)
-        self.lo = np.minimum.reduceat(U, self.starts[:-1], axis=1)
+        self.starts = np.arange(0, n, width)
+        self.size = np.diff(self.starts, append=n)
+        self.lo = np.minimum.reduceat(U, self.starts, axis=1)
         #: floats a reference takes in a block: its box bounds, then its
         #: lowest box's filter values
-        self.floats = len(self.size) + self.size.max()
+        self.floats = len(self.size) + width
 
     def candidates(self, V: np.ndarray, reach: float):
         """The candidates against the references of V, (rows, B), as arrays of

@@ -166,44 +166,45 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
     Filter. Where every row R_r of -C moves along k (R_r·k >
     AK_POSITIVE_MIN), the score of F_p against a is
     max_r R_r·(F_p - a)/(R_r·k). So U = R·F/(R·k) is taken once for the
-    cloud and V = R·a/(R·k) once per block of references, and the filter
-    value of F_p against a is A_p = max_r (U_rp - V_ra), with no difference
-    built and nothing validated again.
+    cloud and V = R·a/(R·k) a block of references at a time, and the
+    filter value of F_p against a is A_p = max_r (U_rp - V_ra), with no
+    difference built and nothing validated again.
 
     Bound. Let S_r = Σ_j |R_rj|·(max_p |F_pj| + max_a |a_j|)/(R_r·k), the
-    maxima over the cloud and the block, γ_j = j·u/(1 - j·u) and u = 2**-53.
-    The exact key rounds F_p - a, the m products of a row and their sum, and
-    the division; the filter rounds the products and sums of U and V, their
-    divisions and U - V. Either way a row's value lies within γ_{m+2}·S_r of
-    the real R_r·(F_p - a)/(R_r·k), and so does the max over rows: a filter
-    value lies within 2·γ_{m+2}·max_r S_r of the exact key. With
-    E = 4·γ_{m+3}·max_r S_r + 2**-1000 (γ_{m+3} for the rounding of S
+    maxima over the cloud and all the references, γ_j = j·u/(1 - j·u) and
+    u = 2**-53. The exact key rounds F_p - a, the m products of a row and
+    their sum, and the division; the filter rounds the products and sums of
+    U and V, their divisions and U - V. Either way a row's value lies within
+    γ_{m+2}·S_r of the real R_r·(F_p - a)/(R_r·k), and so does the max over
+    rows: a filter value lies within 2·γ_{m+2}·max_r S_r of the exact key.
+    With E = 4·γ_{m+3}·max_r S_r + 2**-1000 (γ_{m+3} for the rounding of S
     itself, 2**-1000 for underflow), every point whose key is within
     ARGMIN_TOL of the least key has A_p <= min A + reach, reach =
     ARGMIN_TOL + 2E. The threshold gets a relative margin of 2**-50 for its
     own rounding and that of the key comparison, and the points at or below
-    it are the reference's candidates. A block takes the filter only where
-    max_r S_r < 2**1021, so no filter value, difference or key of it
-    overflows. Where a row of -C is static, or the bound is larger or not
-    finite, every point of the block is a candidate, in the blocks that
-    :func:`_spans` gives for n·m floats a reference.
+    it are the reference's candidates. The filter runs only where
+    max_r S_r < 2**1021, so no filter value, difference or key overflows.
+    Where a row of -C is static, or the bound is larger or not finite, every
+    point is a candidate of every reference, in the blocks that
+    :func:`_spans` gives for n·m floats a reference. That choice is made
+    once per call, so no candidate depends on the block budget.
 
     Prune. The candidates are found without most of the A_p.
-    :class:`boxes.Boxes` splits the cloud into G boxes of about 16 points and
-    keeps lo_rg, the least U_rp of box g on row r. Since fl(x - v) is
-    monotone in x, and max is exact, LB_ag = max_r (lo_rg - V_ra) is at most
-    every A_p of box g in floating point too. The exact least A_p of each
-    reference's lowest-LB box, ub, bounds min A above, so min A lies
-    between that box's LB and ub. The cut ub + reach + 2**-48·(max(|ub|,
-    |LB|) + reach) is then at least the threshold of min A: the 2**-48
-    covers the rounding of either threshold. A box whose LB is above the cut
-    holds neither a candidate nor the min A, so only the points of the other
-    boxes are scored. Their least A_p is the exact min A, the threshold from
-    it is the dense filter's, and so are the candidates, bit for bit. The
-    references go in the blocks that :func:`_spans` gives for G floats, and
-    the lowest box's points, each. On a noisy 3-d front of 2000 points
-    against itself, a reference takes 128 box bounds and about 50 A_p, not
-    2000.
+    :class:`boxes.Boxes` splits the cloud into G boxes of one width, about
+    16 points, the last box shorter, and keeps lo_rg, the least U_rp of box
+    g on row r. Since fl(x - v) is monotone in x, and max is exact,
+    LB_ag = max_r (lo_rg - V_ra) is at most every A_p of box g in floating
+    point too. The exact least A_p of each reference's lowest-LB box, ub,
+    bounds min A above, so min A lies between that box's LB and ub. The cut
+    ub + reach + 2**-48·(max(|ub|, |LB|) + reach) is then at least the
+    threshold of min A: the 2**-48 covers the rounding of either threshold.
+    A box whose LB is above the cut holds neither a candidate nor the min A,
+    so only the points of the other boxes are scored. Their least A_p is the
+    exact min A, the threshold from it is the dense filter's, and so are the
+    candidates, bit for bit. The references go in the blocks that
+    :func:`_spans` gives for G floats, and the lowest box's points, each. On
+    a noisy 3-d front of 2000 points against itself, a reference takes 125
+    box bounds and about 50 A_p, not 2000.
 
     Refine. Candidates gather, as flat indices reference * n + point, over
     whole references; where their differences F_p - a fill the block budget,
@@ -243,30 +244,25 @@ def _candidate_chunks(h, F: np.ndarray, refs: np.ndarray):
     """:func:`_minimize`'s candidates, in order, as arrays of flat indices
     reference * n + point, each of them the candidates of whole references."""
     n, m = F.shape
-    R, ak = h.set.normals, h.motions[0].divisor
+    R, ak, s = h.set.normals, h.motions[0].divisor, np.inf
     if not h.motions[0].static.size:
         with np.errstate(over="ignore", invalid="ignore"):
             U = _rows_at(R, F.T)
             U /= ak
-    # S bounds |U|, so where U is not finite no block passes the bound
-    if h.motions[0].static.size or not np.isfinite(U).all():
+            big = sum(np.maximum(X.max(axis=0), -X.min(axis=0)) for X in (F, refs))
+            s = (_rows_at(np.abs(R), big) / ak[:, 0]).max()
+    # a static row has no bound; a U that is not finite fails it too, but
+    # is checked outright
+    if not (s < 2.0**1021 and np.isfinite(U).all()):
         for i, j in _spans(len(refs), n * m):
             yield np.arange(i * n, j * n)
         return
-    cloud = boxes.Boxes(U, len(refs))
-    absR = np.abs(R)
-    Fmax = np.maximum(F.max(axis=0), -F.min(axis=0))
     gamma = (m + 3) * 2.0**-53 / (1 - (m + 3) * 2.0**-53)
+    reach = ARGMIN_TOL + 2 * (4 * gamma * s + 2.0**-1000)
+    cloud = boxes.Boxes(U, len(refs))
     for i, j in _spans(len(refs), cloud.floats):
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = (_rows_at(absR, Fmax + np.abs(refs[i:j]).max(axis=0)) / ak[:, 0]).max()
-        if s < 2.0**1021:
-            V = _rows_at(R, refs[i:j].T) / ak
-            for chunk in cloud.candidates(V, ARGMIN_TOL + 2 * (4 * gamma * s + 2.0**-1000)):
-                yield chunk + i * n
-        else:
-            for a, b in _spans(j - i, n * m):
-                yield np.arange((i + a) * n, (i + b) * n)
+        for chunk in cloud.candidates(_rows_at(R, refs[i:j].T) / ak, reach):
+            yield chunk + i * n
 
 
 def _refine(h, F: np.ndarray, refs: np.ndarray, pairs: np.ndarray) -> list[tuple[list[int], float]]:

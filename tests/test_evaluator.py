@@ -440,7 +440,7 @@ def exact_cases(draw, dim):
 
 
 class TestExactOracle:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
     def test_closed_form_within_forward_error_bound(self, dim):
         """The closed form's keys have the kinds of conftest's exact oracle,
         and each finite key lies within this bound of the exact value.

@@ -345,6 +345,37 @@ class TestFilterRefine:
         self.assert_bitwise(F, OrderCone.nonneg(2), k, F)
         assert self.scored(F, OrderCone.nonneg(2), k, F)[1] == len(F) ** 2
 
+    def test_candidates_do_not_depend_on_the_block_budget(self, monkeypatch):
+        # one bound S over every reference: the far second reference widens
+        # every reference's reach to take in the copies moved 3e-8 along k,
+        # not only the reach of the references in its block
+        rng = np.random.default_rng(58)
+        k = np.ones(3)
+        F = sphere_front(rng, 2000)
+        F = np.concatenate([F, F[:200] + 3e-8 * k])
+        refs = np.concatenate([F[:1], [[1e7, 1e7, 1e7]], F[1:600]])
+        h = make_handle(OrderCone.nonneg(3).negated(), k)
+        got = []
+        for budget in (2**14, 2**9):
+            monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+            got.append(np.concatenate(list(scalarization._candidate_chunks(h, F, refs))).tolist())
+        assert got[0] == got[1]
+        self.assert_bitwise(F, OrderCone.nonneg(3), k, refs)
+
+    @pytest.mark.parametrize("budget", [_BLOCK_FLOATS, 2**9])
+    def test_one_far_reference_makes_every_pair_a_candidate(self, budget, monkeypatch):
+        # S near 3e307 is not below 2**1021, and it is taken over every
+        # reference, so every point is a candidate of every reference, also
+        # where the references span several blocks
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+        rng = np.random.default_rng(59)
+        F = sphere_front(rng, 300, m=2)
+        refs = np.concatenate([rng.normal(size=(30, 2)), [[3e307, 3e307]],
+                               rng.normal(size=(30, 2))])
+        k = np.ones(2)
+        self.assert_bitwise(F, OrderCone.nonneg(2), k, refs)
+        assert self.scored(F, OrderCone.nonneg(2), k, refs)[1] == len(F) * len(refs)
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
     def test_scores_a_few_ulp_apart(self, data):
@@ -461,6 +492,31 @@ class TestBoxPrune:
         F = y + rng.integers(-3, 4, size=(data.draw(st.integers(300, 600)), m)) * np.spacing(y)
         refs = np.concatenate([y[None], F[:3], y + rng.integers(-3, 4, size=(20, m)) * np.spacing(y)])
         self.assert_exact(*self.filter_values(rng, F, refs))
+
+    @pytest.mark.parametrize("n", [256, 255, 257, 2003, 4096])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("budget", [_BLOCK_FLOATS, 40])
+    def test_box_tree(self, n, rows, budget, monkeypatch):
+        # order permutes the cloud, every box but the last is width wide, lo
+        # is each box's least value per row, and at every level, inside each
+        # node, the left half's values on that level's row are at most the
+        # right half's; coarse values give ties
+        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", budget)
+        U = np.round(np.random.default_rng(n + rows).normal(size=(rows, n)), 1)
+        boxes = Boxes(U.copy(), n)
+        assert sorted(boxes.order.tolist()) == list(range(n))
+        assert (boxes.U == U[:, boxes.order]).all()
+        levels = (len(boxes.size) - 1).bit_length()
+        width = -(-n // 2**levels)
+        assert levels >= 4 and len(boxes.size) == -(-n // width)
+        assert (boxes.size[:-1] == width).all() and 0 < boxes.size[-1] <= width
+        for g, a in enumerate(range(0, n, width)):
+            assert (boxes.lo[:, g] == boxes.U[:, a:a + width].min(axis=1)).all()
+        for level in range(levels):
+            node, key = width << (levels - level), boxes.U[level % rows]
+            for a in range(0, n, node):
+                left, right = key[a:a + node // 2], key[a + node // 2:a + node]
+                assert not right.size or left.max() <= right.min()
 
     def test_front_scores_few_filter_values(self, monkeypatch):
         # _minimize on a 2000-point noisy 3-d front against itself computes
