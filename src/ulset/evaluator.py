@@ -16,10 +16,11 @@ halfspaces and a complement closure the intersection, over the base's
 members, of the union of that member's reversed halfspaces. Bisection
 is the independent oracle, opt in with ``strategy="bisection"``: it
 tests membership of y - t*k only, t = 0 included, each row as
-a·y - b - t·(a·k) <= eps, which never divides by a·k. The test at t = 0
-picks the direction, one loop doubles |t| out to t_max to bracket the
-threshold, and bisection refines it to a mixed tolerance tol*(1+|t|),
-or to adjacent floats where tol asks for less. A bisection result of
+a·y - b - t·(a·k) <= eps (at t = 0, :func:`~ulset.geometry.contains_many`'s
+rule), which never divides by a·k. The test at t = 0 picks the direction,
+one loop doubles |t| out to t_max to bracket the threshold, and bisection
+refines it to a mixed tolerance tol*(1+|t|), or to adjacent floats where
+tol asks for less. A bisection result of
 MinusInf means membership persisted at -t_max; that is a bounded
 numerical certificate, not a proof that the whole line lies in the
 set. Ties at the bracket edge resolve toward membership, matching the

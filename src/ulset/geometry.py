@@ -4,7 +4,7 @@ A set expression is an immutable tree whose leaves are halfspace
 intersections (:class:`Polyhedron`) and whose inner nodes are finite
 unions, finite intersections, translations (:class:`Shift`) and the
 closure of a polyhedron complement (:class:`ComplementClosure`).
-Every node answers membership queries with an absolute tolerance.
+Every node answers membership queries with slack eps on each row's a·y - b.
 One walk of the tree compiles a set, once, into a row plan on which
 :func:`fold_plan` defines the shift, union, intersection and complement
 rules, for the evaluator's lattice keys and for membership alike.
@@ -359,15 +359,13 @@ def fold_plan(node, Yt: np.ndarray, leaf) -> np.ndarray:
 def contains_many(s: SetExpr, Y, eps: float = EPS_MEMBERSHIP) -> np.ndarray:
     """Vectorized membership test; returns a boolean array, one per row of Y.
 
-    Each halfspace is tested as a·y <= b + eps; the evaluator's a·y - b <= eps
-    (:func:`_row_values`) can disagree within an ulp of b + eps, until one
-    rule is chosen for both (see the README).
-    """
-    if eps < 0:
-        raise InvalidInput("membership tolerance must be nonnegative")
+    Each halfspace is tested as a·y - b <= eps on :func:`_row_values`, the
+    evaluator's rule (a complement member's reversed rows read b - a·y <= eps)."""
+    if not eps >= 0:
+        raise InvalidInput("membership tolerance must be a nonnegative number")
     pts = _as_points(Y, s.dim)
     return ~fold_plan(s.plan[0], pts.T,
-                      lambda rows, Yt: _outside(rows.union, _rows_at(rows.R, Yt) <= rows.c + eps))
+                      lambda rows, Yt: _outside(rows.union, _row_values(rows, Yt) <= eps))
 
 
 def contains(s: SetExpr, y, eps: float = EPS_MEMBERSHIP) -> bool:

@@ -50,11 +50,11 @@ def three_quadrant_value(y1: float, y2: float):
 
 
 def reference_contains(s, pts: np.ndarray, eps: float) -> np.ndarray:
-    """Membership of the rows of pts, written out node by node: a·y <= b + eps
-    on a polyhedron's rows, a·y >= b - eps on one row of each complement
+    """Membership of the rows of pts, written out node by node: a·y - b <= eps
+    on a polyhedron's rows, b - a·y <= eps on one row of each complement
     member, or over a union's members, and over an intersection's."""
     if isinstance(s, Polyhedron):
-        return (s.normals @ pts.T <= s.offsets[:, None] + eps).all(axis=0)
+        return (s.normals @ pts.T - s.offsets[:, None] <= eps).all(axis=0)
     if isinstance(s, SetUnion):
         return reduce(np.logical_or, (reference_contains(m, pts, eps) for m in s.members))
     if isinstance(s, SetIntersection):
@@ -62,7 +62,7 @@ def reference_contains(s, pts: np.ndarray, eps: float) -> np.ndarray:
     if isinstance(s, Shift):
         return reference_contains(s.base, pts - s.offset, eps)
     if isinstance(s, ComplementClosure):
-        return reduce(np.logical_and, ((p.normals @ pts.T >= p.offsets[:, None] - eps).any(axis=0)
+        return reduce(np.logical_and, ((p.offsets[:, None] - p.normals @ pts.T <= eps).any(axis=0)
                                        for p in s.polyhedra))
     raise TypeError(f"no reference for {type(s).__name__}")
 

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -43,7 +44,7 @@ from ulset.norms import gauge_cone_shift
 from ulset.evaluator import (_BLOCK_FLOATS, _OVERFLOW, AK_POSITIVE_MIN, EPS_MEMBERSHIP,
                              KIND_FINITE, KIND_MINUS_INF, KIND_NU, _closed_batch, _motion, _keys,
                              _rows_keys, _spans, _translate_outside)
-from ulset.geometry import contains_many, set_to_json
+from ulset.geometry import contains_many, set_to_json, _as_vector, _leaf_ak
 from ulset.scalarization import OrderCone, _minimize
 from conftest import (three_quadrant_value, biased_eval, kernel_handle, neg_orthant,
                       random_polyhedral_fixture, reference_bisect, reference_closed_batch,
@@ -439,6 +440,78 @@ def exact_cases(draw, dim):
     return s, vector(), offsets, np.array(points)
 
 
+#: A row a·x <= b of a set (a complement member's reversed: -a and -b) at a
+#: point: its float a·k, the float point zf it sees, the exact a·z - b there,
+#: and W = Σ|a_i|·(|y_i| + Σ|o_i|) + |b| over the shifts o above it.
+ExactRow = namedtuple("ExactRow", "a b ak zf g w")
+
+
+def exact_rows(s, k, y):
+    """Every row of s at the point y, as ExactRows, in the walk order of
+    conftest's reference_exact (and of the set's plan leaves)."""
+    aks = iter(_leaf_ak(s, _as_vector(k, s.dim)))
+
+    def walk(s, zf, z, za):
+        if isinstance(s, Shift):
+            yield from walk(s.base, zf - s.offset, [zi - Fraction(o) for zi, o in zip(z, s.offset.tolist())],
+                            [zi + abs(Fraction(o)) for zi, o in zip(za, s.offset.tolist())])
+        elif isinstance(s, (SetUnion, SetIntersection)):
+            for m in s.members:
+                yield from walk(m, zf, z, za)
+        else:
+            sign, polyhedra = (1, (s,)) if isinstance(s, Polyhedron) else (-1, s.polyhedra)
+            for p in polyhedra:
+                for hs, ak in zip(p.halfspaces, next(aks).tolist()):
+                    a, b = sign * hs.a, sign * hs.b
+                    g = sum(Fraction(ai) * zi for ai, zi in zip(a.tolist(), z)) - Fraction(b)
+                    w = sum(abs(Fraction(ai)) * zi for ai, zi in zip(a.tolist(), za)) + abs(Fraction(b))
+                    yield ExactRow(a, b, ak, zf, g, w)
+
+    y = np.asarray(y, dtype=float)
+    z = [Fraction(v) for v in y.tolist()]
+    return walk(s, y, z, [abs(v) for v in z])
+
+
+def exact_fold(s, values):
+    """Fold one value per row of s, an iterator in exact_rows' order, by the
+    closed form's lattice: a polyhedron's rows by max, a complement member's
+    reversed rows by min, a union's members by min, and an intersection's and
+    a complement's by max. On outside flags (1 outside) this is membership."""
+    if isinstance(s, Polyhedron):
+        return max(next(values) for _ in s.halfspaces)
+    if isinstance(s, Shift):
+        return exact_fold(s.base, values)
+    if isinstance(s, (SetUnion, SetIntersection)):
+        return (min if isinstance(s, SetUnion) else max)(exact_fold(m, values) for m in s.members)
+    return max(min(next(values) for _ in p.halfspaces) for p in s.polyhedra)
+
+
+@st.composite
+def near_row_cases(draw, dim):
+    """exact_cases' sets and points, and for each point up to four more moved
+    along the normal a of one of the set's rows, so that the row's exact
+    a·z - b is near 0, EPS_MEMBERSHIP or 1e-6: at it, or 1e-15 to 1e-6 to
+    either side, then stepped up to 4 ulp along a."""
+    s, k, offsets, Y = draw(exact_cases(dim))
+    near = []
+    for y in Y:
+        rows = list(exact_rows(s, k, y))
+        for _ in range(draw(st.integers(1, 4))):
+            r = draw(st.sampled_from(rows))
+            level = draw(st.sampled_from([0.0, EPS_MEMBERSHIP, 1e-6]))
+            gap = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-15.0, -6.0))
+            norm2 = float(r.a @ r.a)
+            if norm2 < 1e-100:
+                continue
+            z = y + float(level + gap - r.g) / norm2 * r.a
+            steps = draw(st.integers(-4, 4))
+            for _ in range(abs(steps)):
+                z = np.nextafter(z, np.copysign(np.inf, r.a) * steps)
+            if np.isfinite(z).all():
+                near.append(z)
+    return s, k, offsets, np.array([*Y, *near])
+
+
 class TestExactOracle:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 32])
     def test_closed_form_within_forward_error_bound(self, dim):
@@ -487,6 +560,72 @@ class TestExactOracle:
                 assert abs(Fraction(key) - want) <= bound + Fraction(1, 2**1074)
 
         check()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_near_rows(self, dim):
+        """On points a few ulp to 1e-6 from rows (near_row_cases), where
+        static rows flip kinds and rows flip membership, the closed form and
+        contains_many agree with exact arithmetic outside each row's band.
+
+        By the bound above, a row's float a·ẑ - c is within its band
+        e = γ_{d+L+2}·W + d·2**-1073 of the exact a·z - c, so a static row
+        whose exact value lies within e of eps may hold or fail in floats,
+        and a moving row's key is within e / (a·k) + 2**-1074 of the exact
+        quotient. Max and min are monotone, so the tree folds these per-row
+        ranges into a range [lo, hi] of the point's key, which holds the
+        key and conftest's reference_exact, and where no static row is in
+        its band, lo and hi have one kind, the oracle's, which the key must
+        have. Outside flags fold the same way: contains_many at eps 0, 1e-9
+        and 1e-6, and each row alone at the point it sees, must lie between
+        the exact membership with every banded row failing and with every
+        banded row holding."""
+        u = Fraction(1, 2**53)
+
+        def kind(v):  # -inf, finite, nu: 0, 1, 2
+            return (v > -math.inf) + (v == math.inf)
+
+        decided = []  # per point: no static row in its band; one within 1e-6 of EPS_MEMBERSHIP
+
+        @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+        @given(near_row_cases(dim))
+        def check(case):
+            s, k, offsets, Y = case
+            n = dim + len(offsets) + 2
+            rows = [list(exact_rows(s, k, y)) for y in Y]
+
+            def band(r):
+                return n * u / (1 - n * u) * r.w + dim * Fraction(1, 2**1073)
+
+            def row_key(r, side):  # side -1, 0, 1: the lowest, exact and highest float key
+                if r.ak > AK_POSITIVE_MIN:
+                    return (r.g + side * band(r)) / Fraction(r.ak) + side * Fraction(1, 2**1074)
+                return -math.inf if r.g <= EPS_MEMBERSHIP - side * band(r) else math.inf
+
+            for y, key, rs in zip(Y, _keys(kernel_handle(s, k), Y).tolist(), rows):
+                lo, want, hi = (exact_fold(s, (row_key(r, side) for r in rs)) for side in (-1, 0, 1))
+                assert want == reference_exact(s, k, y)
+                assert lo <= key <= hi
+                if kind(lo) == kind(hi):
+                    assert kind(key) == kind(want)
+                static = [r for r in rs if r.ak <= AK_POSITIVE_MIN]
+                decided.append((all(abs(r.g - EPS_MEMBERSHIP) > band(r) for r in static),
+                                any(abs(r.g - EPS_MEMBERSHIP) <= 1e-6 for r in static)))
+
+            for eps in (0.0, 1e-9, 1e-6):
+                def outside(r, side):  # side -1, 1: surely and possibly outside in floats
+                    return int(r.g > eps - side * band(r))
+
+                for o, rs in zip((~contains_many(s, Y, eps)).tolist(), rows):
+                    assert exact_fold(s, (outside(r, -1) for r in rs)) <= o
+                    assert o <= exact_fold(s, (outside(r, 1) for r in rs))
+                for column in zip(*rows):
+                    one = Polyhedron((HalfSpace(column[0].a, column[0].b),))
+                    got = ~contains_many(one, np.array([r.zf for r in column]), eps)
+                    assert all(outside(r, -1) <= o <= outside(r, 1) for r, o in zip(column, got))
+
+        check()
+        assert not all(clear for clear, _ in decided)  # some points fall in a band
+        assert sum(clear and flip for clear, flip in decided) > 0.15 * len(decided)
 
 
 class TestBlockedEvaluation:

@@ -58,6 +58,13 @@ class TestMembership:
         with pytest.raises(InvalidInput):
             contains(neg_orthant(2), [0.0, 0.0], eps=-1.0)
 
+    def test_nan_eps_rejected(self):
+        s = Polyhedron((HalfSpace([1.0, 0.0], 1.0),))
+        with pytest.raises(InvalidInput, match="nonnegative number"):
+            contains_many(s, [[0.0, 0.0], [5.0, 0.0]], float("nan"))
+        with pytest.raises(InvalidInput, match="nonnegative number"):
+            contains(s, [0.0, 0.0], float("nan"))
+
     @given(st.floats(min_value=0, max_value=1e-3),
            st.floats(min_value=0, max_value=1e-3),
            st.floats(min_value=-0.002, max_value=0.002),
@@ -155,6 +162,39 @@ def test_translate_rule_matches_membership_of_translates(case):
     assert clear.mean() > 0.9
     inside = ~_translate_outside(make_handle(s, k), Y.T, t)
     assert (inside[clear] == contains_many(s, X)[clear]).all()
+
+
+class TestOneMembershipRule:
+    """contains_many and bisection's translate test at t = 0 are one rule,
+    a·y - b <= eps on the same row values, so they agree bit for bit, also
+    within an ulp of a·y = b + eps."""
+
+    @pytest.mark.parametrize("case", list(MEMBERSHIP_CASES))
+    def test_boundary_points(self, case):
+        s, k = MEMBERSHIP_CASES[case]
+        Y = _boundary_points(EPS_MEMBERSHIP)
+        inside = ~_translate_outside(make_handle(s, k), Y.T, 0.0)
+        assert contains_many(s, Y).tobytes() == inside.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ulp_steps_across_one_row(self, d):
+        """On each of 200 random rows, 81 points stepped one ulp at a time
+        along a across a·y = b + eps, with k = a."""
+        rng = np.random.default_rng(40 + d)
+        flips = 0
+        for _ in range(200):
+            a, b = rng.normal(size=d), rng.normal(scale=2.0)
+            y = a * (b + EPS_MEMBERSHIP) / (a @ a)
+            up, down = [y], [y]
+            for _ in range(40):
+                up.append(np.nextafter(up[-1], np.copysign(np.inf, a)))
+                down.append(np.nextafter(down[-1], -np.copysign(np.inf, a)))
+            Y = np.array(down[:0:-1] + up)
+            s = Polyhedron((HalfSpace(a, b),))
+            got = contains_many(s, Y)
+            assert got.tobytes() == (~_translate_outside(make_handle(s, a), Y.T, 0.0)).tobytes()
+            flips += got.any() and not got.all()
+        assert flips > 150  # the steps cross the boundary on most rows
 
 
 @pytest.mark.parametrize("width", [2, 3, 7, 45, 300])
