@@ -76,7 +76,11 @@ class Boxes:
         A_p = max_r (U_rp - V_ra), as the dense filter finds them. The kept
         boxes' points go in chunks of whole references of at most the block
         budget's points, or one reference's if that is more; a chunk that
-        keeps every box is scored dense."""
+        keeps every box is scored dense. The upper bound ub scores the
+        points of each reference's lowest box, which are scored again if
+        kept, because a bound from the boxes' max corners,
+        max_r (hi_rg - V_ra), keeps so many more boxes that a reference
+        scores about three times the filter values."""
         n, B, G = self.U.shape[1], V.shape[1], len(self.size)
         if G > 1:
             LB = self._values(self.lo, V)

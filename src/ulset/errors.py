@@ -40,46 +40,23 @@ def record(cls):
     with a class-level value defaults to it.
 
     It behaves as ``@dataclass(frozen=True, eq=False)`` does: ``__init__``
-    takes the fields by position or keyword, raises the same TypeErrors and
-    then calls ``__post_init__`` if the class has one; ``__repr__`` (unless
-    the class defines one) reads ``Name(field=value, ...)``; assigning or
-    deleting an attribute raises AttributeError; equality is identity. The
-    methods are closures, so defining a record compiles no code. Instances
-    keep their ``__dict__``, where ``cached_property`` stores and where
+    takes the fields as its parameters, as the dataclass's does, so Python
+    binds the arguments and raises its TypeErrors, then calls
+    ``__post_init__`` if the class has one; ``__repr__`` (unless the class
+    defines one) reads ``Name(field=value, ...)``; assigning or deleting an
+    attribute raises AttributeError; equality is identity. Instances keep
+    their ``__dict__``, where ``cached_property`` stores and where
     ``__post_init__`` normalises a field with ``object.__setattr__``.
     """
     names = tuple(cls.__annotations__)
     defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
-    init = f"{cls.__qualname__}.__init__()"
-    post_init = hasattr(cls, "__post_init__")
-
-    def bind(args, kwargs):
-        if len(args) > len(names):
-            least = f"from {len(names) - len(defaults) + 1} to " if defaults else ""
-            raise TypeError(f"{init} takes {least}{len(names) + 1} positional arguments but "
-                            f"{len(args) + 1} were given")
-        values = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names:
-                raise TypeError(f"{init} got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{init} got multiple values for argument {name!r}")
-            values[name] = value
-        missing = [repr(n) for n in names if n not in values and n not in defaults]
-        if missing:
-            listed = " and ".join(missing[-2:])
-            if len(missing) > 2:
-                listed = ", ".join(missing[:-1]) + ", and " + missing[-1]
-            raise TypeError(f"{init} missing {len(missing)} required positional argument"
-                            f"{'s' if len(missing) > 1 else ''}: {listed}")
-        return [values[n] if n in values else defaults[n] for n in names]
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            args = bind(args, kwargs)
-        vars(self).update(zip(names, args))
-        if post_init:
-            self.__post_init__()
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+    body = f"vars(self).update({', '.join(f'{n}={n}' for n in names)})"
+    if hasattr(cls, "__post_init__"):
+        body += "; self.__post_init__()"
+    namespace = {"_defaults": defaults, "__name__": cls.__module__}
+    exec(f"def __init__(self, {params}): {body}", namespace)
+    __init__ = namespace["__init__"]
 
     @reprlib.recursive_repr()
     def __repr__(self):

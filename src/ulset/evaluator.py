@@ -84,9 +84,7 @@ _OVERFLOW = "a value of the functional overflows the float range"
 def key_text(key: float) -> str:
     """A lattice key as written in CLI output and report witnesses: the
     repr of a finite value, "-inf", or "nu" for +inf."""
-    if math.isinf(key):
-        return "-inf" if key < 0 else "nu"
-    return repr(float(key))
+    return "nu" if key == math.inf else repr(float(key))
 
 
 @record

@@ -4,6 +4,7 @@ instance `__dict__` that cached properties fill."""
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,13 @@ def _records():
 
 
 RECORDS = sorted(_records())
+
+
+def _mirror(cls):
+    """The frozen dataclass of cls's fields and defaults."""
+    fields = [(name, object, dataclasses.field(default=vars(cls)[name]))
+              if name in vars(cls) else name for name in cls.__annotations__]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True, eq=False)
 
 
 def _samples():
@@ -100,14 +108,25 @@ class TestConstruction:
     ], ids=["none", "missing", "unknown", "too_many", "twice", "three_missing",
             "too_many_with_defaults", "ext_missing", "ext_too_many"])
     def test_bad_arguments_raise_the_dataclass_type_error(self, cls, args, kwargs):
-        fields = [(name, object, dataclasses.field(default=vars(cls)[name]))
-                  if name in vars(cls) else name for name in cls.__annotations__]
-        mirror = dataclasses.make_dataclass(cls.__name__, fields, frozen=True, eq=False)
+        mirror = _mirror(cls)
         with pytest.raises(TypeError) as expected:
             mirror(*args, **kwargs)
         with pytest.raises(TypeError) as raised:
             cls(*args, **kwargs)
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_signature_is_the_dataclass_signature(self, name):
+        """__init__ takes the fields by name, with their defaults, as the
+        dataclass's does, annotations aside, and belongs to the class's
+        module."""
+        def params(cls):
+            return [p.replace(annotation=inspect.Parameter.empty)
+                    for p in inspect.signature(cls).parameters.values()]
+
+        cls = _records()[name]
+        assert params(cls) == params(_mirror(cls))
+        assert cls.__init__.__module__ == cls.__module__
 
     def test_post_init_normalises(self):
         p = Polyhedron([HalfSpace([1.0, 0.0], 1)])
@@ -174,7 +193,7 @@ def test_cached_properties_stored_on_the_instance():
 
 
 def test_no_module_imports_dataclasses():
-    """Every record is built by errors.record, which compiles no code."""
+    """Every record is built by errors.record, not by dataclasses."""
     importers = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

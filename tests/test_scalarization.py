@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from ulset.boxes import Boxes
 from ulset.scalarization import (ARGMIN_TOL, _LINE_FLOATS, _minimize, _parse_lines,
                                  _read_points_csv)
 
-from conftest import reference_candidates, reference_weakly_efficient
+from conftest import reference_candidates, reference_exact, reference_weakly_efficient
 
 
 def random_cloud(rng, m, n_max=50):
@@ -545,6 +546,61 @@ class TestBoxPrune:
         assert count < 0.1 * len(F) ** 2
         monkeypatch.setattr(Boxes, "POINTS_PER_BOX", len(F))
         assert scored() == (out, len(F) ** 2)
+
+
+class TestParetoOracle:
+    """_minimize against exact arithmetic, on cones whose every row moves:
+    each (reference, point) pair is scored by reference_exact on the shifted
+    cone a - C, which takes F_p - a exactly. With B = 2·γ_{m+3}·max_r S_r +
+    2**-1000 (S_r as in _minimize's docstring), the returned minimum lies
+    within B of the exact one, every point within ARGMIN_TOL - 2B of the
+    exact minimum is returned, and none beyond ARGMIN_TOL + 2B."""
+
+    @staticmethod
+    def assert_exact(F, C, k, refs):
+        m = F.shape[1]
+        R = np.array([h.a for h in C.negated().halfspaces])
+        big = np.abs(F).max(axis=0) + np.abs(refs).max(axis=0)
+        gamma = (m + 3) * 2.0**-53 / (1 - (m + 3) * 2.0**-53)
+        B = Fraction(2 * gamma * (np.abs(R) @ big / (R @ k)).max() + 2.0**-1000)
+        tol = Fraction(ARGMIN_TOL)
+        for a, (arg, key) in zip(refs, _minimize(F, C, k, refs)):
+            shifted = Shift(C.negated(), a)
+            exact = [reference_exact(shifted, k, y) for y in F]
+            low = min(exact)
+            assert abs(Fraction(key) - low) <= B
+            assert {p for p, e in enumerate(exact) if e - low <= tol - 2 * B} <= set(arg)
+            assert all(exact[p] - low <= tol + 2 * B for p in arg)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e9])
+    def test_dense_route(self, scale):
+        # at most 50 points and 20 references take one box; coarse
+        # coordinates give exact duplicates and ties, and the copies moved
+        # along k tie within ARGMIN_TOL or just beyond
+        rng = np.random.default_rng(61 + int(np.log10(scale)))
+        for m in range(1, 9):
+            k = rng.uniform(0.2, 2.0, size=m)
+            C = TestFilterRefine.moving_cone(rng, m, k)
+            F = TestFilterRefine.near_ties(
+                rng, np.round(rng.normal(size=(int(rng.integers(1, 39)), m)), 1) * scale, k)
+            refs = np.concatenate([F[:3], F[-2:], np.round(rng.normal(size=(15, m)), 1) * scale])
+            self.assert_exact(F, C, k, refs)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_box_route(self, m):
+        # 348 points and 16 references take 16 boxes; each reference's
+        # minimizer, by a float brute force, has copies moved 0.5, 1 and 1.5
+        # ARGMIN_TOL along k, which tie with it within ARGMIN_TOL or not
+        rng = np.random.default_rng(64 + m)
+        k = rng.uniform(0.2, 2.0, size=m)
+        C = TestFilterRefine.moving_cone(rng, m, k)
+        F = np.round(rng.normal(size=(300, m)), 1)
+        refs = np.concatenate([F[:8], np.round(rng.normal(size=(8, m)), 1)])
+        R = np.array([h.a for h in C.negated().halfspaces])
+        best = F[((F[:, None] - refs) @ R.T / (R @ k)).max(axis=2).argmin(axis=0)]
+        F = np.concatenate([F, *(best + c * ARGMIN_TOL * k for c in (0.5, 1.0, 1.5))])
+        assert len(Boxes(np.zeros((1, len(F))), len(refs)).size) == 16
+        self.assert_exact(F, C, k, refs)
 
 
 class TestTraceFront:
