@@ -99,6 +99,11 @@ def _write_table(lines, path: str | None) -> None:
             f.write(block)
 
 
+def _read_points(path: str) -> np.ndarray:
+    """The points of the CSV file at path as one (n, m) array; no label is read."""
+    return scalarization._read_points_csv(path, lambda chunks: np.concatenate(list(chunks)))
+
+
 def _stack_points(texts: list[str]) -> np.ndarray:
     pts = [_parse_vector(t) for t in texts]
     for p in pts[1:]:
@@ -174,8 +179,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_separate(args) -> int:
     h = _load_config(args.config, args.k)
-    cloud = scalarization.load_points_csv(args.points)
-    verdict = analysis.separate(h, cloud, mode=args.mode)
+    verdict = analysis.separate(h, _read_points(args.points), mode=args.mode)
     doc = {
         "disjoint": verdict.disjoint,
         "mode": verdict.mode,
@@ -201,10 +205,11 @@ def _load_cone(args, dim: int) -> scalarization.OrderCone:
 
 
 def _cmd_pareto(args) -> int:
-    cloud = scalarization.load_points_csv(args.points)
+    # _minimize copies an array into a PointCloud; made here, the array read is freed
+    cloud = scalarization.PointCloud(_read_points(args.points))
     cone = _load_cone(args, cloud.dim)
     k = _parse_vector(args.k)
-    refs = scalarization.load_points_csv(args.refs).points if args.refs else cloud.points
+    refs = _read_points(args.refs) if args.refs else cloud.points
     minima = enumerate((arg, key_text(key))
                        for arg, key in scalarization._minimize(cloud, cone, k, refs))
     _write_table(itertools.chain(["ref_index,point_index,value\n"], (

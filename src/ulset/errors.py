@@ -51,11 +51,13 @@ def record(cls):
     names = tuple(cls.__annotations__)
     defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
-    body = f"vars(self).update({', '.join(f'{n}={n}' for n in names)})"
+    # one _set per field: vars(self).update would turn the instance's
+    # key-sharing dict into a combined one, which takes more memory
+    body = [f"_set(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
-        body += "; self.__post_init__()"
-    namespace = {"_defaults": defaults, "__name__": cls.__module__}
-    exec(f"def __init__(self, {params}): {body}", namespace)
+        body.append("self.__post_init__()")
+    namespace = {"_defaults": defaults, "_set": object.__setattr__, "__name__": cls.__module__}
+    exec(f"def __init__(self, {params}): {'; '.join(body)}", namespace)
     __init__ = namespace["__init__"]
 
     @reprlib.recursive_repr()

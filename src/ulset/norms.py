@@ -46,12 +46,12 @@ def gauge_cone_shift(C: OrderCone, k, y) -> float | np.ndarray:
 
 def _order_unit_handle(C: OrderCone, k):
     """Handle on -C along the order unit k, whose values give the norm of
-    [-k, k]_C; refuses a cone that may not be pointed and a k that is not
+    [-k, k]_C; refuses a cone that is not pointed and a k that is not
     strictly inside C."""
     k = _as_vector(k, C.dim, "order unit")
     if not C.maybe_pointed():
-        raise PreconditionFailed("cone generators indicate a non-pointed cone; "
-                                 "the order interval gauge would only be a seminorm")
+        raise PreconditionFailed("order cone is not pointed: its rows have rank below its "
+                                 "dimension; the order interval gauge would only be a seminorm")
     h = make_handle(C.negated(), k)
     if not h.direction.interior:
         raise DirectionRejected(f"some row of the negated cone has a·k <= {AK_POSITIVE_MIN:g}; "
@@ -67,9 +67,8 @@ def _order_unit_values(h, pts: np.ndarray) -> np.ndarray:
 def order_unit_norm(C: OrderCone, k, y) -> float | np.ndarray:
     """Norm induced by the order interval [-k, k]_C.
 
-    Requires a pointed cone (as far as the advisory probe can tell) and
-    k strictly interior to C. Accepts a single point or an (n, m)
-    batch.
+    Requires a pointed cone (:meth:`OrderCone.maybe_pointed`) and k
+    strictly interior to C. Accepts a single point or an (n, m) batch.
     """
     h = _order_unit_handle(C, k)
     pts = np.asarray(y, dtype=float)

@@ -15,14 +15,13 @@ import itertools
 import math
 import sys
 import warnings
-from functools import cached_property
 
 import numpy as np
 
 from . import boxes
 from .errors import InvalidInput, UlsetError, record
 from .evaluator import ExtReal, make_handle, _fit, _keys, _spans, _LINE_FLOATS
-from .geometry import HalfSpace, Polyhedron, contains_many, _as_points, _as_vector, _rows_at
+from .geometry import EPS_MEMBERSHIP, HalfSpace, Polyhedron, _as_points, _as_vector, _rows_at
 
 #: Strict margin for interior-of-cone (weak domination) tests.
 INT_CONE_MARGIN = 1e-9
@@ -64,9 +63,9 @@ class OrderCone:
 
     Generators are needed wherever the cone must be sampled (a + C
     sweeps); they are filled in automatically for the nonnegative
-    orthant and must be user-supplied otherwise. Pointedness is probed
-    only on the generators and their pairwise sums; a failed probe
-    warns, it does not raise.
+    orthant and must be user-supplied otherwise. Pointedness is decided
+    by the rows alone (:meth:`maybe_pointed`); a cone given generators
+    that is not pointed warns, it does not raise.
     """
 
     rep: Polyhedron
@@ -80,8 +79,8 @@ class OrderCone:
             gens = tuple(_as_vector(g, self.rep.dim, "generator") for g in self.generators)
             object.__setattr__(self, "generators", gens)
             if not self.maybe_pointed():
-                warnings.warn("order cone generators indicate a non-pointed cone",
-                              stacklevel=3)  # the caller of __init__
+                warnings.warn("order cone is not pointed: its rows have rank below "
+                              "its dimension", stacklevel=3)  # the caller of __init__
 
     @property
     def dim(self) -> int:
@@ -99,33 +98,11 @@ class OrderCone:
         return Polyhedron(tuple(HalfSpace(-h.a, 0.0) for h in self.rep.halfspaces))
 
     def maybe_pointed(self) -> bool:
-        """Advisory: False when some probe vector sits in C together with its negation."""
-        return self._pointed
-
-    @cached_property
-    def _pointed(self) -> bool:
-        """:meth:`maybe_pointed`, probed once per cone: the generators, then
-        their pairwise sums g_i + g_j (i < j) for the blocks of i that
-        :func:`_spans` gives for g * m floats each. Probes of norm at most
-        1e-12 are skipped."""
-        if not self.generators:
-            return True
-        G = np.stack(self.generators)
-        g, m = G.shape
-
-        def two_sided(probes):
-            probes = probes[np.linalg.norm(probes, axis=1) > 1e-12]
-            return bool((contains_many(self.rep, probes)
-                         & contains_many(self.rep, -probes)).any())
-
-        if two_sided(G):
-            return False
-        for i, j in _spans(g, g * m):
-            sums = G[i:j, None, :] + G[None, :, :]
-            later = np.arange(i, j)[:, None] < np.arange(g)
-            if two_sided(sums[later]):
-                return False
-        return True
+        """Whether C ∩ -C = {0}, read from the rows R alone: R has rank m at
+        tolerance EPS_MEMBERSHIP. A unit x with ||R·x|| <= EPS_MEMBERSHIP
+        passes :func:`~ulset.geometry.contains_many`'s row slack together
+        with -x, so the cone is taken to hold the line through x."""
+        return int(np.linalg.matrix_rank(self.rep.normals, tol=EPS_MEMBERSHIP)) == self.dim
 
     def interior_contains_many(self, Y) -> np.ndarray:
         """Strict membership a_i·y < -margin on every row, vectorized."""

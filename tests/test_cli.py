@@ -284,7 +284,7 @@ class TestPareto:
 
 
 class TestNonPointedCone:
-    """A cone whose generators are not pointed warns. Outside pytest's
+    """A cone given generators that is not pointed warns. Outside pytest's
     warning capture, a command that fails then prints its one error line
     alone, and one that succeeds prints the warning as one line."""
 
@@ -301,8 +301,18 @@ class TestNonPointedCone:
     def test_failing_command_prints_only_its_error(self, tmp_path):
         done = self.run(tmp_path, "norm", "--point", "1,2", "--k", "1,1")
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == ("error: cone generators indicate a non-pointed cone; the order "
-                               "interval gauge would only be a seminorm\n")
+        assert done.stderr == ("error: order cone is not pointed: its rows have rank below its "
+                               "dimension; the order interval gauge would only be a seminorm\n")
+
+    def test_norm_on_half_plane_refused(self):
+        # the golden cone has no generators, so nothing but its rows shows its line
+        env = {**os.environ, "PYTHONPATH": str(Path(ulset.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "ulset.cli", "norm", "--cone-file",
+                               str(GOLDEN / "half_plane_cone.json"), "--k", "1,1", "--point", "5,0"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: order cone is not pointed")
+        assert done.stderr.count("\n") == 1
 
     def test_succeeding_command_prints_the_warning(self, tmp_path):
         pts = tmp_path / "f.csv"
@@ -310,7 +320,8 @@ class TestNonPointedCone:
         done = self.run(tmp_path, "pareto", "--points", str(pts), "--k", "0,1")
         assert (done.returncode, done.stdout) == (
             0, "ref_index,point_index,value\n0,0,-inf\n1,1,-inf\n2,2,-inf\n3,3,-inf\n")
-        assert done.stderr == "warning: order cone generators indicate a non-pointed cone\n"
+        assert done.stderr == ("warning: order cone is not pointed: its rows have rank below "
+                               "its dimension\n")
 
 
 class TestNorm:

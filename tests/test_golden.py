@@ -29,9 +29,10 @@ restructured:
   k=(1, 2, 0.5): the references span several scoring blocks and their
   count is not a multiple of the block size;
 - `norm` of a point and `pareto` of the same 300-point cloud on a cone
-  file with 2000 generators (`test_big_cone_matches_golden`), which the
-  pointedness probe goes through in blocks of generator pairs; the file
-  is written from a fixed seed at test time rather than checked in;
+  file with 2000 generators (`test_big_cone_matches_golden`), whose
+  pointedness its three rows decide whatever the number of generators;
+  the file is written from a fixed seed at test time rather than checked
+  in;
 - `contour` of the three-quadrant union, whose -inf corners enter the
   sign tests as a sentinel, and of the negative orthant under k=(1, 0),
   which is nu above y2 = 0;

@@ -5,6 +5,7 @@ instance `__dict__` that cached properties fill."""
 import ast
 import dataclasses
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,44 @@ def test_cached_properties_stored_on_the_instance():
     assert p.normals is p.normals and "normals" in vars(p)
     assert p.plan is p.plan and "plan" in vars(p)
     assert h.motions is h.motions and "motions" in vars(h)
+
+
+def _traced_bytes_each(make, n=20_000) -> float:
+    """Bytes tracemalloc counts per object make(i) builds, the list that
+    holds them excluded."""
+    held = [None] * n
+    tracemalloc.start()
+    try:
+        for i in range(n):
+            held[i] = make(i)
+        return tracemalloc.get_traced_memory()[0] / n
+    finally:
+        tracemalloc.stop()
+
+
+def test_records_take_no_more_memory_than_plain_objects():
+    """A record's instance keeps the key-sharing __dict__ that a plain
+    class's gets from assigning its fields in __init__. A byte an instance
+    of slack absorbs one-off allocations, such as a cache a first call fills."""
+
+    @errors.record
+    class Pair:
+        x: object
+        y: object = None
+
+    class PlainPair:
+        def __init__(self, x, y=None):
+            self.x, self.y = x, y
+
+    class PlainExtReal:
+        def __init__(self, key):
+            self._key = key
+
+    keys = [float(i) + 0.5 for i in range(20_000)]
+    assert _traced_bytes_each(lambda i: Pair(keys[i], keys[i])) <= _traced_bytes_each(
+        lambda i: PlainPair(keys[i], keys[i])) + 1
+    assert _traced_bytes_each(lambda i: ExtReal(keys[i])) <= _traced_bytes_each(
+        lambda i: PlainExtReal(keys[i])) + 1
 
 
 def test_no_module_imports_dataclasses():

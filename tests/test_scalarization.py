@@ -1,5 +1,8 @@
+import json
 import tracemalloc
+import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +17,7 @@ from ulset import (
     NU,
     OrderCone,
     PointCloud,
+    PreconditionFailed,
     Polyhedron,
     Shift,
     evaluate_batch,
@@ -32,6 +36,8 @@ from ulset.scalarization import (ARGMIN_TOL, _LINE_FLOATS, _minimize, _parse_lin
                                  _read_points_csv)
 
 from conftest import reference_candidates, reference_exact, reference_weakly_efficient
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def random_cloud(rng, m, n_max=50):
@@ -683,9 +689,8 @@ class TestOrderCone:
         with pytest.raises(InvalidInput):
             OrderCone(Polyhedron((HalfSpace([1.0, 0.0], 1.0),)))
 
-    def test_many_generators_probed_once_in_blocks(self, monkeypatch):
-        # 300 generators give 44850 pairwise sums: probing them one by one
-        # held every probe at once (6.2 MiB) and took seconds
+    def test_many_generators_built_in_little_memory(self):
+        # pointedness reads the three rows, whatever the number of generators
         gens = tuple(np.random.default_rng(2).uniform(0.0, 1.0, size=(300, 3)))
         tracemalloc.start()
         try:
@@ -694,9 +699,46 @@ class TestOrderCone:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        monkeypatch.setattr(scalarization, "contains_many", lambda *a: pytest.fail("probed again"))
         assert C.maybe_pointed()
         assert order_unit_norm(C, [1.0, 1.0, 1.0], [2.0, -1.0, 0.5]) == 2.0
+
+    def test_line_the_generators_miss_not_pointed(self):
+        # {x1 >= 0} holds the line x1 = 0, which no generator or sum of two shows
+        rep = Polyhedron((HalfSpace([-1.0, 0.0], 0.0),))
+        with pytest.warns(UserWarning, match="not pointed"):
+            C = OrderCone(rep, generators=(np.array([1.0, 0.0]), np.array([1.0, 1.0])))
+        assert not C.maybe_pointed()
+
+    def test_norm_refused_without_generators(self):
+        C = OrderCone(Polyhedron((HalfSpace([-1.0, 0.0], 0.0),)))
+        with pytest.raises(PreconditionFailed, match="^order cone is not pointed"):
+            order_unit_norm(C, [1.0, 1.0], [2.0, 1.0])
+
+    @pytest.mark.parametrize("delta, pointed", [(1e-6, True), (1e-12, False)])
+    def test_rank_at_membership_tolerance(self, delta, pointed):
+        # the least singular value of the rows is about delta / sqrt(2), on
+        # either side of EPS_MEMBERSHIP
+        rows = (HalfSpace([-1.0, 0.0], 0.0), HalfSpace([1.0, delta], 0.0))
+        assert OrderCone(Polyhedron(rows)).maybe_pointed() is pointed
+
+    def test_many_generators_change_nothing(self):
+        C = OrderCone.nonneg(3)
+        gens = tuple(np.random.default_rng(8000).uniform(0.0, 1.0, size=(8000, 3)))
+        assert OrderCone(C.rep, generators=gens).maybe_pointed() is OrderCone(C.rep).maybe_pointed()
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_orthants_pointed(self, m):
+        assert OrderCone.nonneg(m).maybe_pointed()
+
+    def test_golden_cones_pointed(self):
+        doc = json.loads((GOLDEN / "pareto_blocks_cone.json").read_text())
+        rows = tuple(HalfSpace(r["a"], 0.0) for r in doc["halfspaces"])
+        assert OrderCone(Polyhedron(rows)).maybe_pointed()
+        # the cone of test_golden.test_big_cone_matches_golden, built with no warning
+        gens = tuple(np.random.default_rng(2000).uniform(0.0, 1.0, size=(2000, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert OrderCone(OrderCone.nonneg(3).rep, generators=gens).maybe_pointed()
 
     def test_pair_sum_in_later_block_not_pointed(self, monkeypatch):
         # C = {x1 >= 0} holds the line x1 = 0, and of all the probes only
