@@ -61,11 +61,11 @@ class PointCloud:
 class OrderCone:
     """Polyhedral ordering cone {x : a_i·x <= 0} with optional generators.
 
-    Generators are needed wherever the cone must be sampled (a + C
-    sweeps); they are filled in automatically for the nonnegative
-    orthant and must be user-supplied otherwise. Pointedness is decided
-    by the rows alone (:meth:`maybe_pointed`); a cone given generators
-    that is not pointed warns, it does not raise.
+    Generators are needed wherever the cone must be sampled (a + C sweeps);
+    they are filled in automatically for the nonnegative orthant and must be
+    user-supplied otherwise. Pointedness is read from the rows alone, with no
+    SVD where rows c_j·e_j on every axis give σ_min >= min_j |c_j|
+    (:meth:`maybe_pointed`); a cone given generators that is not pointed warns.
     """
 
     rep: Polyhedron
@@ -101,8 +101,14 @@ class OrderCone:
         """Whether C ∩ -C = {0}, read from the rows R alone: R has rank m at
         tolerance EPS_MEMBERSHIP. A unit x with ||R·x|| <= EPS_MEMBERSHIP
         passes :func:`~ulset.geometry.contains_many`'s row slack together
-        with -x, so the cone is taken to hold the line through x."""
-        return int(np.linalg.matrix_rank(self.rep.normals, tol=EPS_MEMBERSHIP)) == self.dim
+        with -x, so the cone is taken to hold the line through x. Where R
+        has a row c_j·e_j, |c_j| > EPS_MEMBERSHIP, for every axis j (the
+        orthant's -I), σ_min(R) >= min_j |c_j| settles it with no SVD."""
+        R = self.rep.normals
+        axes = R[(np.count_nonzero(R, axis=1) == 1) & (np.abs(R).max(axis=1) > EPS_MEMBERSHIP)]
+        if (axes != 0).any(axis=0).all():
+            return True
+        return int(np.linalg.matrix_rank(R, tol=EPS_MEMBERSHIP)) == self.dim
 
     def interior_contains_many(self, Y) -> np.ndarray:
         """Strict membership a_i·y < -margin on every row, vectorized."""

@@ -413,6 +413,16 @@ def orthant2():
     return OrderCone.nonneg(2)
 
 
+@pytest.fixture
+def no_svd(monkeypatch):
+    """np.linalg's SVD and rank test raise, so only what runs no SVD passes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+
+
 def random_polyhedral_fixture(rng: np.random.Generator, dim: int,
                               max_halfspaces: int = 6, k=None, strict: bool = False):
     """Random polyhedron or union with a direction its rows certify.

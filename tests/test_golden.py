@@ -190,6 +190,16 @@ def test_out_file_matches_golden(argv, expected, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (PARETO_ARGV, (GOLDEN / "pareto_nonneg.out").read_bytes()),
+    (["norm", "--k", "1,1", "--point", "2,-1"], b"2.0\n"),
+], ids=["pareto", "norm"])
+def test_default_cone_takes_no_svd(argv, expected, no_svd, capsys):
+    """The default cone, the nonnegative orthant, is pointed by its axis rows."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == expected
+
+
 class _Writes:
     """A text stream, or a file opened for writing, that keeps the text of
     each write call."""

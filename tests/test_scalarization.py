@@ -29,7 +29,7 @@ from ulset import (
     weakly_efficient,
 )
 from ulset.evaluator import _BLOCK_FLOATS, _keys
-from ulset.geometry import _rows_at
+from ulset.geometry import EPS_MEMBERSHIP, _rows_at
 import ulset.scalarization as scalarization
 from ulset.boxes import Boxes
 from ulset.scalarization import (ARGMIN_TOL, _LINE_FLOATS, _minimize, _parse_lines,
@@ -703,11 +703,14 @@ class TestOrderCone:
         assert order_unit_norm(C, [1.0, 1.0, 1.0], [2.0, -1.0, 0.5]) == 2.0
 
     def test_line_the_generators_miss_not_pointed(self):
-        # {x1 >= 0} holds the line x1 = 0, which no generator or sum of two shows
+        # {x1 >= 0} holds the line x1 = 0, which no generator of either set
+        # lies on; the rows decide it, whatever the generators show
         rep = Polyhedron((HalfSpace([-1.0, 0.0], 0.0),))
-        with pytest.warns(UserWarning, match="not pointed"):
-            C = OrderCone(rep, generators=(np.array([1.0, 0.0]), np.array([1.0, 1.0])))
-        assert not C.maybe_pointed()
+        for gens in (([1.0, 0.0], [1.0, 1.0]),
+                     (*([2.0, 0.1 * i] for i in range(4)), [1.0, 0.5], [-1.0, 1.0])):
+            with pytest.warns(UserWarning, match="not pointed"):
+                C = OrderCone(rep, generators=tuple(np.array(g) for g in gens))
+            assert not C.maybe_pointed()
 
     def test_norm_refused_without_generators(self):
         C = OrderCone(Polyhedron((HalfSpace([-1.0, 0.0], 0.0),)))
@@ -726,9 +729,10 @@ class TestOrderCone:
         gens = tuple(np.random.default_rng(8000).uniform(0.0, 1.0, size=(8000, 3)))
         assert OrderCone(C.rep, generators=gens).maybe_pointed() is OrderCone(C.rep).maybe_pointed()
 
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_orthants_pointed(self, m):
-        assert OrderCone.nonneg(m).maybe_pointed()
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_orthants_pointed(self, m, no_svd):
+        # the rows -I certify the orthant, which is built with no SVD
+        assert OrderCone.nonneg(m).maybe_pointed() is True
 
     def test_golden_cones_pointed(self):
         doc = json.loads((GOLDEN / "pareto_blocks_cone.json").read_text())
@@ -740,17 +744,51 @@ class TestOrderCone:
             warnings.simplefilter("error")
             assert OrderCone(OrderCone.nonneg(3).rep, generators=gens).maybe_pointed()
 
-    def test_pair_sum_in_later_block_not_pointed(self, monkeypatch):
-        # C = {x1 >= 0} holds the line x1 = 0, and of all the probes only
-        # g_4 + g_5 lies on it; at one generator per block, its block is the
-        # last that holds a pair
-        monkeypatch.setattr("ulset.evaluator._BLOCK_FLOATS", 1)
-        rep = Polyhedron((HalfSpace([-1.0, 0.0], 0.0),))
-        gens = (*(np.array([2.0, 0.1 * i]) for i in range(4)), np.array([1.0, 0.5]),
-                np.array([-1.0, 1.0]))
-        with pytest.warns(UserWarning):
-            C = OrderCone(rep, generators=gens)
-        assert not C.maybe_pointed()
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("c", [-1.0, 2 * EPS_MEMBERSHIP, 1.0, 1e12])
+    def test_axis_rows_certify_without_svd(self, c, m, no_svd):
+        # a row c·e_j on every axis, shuffled among rows that are not axes
+        rng = np.random.default_rng(m)
+        rows = np.vstack([c * np.eye(m), rng.normal(size=(3, m))])[rng.permutation(m + 3)]
+        C = OrderCone(Polyhedron(tuple(HalfSpace(r, 0.0) for r in rows)))
+        assert C.maybe_pointed() is True
+
+    @pytest.mark.parametrize("rows", [-EPS_MEMBERSHIP * np.eye(2), np.diag([-1.0, EPS_MEMBERSHIP]),
+                                      EPS_MEMBERSHIP * np.eye(3)], ids=["neg", "mixed", "pos"])
+    def test_axis_rows_at_tolerance_take_the_svd(self, rows, monkeypatch):
+        # |c| = EPS_MEMBERSHIP certifies nothing; the SVD finds a singular
+        # value of EPS_MEMBERSHIP, not above the tolerance
+        calls = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank",
+                            lambda *args, **kwargs: calls.append(args) or rank(*args, **kwargs))
+        assert OrderCone(Polyhedron(tuple(HalfSpace(r, 0.0) for r in rows))).maybe_pointed() is False
+        assert len(calls) == 1
+
+    def test_certificate_agrees_with_rank(self):
+        # random rows, half of them confined to a hyperplane (often normal to
+        # an axis), then a row c·e_j on all axes or on all but one; cases
+        # within a factor 1e3 of the tolerance are skipped
+        rng = np.random.default_rng(37)
+        seen = set()
+        for _ in range(400):
+            m = int(rng.integers(1, 7))
+            R = rng.normal(size=(int(rng.integers(1, m + 2)), m))
+            if m > 1 and rng.random() < 0.5:
+                v = np.eye(m)[rng.integers(m)] if rng.random() < 0.5 else rng.normal(size=m)
+                R = R - np.outer(R @ v, v) / (v @ v)
+            full = rng.random() < 0.5
+            axes = rng.permutation(m)[:m if full else m - 1]
+            c = rng.choice([-1.0, 1.0], size=len(axes)) * rng.uniform(0.5, 2.0, size=len(axes))
+            R = np.vstack([R, c[:, None] * np.eye(m)[axes]])
+            sigma = np.linalg.svd(R, compute_uv=False)
+            least = sigma[m - 1] if len(sigma) >= m else 0.0
+            if 1e-3 * EPS_MEMBERSHIP < least < 1e3 * EPS_MEMBERSHIP:
+                continue
+            pointed = OrderCone(Polyhedron(tuple(HalfSpace(r, 0.0) for r in R))).maybe_pointed()
+            assert pointed is (int(np.linalg.matrix_rank(R, tol=EPS_MEMBERSHIP)) == m)
+            seen.add((full, pointed))
+        assert seen == {(True, True), (False, True), (False, False)}
 
     def test_non_pointed_warns(self):
         # halfplane: contains e2 and -e2; the warning names this call
