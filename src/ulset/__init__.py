@@ -23,7 +23,6 @@ from .errors import (
 )
 from .geometry import (
     ComplementClosure,
-    Direction,
     HalfSpace,
     Polyhedron,
     RecessionCone,
@@ -93,7 +92,7 @@ __all__ = [
     "UlsetError", "InvalidInput", "DirectionRejected", "Unsupported",
     "PreconditionFailed", "EmptyContour",
     "HalfSpace", "SetExpr", "Polyhedron", "SetUnion", "SetIntersection",
-    "Shift", "ComplementClosure", "RecessionCone", "Direction",
+    "Shift", "ComplementClosure", "RecessionCone",
     "contains", "contains_many", "recession_cone", "certify_direction",
     "complement_closure",
     "set_from_json", "set_to_json",

@@ -41,7 +41,8 @@ from .evaluator import (
     _keys,
     _spans,
 )
-from .geometry import contains_many, fold_plan, _as_vector, _exact, _row_values, _rows_at
+from .geometry import (EPS_MEMBERSHIP, Leaf, contains_many, fold_plan, _as_vector, _exact,
+                       _row_values, _rows_at)
 
 HOLDS = "Holds"
 VIOLATED = "Violated"
@@ -94,12 +95,12 @@ class MonotoneCone:
         for g in gens:
             if float(np.linalg.norm(g)) <= 1e-12:
                 raise InvalidInput("cone generators must be nonzero")
+        if len(dims := sorted({len(g) for g in gens})) > 1:
+            raise InvalidInput(f"cone generators disagree on dimension: {dims}")
         object.__setattr__(self, "generators", gens)
 
     def matrix(self, dim: int) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((0, dim))
-        return np.stack(self.generators)
+        return np.reshape([_as_vector(g, dim, "generator") for g in self.generators], (-1, dim))
 
 
 @record
@@ -200,9 +201,10 @@ def _blocks(h: FunctionalHandle, n: int, columns: int = 0):
 
     They are the blocks :func:`_spans` gives for samples of
     max(h.point_floats, columns) floats, so without many extra columns a
-    block is one kernel call of :func:`_keys`. A sample's key and cone
-    step depend on that sample alone (see :func:`_rows_at`), so every key
-    is that of one pass over all the samples.
+    block is one kernel call of :func:`_keys`. At inner dimension <= 4, on
+    the OpenBLAS kernels CI runs, a sample's key and cone step depend on
+    that sample alone (see :func:`_rows_at`), so every key is that of one
+    pass over all the samples.
     """
     return _spans(n, max(h.point_floats, columns))
 
@@ -294,7 +296,7 @@ def check_sublevel_identity(h: FunctionalHandle, n_samples: int = 1000, seed: in
     worst = _Worst(0.0)
     for a, b in _blocks(h, len(P)):
         y, v, t = P[a:b], V[a:b], E[a:b, 0]
-        member = contains_many(h.set, y - t[:, None] * h.direction.k, 0.0)
+        member = contains_many(h.set, y - t[:, None] * h.k, 0.0)
         keep = ~(np.abs(v - t) <= 1e-6)
         y, v, t, member = y[keep], v[keep], t[keep], member[keep]
         # a disagreement costs 1 plus the distance of a finite phi from t
@@ -319,7 +321,7 @@ def check_translation_invariance(h: FunctionalHandle, n_samples: int = 1000, see
     worst = _Worst(pass_tol)
     for a, b in _blocks(h, len(P)):
         y, v, t = P[a:b], V[a:b], T[a:b]
-        v2 = _keys(h, y + t[:, None] * h.direction.k)
+        v2 = _keys(h, y + t[:, None] * h.k)
         worst.add(_eq_defect(v2, v + t), lambda i: {
             "inputs": {"y": y[i].tolist(), "t": float(t[i])},
             "values": {"phi_y": _ext_json(v[i]), "phi_shifted": _ext_json(v2[i])},
@@ -341,7 +343,7 @@ def check_monotone(h: FunctionalHandle, cone: MonotoneCone, strict: bool = False
     rng = np.random.default_rng(seed)
     G = cone.matrix(h.set.dim)
     P, V, S = _draw_domain(h, n_samples, rng, bbox, extra_cols=max(G.shape[0], 1), G=G)
-    k = h.direction.k
+    k = h.k
     functional, escaped = _Worst(0.0), _Worst(0.0)
     for a, b in _blocks(h, len(P)):
         y, v, B = P[a:b], V[a:b], S[a:b]
@@ -510,26 +512,48 @@ def separate(h: FunctionalHandle, points, mode: str = "closed") -> SeparationVer
 # regularity diagnostics
 
 
+def _value_error(h: FunctionalHandle, bbox, keys: np.ndarray):
+    """A bound on the error of each finite key of an interior h in the box.
+
+    A closed-form key is within γ_{d+L+2}·W/(a·k) + d·2**-1073/(a·k) of the
+    exact value on some row, where γ_n = n·u/(1 - n·u), u = 2**-53, L shifts
+    have offsets o and W = Σ|a_i|·(r + Σ|o_i|) + |c|, r the box's largest
+    |coordinate|. A bisection key also carries its bracket, tol·(1 + |v|),
+    and the membership slack EPS_MEMBERSHIP/(a·k).
+    """
+    leaves, ak = h.set.plan[1], np.concatenate([m.divisor[:, 0] for m in h.motions])
+    o = np.reshape(_offsets(h.set.plan[0]), (-1, h.set.dim))
+    n = h.set.dim + len(o) + 2
+    W = (_rows_at(np.abs(np.concatenate([leaf.R for leaf in leaves])),
+                  max(map(abs, bbox)) + abs(o).sum(0))
+         + np.abs(np.concatenate([leaf.c[:, 0] for leaf in leaves])))
+    err = float(((n * 2.0**-53 / (1 - n * 2.0**-53) * W + h.set.dim * 2.0**-1073) / ak).max())
+    if h.strategy == Strategy.BISECTION:
+        return err + EPS_MEMBERSHIP / float(ak.min()) + h.tol * (1.0 + np.abs(keys))
+    return err
+
+
+def _offsets(node) -> list:
+    """The offsets of every shift in the plan below node."""
+    if isinstance(node, Leaf):
+        return []
+    return [node.offset] * (node.offset is not None) + sum(map(_offsets, node.members), [])
+
+
 def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
                        bbox=DEFAULT_BBOX) -> LipschitzEstimate:
     """Empirical slope versus the certified row bound.
 
     The certified bound max ||a||_2 / (a·k) over the rows, with a·k from
-    h's row motions, applies only when the direction is interior-certified
-    (the handle checks that every row then moves); otherwise it is nu. The
-    sampled slope must not exceed the bound; if it does, the evaluation is
-    inconsistent and this raises.
+    h's row motions, applies only when h is interior; otherwise it is nu.
+    Then no sampled pair may differ by more than the bound plus 1e-6 times
+    its distance, plus both keys' :func:`_value_error`; if one does, the
+    evaluation is inconsistent and this raises. l_emp is the largest slope.
     """
     _sample_count(n_pairs)
-    if not h.direction.cert.halfspaces:
-        raise PreconditionFailed("a certified recession cone is required")
-    if h.direction.interior:
-        l_bound = ExtReal.finite(max(
-            float(np.linalg.norm(a)) / float(ak)
-            for leaf, motion in zip(h.set.plan[1], h.motions)
-            for a, ak in zip(leaf.R, motion.divisor[:, 0])))
-    else:
-        l_bound = NU
+    l_bound = NU if not h.interior else ExtReal.finite(max(
+        float(np.linalg.norm(a)) / float(ak) for leaf, motion in zip(h.set.plan[1], h.motions)
+        for a, ak in zip(leaf.R, motion.divisor[:, 0])))
     rng = np.random.default_rng(seed)
     lo, hi = bbox
     A = rng.uniform(lo, hi, size=(n_pairs, h.set.dim))
@@ -537,13 +561,15 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
     va, vb = _keys(h, A), _keys(h, B)
     dist = np.linalg.norm(A - B, axis=1)
     good = np.isfinite(va) & np.isfinite(vb) & (dist > 1e-12)
-    l_emp = float((np.abs(va[good] - vb[good]) / dist[good]).max(initial=0.0))
-    if h.direction.interior and l_emp > l_bound.value + 1e-6:
+    va, vb, dist = va[good], vb[good], dist[good]
+    l_emp = float((np.abs(va - vb) / dist).max(initial=0.0))
+    if h.interior and (np.abs(va - vb) > (l_bound.value + 1e-6) * dist
+                       + _value_error(h, bbox, va) + _value_error(h, bbox, vb)).any():
         raise UlsetError(
             f"sampled slope {l_emp} exceeds the certified bound {l_bound.value}; "
             "evaluation is inconsistent"
         )
-    return LipschitzEstimate(l_emp, l_bound, h.direction.interior)
+    return LipschitzEstimate(l_emp, l_bound, h.interior)
 
 
 def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
@@ -560,7 +586,7 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     _sample_count(n_samples)
     name = "subgradient_bound"
     root, leaves = h.set.plan
-    if len(leaves) != 1 or not _exact(root) or not h.direction.interior:
+    if len(leaves) != 1 or not _exact(root) or not h.interior:
         return PropertyReport(name, INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     ybar = _as_vector(ybar, h.set.dim, "ybar")
     if not np.isfinite(_keys(h, ybar[None, :])[0]):
@@ -569,7 +595,7 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     j = int(np.argmax(fold_plan(root, ybar[:, None], _row_values)[:, 0] / divisor))
     ystar = leaves[0].R[j] / divisor[j]
 
-    rec = make_handle(h.direction.cert.to_polyhedron(), h.direction.k, t_max=h.t_max, tol=h.tol)
+    rec = make_handle(h.cert.to_polyhedron(), h.k, t_max=h.t_max, tol=h.tol)
     rng = np.random.default_rng(seed)
     lo, hi = bbox
     worst = _Worst(1e-7)

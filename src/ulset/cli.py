@@ -3,9 +3,7 @@
 Subcommands: eval, contour, check, separate, pareto, norm. Exit codes:
 0 success (all checks Hold or are Inapplicable, cloud disjoint), 1 a
 property was Violated or the cloud is not disjoint, 2 invalid input or
-configuration, or memory ran out. The ULSET_TMAX environment variable
-overrides the bracketing horizon t_max of every handle the CLI builds; it
-must spell a positive finite JSON number, like the config's t_max.
+configuration, or memory ran out.
 
 Every table (eval, contour, pareto) is written in blocks of lines, after the
 whole computation, so a command that fails writes none of it.
@@ -18,7 +16,6 @@ import contextlib
 import gc
 import itertools
 import json
-import os
 import sys
 import warnings
 
@@ -58,16 +55,6 @@ def _read_json(path: str):
         raise UlsetError(f"cannot read {path}: {exc}") from exc
 
 
-def _env_json(name: str):
-    """The JSON value the environment variable name spells, or its text
-    if it spells none, for the JSON reader's rules to accept or refuse."""
-    text = os.environ[name]
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
 def _load_config(path: str, k_flag: str | None):
     doc = _read_json(path)
     s = set_from_json(doc)
@@ -75,8 +62,6 @@ def _load_config(path: str, k_flag: str | None):
         raise UlsetError("no direction given: pass --k or put \"k\" in the config")
     k = _parse_vector(k_flag) if k_flag is not None else _vector(*_field(doc, _CONFIG, "k"), s.dim)
     t_max, at = _field(doc, _CONFIG, "t_max", DEFAULT_T_MAX)
-    if "ULSET_TMAX" in os.environ:
-        t_max, at = _env_json("ULSET_TMAX"), ("ULSET_TMAX", "")
     t_max = _number(t_max, at)
     if not t_max > 0:
         raise _invalid(at, f"expected a positive number, got {t_max!r}")
@@ -148,8 +133,7 @@ def _run_suite(h, name: str, samples: int, seed: int) -> list[analysis.PropertyR
     if name == "translation":
         return [analysis.check_translation_invariance(h, samples, seed)]
     if name == "recession":
-        h_rec = make_handle(h.direction.cert.to_polyhedron(), h.direction.k,
-                            t_max=h.t_max, tol=h.tol)
+        h_rec = make_handle(h.cert.to_polyhedron(), h.k, t_max=h.t_max, tol=h.tol)
         return [analysis.check_recession_inequality(h, h_rec, samples, seed)]
     if name == "dual":
         return [analysis.check_dual_relation(h, samples, seed)]

@@ -45,10 +45,12 @@ from .geometry import (
     AK_POSITIVE_MIN,
     EPS_MEMBERSHIP,
     ComplementClosure,
-    Direction,
+    RecessionCone,
     SetExpr,
     certify_direction,
     fold_plan,
+    recession_cone,
+    _as_direction,
     _as_points,
     _leaf_ak,
     _outside,
@@ -220,32 +222,36 @@ class Strategy(str, enum.Enum):
 
 @record
 class FunctionalHandle:
-    """A set, a certified direction, and a pinned evaluation strategy."""
+    """A set, a direction k checked as :func:`certify_direction` checks it
+    (:func:`make_handle` also certifies it), and a pinned strategy."""
 
     set: SetExpr
-    direction: Direction
+    k: np.ndarray
     strategy: Strategy
     t_max: float = DEFAULT_T_MAX
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.direction.k.shape[0] != self.set.dim:
-            raise InvalidInput(
-                f"direction has dimension {self.direction.k.shape[0]}, set has {self.set.dim}"
-            )
+        object.__setattr__(self, "k", _as_direction(self.k, self.set.dim))
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise InvalidInput("t_max must be positive and finite")
         if not (self.tol > 0):
             raise InvalidInput("tol must be positive")
-        for i, motion in enumerate(self.motions if self.direction.interior else ()):
-            if motion.static.size:
-                raise InvalidInput(f"direction claims interior, but row {motion.static[0]}"
-                                   f" of leaf {i} has a·k <= {AK_POSITIVE_MIN:g}: it is static")
 
     @cached_property
     def motions(self) -> tuple:
         """Per leaf of the set's plan, at its index: its rows' :func:`_motion`."""
-        return tuple(map(_motion, _leaf_ak(self.set, self.direction.k)))
+        return tuple(map(_motion, _leaf_ak(self.set, self.k)))
+
+    @cached_property
+    def cert(self) -> RecessionCone:
+        """The set's recession cone, the rows :func:`certify_direction` checks k on."""
+        return recession_cone(self.set)
+
+    @cached_property
+    def interior(self) -> bool:
+        """Whether no row is static: k strictly inside the negated cone."""
+        return not any(motion.static.size for motion in self.motions)
 
     @cached_property
     def point_floats(self) -> int:
@@ -262,8 +268,7 @@ def make_handle(
     tol: float = DEFAULT_TOL,
 ) -> FunctionalHandle:
     """Certify k against s and build a handle, by default on the closed form."""
-    direction = certify_direction(s, k)
-    return FunctionalHandle(s, direction, Strategy(strategy), t_max=t_max, tol=tol)
+    return FunctionalHandle(s, certify_direction(s, k), Strategy(strategy), t_max=t_max, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +495,7 @@ def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
         raise PreconditionFailed(
             "dual evaluation needs a polyhedron or a union of polyhedra"
         ) from exc
-    for ci, ak in enumerate(_leaf_ak(comp, -h.direction.k)):
+    for ci, ak in enumerate(_leaf_ak(comp, -h.k)):
         bad = np.flatnonzero(ak <= AK_POSITIVE_MIN)
         if bad.size:
             i = int(bad[0])
@@ -498,8 +503,8 @@ def _dual_handle(h: FunctionalHandle) -> FunctionalHandle:
                 f"row {i} of member {ci} has a·k = {float(ak[i]):.3g} <= {AK_POSITIVE_MIN:g}; "
                 "the boundary would not move strictly inward along k"
             )
-    direction = certify_direction(comp, -h.direction.k)
-    return FunctionalHandle(comp, direction, Strategy.CLOSED_FORM, t_max=h.t_max, tol=h.tol)
+    # every row has a·k > AK_POSITIVE_MIN, so -k passes certify_direction
+    return FunctionalHandle(comp, -h.k, Strategy.CLOSED_FORM, t_max=h.t_max, tol=h.tol)
 
 
 def _dual_keys(dual: FunctionalHandle, Y) -> np.ndarray:

@@ -43,7 +43,7 @@ NORMAL_MIN = 1e-12
 CERT_SLACK = 1e-9
 
 #: Rows with a·k at or below this do not move along k: both evaluation
-#: strategies treat them as static, and the certificate as not interior.
+#: strategies treat them as static, and a handle with one as not interior.
 AK_POSITIVE_MIN = 1e-9
 
 
@@ -238,35 +238,8 @@ class RecessionCone:
                 raise InvalidInput("recession cone rows must pass through the origin")
         object.__setattr__(self, "halfspaces", hs)
 
-    @property
-    def dim(self) -> int:
-        if not self.halfspaces:
-            raise InvalidInput("empty recession cone has no dimension")
-        return self.halfspaces[0].dim
-
     def to_polyhedron(self) -> Polyhedron:
         return Polyhedron(self.halfspaces)
-
-
-@record
-class Direction:
-    """Translation direction k plus the recession-cone rows certifying it.
-
-    ``interior`` records whether no row of the set's plan is static, as
-    the handle's row motions read it (a·k > AK_POSITIVE_MIN on every row):
-    k strictly inside the negated cone, which finite-valuedness and
-    Lipschitz classification key on; a handle refuses it if a row is static.
-    """
-
-    k: np.ndarray
-    cert: RecessionCone
-    interior: bool
-
-    def __post_init__(self):
-        k = _as_vector(self.k, name="direction")
-        if float(np.linalg.norm(k)) <= NORMAL_MIN:
-            raise InvalidInput("direction vector is numerically zero")
-        object.__setattr__(self, "k", k)
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +369,32 @@ def _exact(node) -> bool:
     return not node.union and (isinstance(node, Leaf) or all(map(_exact, node.members)))
 
 
-def certify_direction(s: SetExpr, k) -> Direction:
-    """Certify that k is an admissible translation direction for s.
+def _as_direction(k, dim: int) -> np.ndarray:
+    """k as a read-only direction for a set of dimension dim: one-dimensional,
+    of that dimension, finite and not numerically zero."""
+    kv = _as_vector(k, dim, "direction")
+    if float(np.linalg.norm(kv)) <= NORMAL_MIN:
+        raise InvalidInput("direction vector is numerically zero")
+    return kv
+
+
+def certify_direction(s: SetExpr, k) -> np.ndarray:
+    """Certify that k is an admissible translation direction for s, and
+    return it as :func:`_as_direction` reads it.
 
     The certificate checks a·k >= -1e-9, as :func:`_leaf_ak` gives it, on
     every row of the set's plan, naming a failing row by its index in the
-    recession cone, and calls k interior when no row is static.
+    set's :func:`recession_cone`.
     """
-    kv = _as_vector(k, s.dim, "direction")
-    cone = recession_cone(s)
+    kv = _as_direction(k, s.dim)
     ak = np.concatenate(_leaf_ak(s, kv))
     bad = np.flatnonzero(ak < -CERT_SLACK)
     if bad.size:
         a = np.concatenate([leaf.R for leaf in s.plan[1]])[bad[0]]
-        i = [h.a.tobytes() for h in cone.halfspaces].index(a.tobytes())
+        i = [h.a.tobytes() for h in recession_cone(s).halfspaces].index(a.tobytes())
         raise DirectionRejected(f"recession-cone row {i} with normal {a.tolist()} "
                                 f"has a·k = {float(ak[bad[0]]):.3g} < -{CERT_SLACK:g}")
-    return Direction(kv, cone, bool((ak > AK_POSITIVE_MIN).all()))
+    return kv
 
 
 def complement_closure(s: SetExpr) -> SetUnion:

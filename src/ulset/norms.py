@@ -34,8 +34,8 @@ def gauge_cone_shift(C: OrderCone, k, y) -> float | np.ndarray:
     Requires an interior certificate, a·k > AK_POSITIVE_MIN on every row
     of the cone's halfspace form. Accepts a single point or an (n, m) batch.
     """
-    h = make_handle(C.rep, _as_vector(k, C.dim, "direction"))
-    if not h.direction.interior:
+    h = make_handle(C.rep, k)
+    if not h.interior:
         raise DirectionRejected(f"some cone row has a·k <= {AK_POSITIVE_MIN:g}; "
                                 "the direction is not strictly interior to the negated cone")
     pts = np.asarray(y, dtype=float)
@@ -53,7 +53,7 @@ def _order_unit_handle(C: OrderCone, k):
         raise PreconditionFailed("order cone is not pointed: its rows have rank below its "
                                  "dimension; the order interval gauge would only be a seminorm")
     h = make_handle(C.negated(), k)
-    if not h.direction.interior:
+    if not h.interior:
         raise DirectionRejected(f"some row of the negated cone has a·k <= {AK_POSITIVE_MIN:g}; "
                                 "the order unit must lie strictly inside the cone")
     return h

@@ -378,6 +378,7 @@ def _read_chunks(f, path, labels=None):
             if labels is not None and (tags or labels):
                 labels.extend([""] * (rows - len(labels)) + (tags or [""] * len(pts)))
             rows += len(pts)
+            lines = parsed = None  # not held while the caller works on the points
             yield pts
     if not widths:
         raise InvalidInput(f"no points found in {path}")

@@ -7,13 +7,11 @@ import pytest
 
 from ulset import (
     ComplementClosure,
-    Direction,
     FunctionalHandle,
     HalfSpace,
     InvalidInput,
     OrderCone,
     Polyhedron,
-    RecessionCone,
     SetIntersection,
     SetUnion,
     Shift,
@@ -68,11 +66,10 @@ def reference_contains(s, pts: np.ndarray, eps: float) -> np.ndarray:
 
 
 def kernel_handle(s, k, strategy=Strategy.CLOSED_FORM) -> FunctionalHandle:
-    """A handle on s and k with no certificate, by default on the closed
+    """A handle on s and k with k not certified, by default on the closed
     form, so that kernel tests can use one k for every set, a complement
     closure included."""
-    return FunctionalHandle(s, Direction(k, RecessionCone((), exact=False), False),
-                            Strategy(strategy))
+    return FunctionalHandle(s, k, Strategy(strategy))
 
 
 # The closed form and the outside mask before the row plan: one walk of the
@@ -200,7 +197,7 @@ def reference_bisect(h, Y: np.ndarray) -> np.ndarray:
     splits the points at t = 0, then one loop doubles t upward for the
     non-members and a mirrored loop doubles it downward for the members;
     the refinement is the evaluator's. Every pass is over all the points."""
-    s, k = h.set, h.direction.k
+    s, k = h.set, h.k
     n = Y.shape[0]
     lo = np.zeros(n)
     hi = np.zeros(n)
@@ -331,7 +328,7 @@ def reference_check_monotone(h, cone, strict: bool = False, n_samples: int = 100
     rng = np.random.default_rng(seed)
     G = cone.matrix(h.set.dim)
     P, V, E = reference_draw_domain(h, n_samples, rng, bbox, max(G.shape[0], 1))
-    k = h.direction.k
+    k = h.k
     functional, escaped = analysis._Worst(0.0), analysis._Worst(0.0)
     for a, b in analysis._blocks(h, len(P), G.shape[0]):
         y, v = P[a:b], V[a:b]
@@ -366,7 +363,7 @@ def reference_check_monotone(h, cone, strict: bool = False, n_samples: int = 100
 
 
 def rec_handle_for(h):
-    return make_handle(recession_cone(h.set).to_polyhedron(), h.direction.k)
+    return make_handle(recession_cone(h.set).to_polyhedron(), h.k)
 
 
 def neg_orthant(n: int = 2) -> Polyhedron:

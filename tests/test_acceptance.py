@@ -101,7 +101,7 @@ def test_criterion_3_oracle_equivalence():
 
 
 def _suite_verdicts(h, seed):
-    h_rec = make_handle(recession_cone(h.set).to_polyhedron(), h.direction.k)
+    h_rec = make_handle(recession_cone(h.set).to_polyhedron(), h.k)
     flags = classify_convexity(h, 400, seed=seed)
     reports = {
         "sublevel": check_sublevel_identity(h, 400, seed=seed),

@@ -20,6 +20,7 @@ from ulset import (
     SetIntersection,
     SetUnion,
     Shift,
+    UlsetError,
     check_dual_relation,
     check_monotone,
     check_norm_score_identity,
@@ -107,6 +108,15 @@ class TestMonotone:
         r1 = check_monotone(cone_diag, B, n_samples=400, seed=42)
         r2 = check_monotone(cone_diag, B, n_samples=400, seed=42)
         assert r1 == r2
+
+    def test_generators_of_another_dimension_refused(self, cone_diag):
+        B = MonotoneCone((np.array([1.0, 0.0, 0.0]),))
+        with pytest.raises(InvalidInput, match="generator has dimension 3, expected 2"):
+            check_monotone(cone_diag, B, n_samples=10)
+
+    def test_generators_disagreeing_on_dimension_refused(self):
+        with pytest.raises(InvalidInput, match=r"cone generators disagree on dimension: \[2, 3\]"):
+            MonotoneCone((np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])))
 
 
 class TestConvexityClassification:
@@ -211,13 +221,34 @@ class TestLipschitz:
         est = estimate_lipschitz(h, n_pairs=1000, seed=42)
         assert est.l_bound == 0.5
 
-    def test_requires_certificate(self):
-        from ulset import Direction, FunctionalHandle, RecessionCone, Strategy
 
-        d = Direction(np.array([1.0, 1.0]), RecessionCone((), exact=False), interior=False)
-        h = FunctionalHandle(neg_orthant(2), d, Strategy.CLOSED_FORM)
-        with pytest.raises(PreconditionFailed):
-            estimate_lipschitz(h, n_pairs=10, seed=42)
+#: P = {x + 0.3y <= 0, 0.2x + y <= 0}, which Lipschitz tests move by (s, s).
+SLANTED = Polyhedron((HalfSpace([1.0, 0.3], 0.0), HalfSpace([0.2, 1.0], 0.0)))
+
+
+class TestLipschitzRounding:
+    """Far from the origin the keys round at the offset's scale, and a
+    bisection key is only as close as its bracket and membership slack:
+    a pair is refused only past both values' error bounds."""
+
+    @pytest.mark.parametrize("strategy, s", [
+        ("closed_form", 3e11), ("closed_form", 3e13),
+        ("bisection", 1e5), ("bisection", 3e9), ("bisection", 3e11),
+    ])
+    def test_far_shift_estimated(self, strategy, s):
+        h = make_handle(Shift(SLANTED, [s, s]), [1.0, 1.0], strategy=strategy)
+        est = estimate_lipschitz(h, 2000, seed=1)
+        assert est.interior
+        assert est.l_bound.value == pytest.approx(0.8498366, rel=1e-7)
+        assert est.l_emp > 0.0
+
+    @pytest.mark.parametrize("s", [0.0, 3e11])
+    def test_scaled_keys_still_refused(self, s, monkeypatch):
+        keys = analysis._keys
+        monkeypatch.setattr(analysis, "_keys", lambda h, Y: 1.01 * keys(h, Y))
+        h = make_handle(Shift(SLANTED, [s, s]), [1.0, 1.0])
+        with pytest.raises(UlsetError, match="evaluation is inconsistent"):
+            estimate_lipschitz(h, 2000, seed=1)
 
 
 class TestSubgradientBound:

@@ -576,17 +576,11 @@ class TestMalformedInput:
         self._assert_rejected(["eval", str(cfg), "--point", "0,0"], capsys)
 
 
-class TestEnvOverride:
-    def test_tmax_env_respected(self, cone_config, monkeypatch, capsys):
-        monkeypatch.setenv("ULSET_TMAX", "1e3")
-        assert main(["eval", cone_config, "--point", "0,0"]) == 0
-        assert capsys.readouterr().out == "0,0.0\n"
-
-    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
-    def test_tmax_env_invalid(self, value, cone_config, monkeypatch, capsys):
-        monkeypatch.setenv("ULSET_TMAX", value)
-        assert main(["eval", cone_config, "--point", "0,0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: ULSET_TMAX: ")
+def test_environment_sets_no_t_max(cone_config, monkeypatch, capsys):
+    """t_max comes from the config key alone: ULSET_TMAX changes nothing."""
+    args = ["eval", cone_config, "--point", "0,0", "--point=-3,5"]
+    monkeypatch.delenv("ULSET_TMAX", raising=False)
+    without = main(args), capsys.readouterr().out
+    monkeypatch.setenv("ULSET_TMAX", "abc")
+    assert (main(args), capsys.readouterr().out) == without
+    assert without[0] == 0

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from ulset import (
     ComplementClosure,
-    Direction,
     DirectionRejected,
     EmptyContour,
     FunctionalHandle,
@@ -36,7 +35,6 @@ from ulset import (
     evaluate_many,
     evaluate_scaled,
     make_handle,
-    recession_cone,
 )
 from ulset.cli import _load_config, main
 from ulset.analysis import check_subgradient_bound, estimate_lipschitz
@@ -66,7 +64,7 @@ class TestClosedFormValues:
         assert evaluate(cone_edge, [0.0, 1.0]) is NU
         assert evaluate(cone_edge, [3.0, -1.0]) == 3.0
         # bisection agrees: no membership up to the bracketing horizon
-        hb = make_handle(cone_edge.set, cone_edge.direction.k, strategy="bisection")
+        hb = make_handle(cone_edge.set, cone_edge.k, strategy="bisection")
         assert evaluate(hb, [0.0, 1.0]) is NU
 
     def test_complement_closure_handle(self, tq_set):
@@ -378,21 +376,16 @@ class TestNearThresholdRows:
         interior = []
         for P, k in self.cones():
             h = make_handle(P, k)
-            assert h.direction.interior == all(not m.static.size for m in h.motions)
-            interior.append(h.direction.interior)
+            assert h.interior == all(not m.static.size for m in h.motions)
+            interior.append(h.interior)
         assert 0 < sum(interior) < len(interior)  # the third row falls on both sides
 
-    def test_interior_claim_with_a_static_row_refused(self):
+    def test_hand_built_handle_with_a_static_row_not_interior(self):
         # k = (1, 0) leaves the second row of the second leaf static
         s = SetIntersection((Polyhedron((HalfSpace([1.0, 0.0], 0.0),)), neg_orthant(2)))
-        for interior in (True, False):
-            direction = Direction([1.0, 0.0], recession_cone(s), interior)
-            if interior:
-                with pytest.raises(InvalidInput, match="row 1 of leaf 1 has a·k <= 1e-09"):
-                    FunctionalHandle(s, direction, Strategy.CLOSED_FORM)
-            else:
-                h = FunctionalHandle(s, direction, Strategy.CLOSED_FORM)
-                assert estimate_lipschitz(h, 10).l_bound is NU
+        h = FunctionalHandle(s, [1.0, 0.0], Strategy.CLOSED_FORM)
+        assert not h.interior
+        assert estimate_lipschitz(h, 10).l_bound is NU
 
     def test_certified_gauge_stays_in_domain(self):
         # y = a on the third row: a·y > EPS_MEMBERSHIP, so nu there if that row is static
@@ -400,7 +393,7 @@ class TestNearThresholdRows:
             try:
                 gauge_cone_shift(OrderCone(P), k, P.normals[-1:])
             except DirectionRejected:
-                assert not make_handle(P, k).direction.interior
+                assert not make_handle(P, k).interior
 
 
 @st.composite
@@ -720,14 +713,14 @@ class TestLonePoint:
         for t in (keys, np.nextafter(keys, -np.inf)):
             lone = [_translate_outside(h, y[:, None], t[i:i + 1])[0] for i, y in enumerate(Y)]
             assert lone == _translate_outside(h, Y.T, t).tolist()
-            boundary = Y - t[:, None] * h.direction.k
+            boundary = Y - t[:, None] * h.k
             lone = [contains_many(h.set, y[None], 0.0)[0] for y in boundary]
             assert lone == contains_many(h.set, boundary, 0.0).tolist()
 
     def test_minimize(self):
         # the polyhedron's rows pass through the origin: it is a cone
         h, Y = self.case("polyhedron", "closed_form")
-        C, k = OrderCone(h.set), -h.direction.k
+        C, k = OrderCone(h.set), -h.k
         refs = Y[:5]
         for y in Y:
             # y + 8k scores 8 more than y, or nu or -inf with it
@@ -741,7 +734,7 @@ class TestLonePoint:
     def test_cli_point_matches_points_file(self, kind, strategy, tmp_path, capsys):
         h, Y = self.case(kind, strategy)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**set_to_json(h.set), "k": h.direction.k.tolist(),
+        cfg.write_text(json.dumps({**set_to_json(h.set), "k": h.k.tolist(),
                                    "strategy": strategy, "tol": h.tol}))
         pts = tmp_path / "pts.csv"
         texts = [",".join(map(repr, y)) for y in Y.tolist()]
@@ -910,7 +903,7 @@ class TestBisectionAgainstClosedForm:
 class TestInvariants:
     def test_translation_invariance_closed(self, tq_handle):
         rng = np.random.default_rng(1)
-        k = tq_handle.direction.k
+        k = tq_handle.k
         pts = rng.uniform(-5, 5, size=(200, 2))
         ts = rng.uniform(-5, 5, size=200)
         base = evaluate_many(tq_handle, pts)
@@ -925,7 +918,7 @@ class TestInvariants:
         from ulset import contains_many
 
         rng = np.random.default_rng(2)
-        k = tq_handle.direction.k
+        k = tq_handle.k
         pts = rng.uniform(-5, 5, size=(500, 2))
         ts = rng.uniform(-5, 5, size=500)
         vals = evaluate_many(tq_handle, pts)
@@ -1016,7 +1009,7 @@ class TestDual:
     def test_dual_against_bisection_on_complement(self, cone_diag):
         rng = np.random.default_rng(6)
         comp = complement_closure(cone_diag.set)
-        neg_k = -cone_diag.direction.k
+        neg_k = -cone_diag.k
         oracle = make_handle(comp, neg_k, strategy="bisection")
         pts = rng.uniform(-5, 5, size=(100, 2))
         for y in pts:
@@ -1059,7 +1052,7 @@ class TestContour:
 
     def test_level_shift_translates_contour(self, cone_diag):
         t = 0.5
-        k = cone_diag.direction.k
+        k = cone_diag.k
         base = np.concatenate(contour2d(cone_diag, 0.0, (-2.0, -2.0, 2.0, 2.0), 81))
         lifted = np.concatenate(contour2d(cone_diag, t, (-2.0 + t, -2.0 + t, 2.0 + t, 2.0 + t), 81))
         moved = base + t * k
@@ -1125,18 +1118,38 @@ class TestHandleValidation:
     def test_tolerances_validated(self, tq_set):
         from ulset import certify_direction
 
-        d = certify_direction(tq_set, [1.0, 0.0])
+        k = certify_direction(tq_set, [1.0, 0.0])
         with pytest.raises(InvalidInput):
-            FunctionalHandle(tq_set, d, Strategy.BISECTION, t_max=-1.0)
+            FunctionalHandle(tq_set, k, Strategy.BISECTION, t_max=-1.0)
         with pytest.raises(InvalidInput):
-            FunctionalHandle(tq_set, d, Strategy.BISECTION, tol=0.0)
+            FunctionalHandle(tq_set, k, Strategy.BISECTION, tol=0.0)
 
     def test_direction_dim_checked(self, tq_set):
         from ulset import certify_direction
 
-        d = certify_direction(neg_orthant(3), [1.0, 1.0, 1.0])
+        k = certify_direction(neg_orthant(3), [1.0, 1.0, 1.0])
         with pytest.raises(InvalidInput):
-            FunctionalHandle(tq_set, d, Strategy.BISECTION)
+            FunctionalHandle(tq_set, k, Strategy.BISECTION)
+
+    @pytest.mark.parametrize("k, message", [
+        ([0.0, 0.0], "direction vector is numerically zero"),
+        ([1.0, float("nan")], "direction has non-finite entries"),
+        ([1.0, 1.0, 1.0], "direction has dimension 3, expected 2"),
+        ([[1.0, 0.0]], "direction must be one-dimensional"),
+    ], ids=["zero", "non_finite", "wrong_dim", "not_a_vector"])
+    def test_hand_built_handle_refuses_what_certification_refuses(self, tq_set, k, message):
+        from ulset import certify_direction
+
+        for build in (lambda: certify_direction(tq_set, k), lambda: make_handle(tq_set, k),
+                      lambda: FunctionalHandle(tq_set, k, Strategy.CLOSED_FORM)):
+            with pytest.raises(InvalidInput, match=message):
+                build()
+
+    def test_handle_keeps_a_read_only_copy_of_k(self, tq_set):
+        k = np.array([1.0, 0.0])
+        h = FunctionalHandle(tq_set, k, Strategy.CLOSED_FORM)
+        k[0] = 2.0
+        assert h.k.tolist() == [1.0, 0.0] and not h.k.flags.writeable
 
 
 def _names(node) -> list[str]:

@@ -296,12 +296,13 @@ class TestRecessionCone:
 
 class TestCertifyDirection:
     def test_interior_direction_accepted(self):
-        d = certify_direction(neg_orthant(2), [1.0, 1.0])
-        assert d.interior
+        k = certify_direction(neg_orthant(2), [1.0, 1.0])
+        assert k.tolist() == [1.0, 1.0] and not k.flags.writeable
+        assert make_handle(neg_orthant(2), k).interior
 
     def test_boundary_direction_accepted_not_interior(self):
-        d = certify_direction(neg_orthant(2), [1.0, 0.0])
-        assert not d.interior
+        k = certify_direction(neg_orthant(2), [1.0, 0.0])
+        assert not make_handle(neg_orthant(2), k).interior
 
     def test_leaving_direction_rejected(self):
         with pytest.raises(DirectionRejected) as err:
@@ -330,9 +331,10 @@ class TestCertifyDirection:
         assert captured.out == ""
         assert captured.err.startswith("error: recession-cone row")
         assert captured.err.count("\n") == 1
-        d = certify_direction(ComplementClosure(neg_orthant(2)), [-1.0, -1.0])
-        assert d.interior
-        assert len(d.cert.halfspaces) == 2
+        h = make_handle(ComplementClosure(neg_orthant(2)), [-1.0, -1.0])
+        assert h.interior
+        assert h.cert is h.cert
+        assert [c.a.tolist() for c in h.cert.halfspaces] == [[-1.0, -0.0], [-0.0, -1.0]]
 
 
 class TestShift:

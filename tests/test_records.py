@@ -59,8 +59,7 @@ def _samples():
         "SetIntersection": ulset.SetIntersection((h.set, h.set)),
         "Shift": ulset.Shift(h.set, [1.0, -1.0]),
         "ComplementClosure": ulset.ComplementClosure(h.set),
-        "RecessionCone": h.direction.cert,
-        "Direction": h.direction,
+        "RecessionCone": h.cert,
         "ExtReal": ExtReal.finite(1.5),
         "FunctionalHandle": h,
         "PointCloud": cloud,
@@ -79,18 +78,18 @@ def test_every_record_has_a_sample():
 class TestConstruction:
     def test_defaults(self):
         h = make_handle(Polyhedron((HalfSpace([1.0], 0.0),)), [1.0])
-        fh = FunctionalHandle(h.set, h.direction, Strategy.CLOSED_FORM)
+        fh = FunctionalHandle(h.set, h.k, Strategy.CLOSED_FORM)
         assert (fh.t_max, fh.tol) == (DEFAULT_T_MAX, DEFAULT_TOL)
         assert PointCloud([[1.0]]).labels is None
         assert OrderCone(Polyhedron((HalfSpace([-1.0], 0.0),))).generators is None
 
     def test_positional_and_keyword(self):
         h = make_handle(Polyhedron((HalfSpace([1.0], 0.0),)), [1.0])
-        by_position = FunctionalHandle(h.set, h.direction, Strategy.BISECTION, 5.0, 1e-6)
+        by_position = FunctionalHandle(h.set, h.k, Strategy.BISECTION, 5.0, 1e-6)
         by_keyword = FunctionalHandle(tol=1e-6, strategy=Strategy.BISECTION, t_max=5.0,
-                                      direction=h.direction, set=h.set)
+                                      k=h.k, set=h.set)
         for fh in (by_position, by_keyword):
-            assert (fh.set, fh.direction) == (h.set, h.direction)
+            assert fh.set is h.set and fh.k.tolist() == h.k.tolist()
             assert (fh.strategy, fh.t_max, fh.tol) == (Strategy.BISECTION, 5.0, 1e-6)
         assert PointCloud([[1.0], [2.0]], ["x", 3]).labels == ("x", "3")
         rep = Polyhedron((HalfSpace([-1.0], 0.0),))
@@ -191,6 +190,8 @@ def test_cached_properties_stored_on_the_instance():
     assert p.normals is p.normals and "normals" in vars(p)
     assert p.plan is p.plan and "plan" in vars(p)
     assert h.motions is h.motions and "motions" in vars(h)
+    assert h.cert is h.cert and "cert" in vars(h)
+    assert h.interior is h.interior and "interior" in vars(h)
 
 
 def _traced_bytes_each(make, n=20_000) -> float:
