@@ -25,7 +25,6 @@ from .geometry import (
     ComplementClosure,
     HalfSpace,
     Polyhedron,
-    RecessionCone,
     SetExpr,
     SetIntersection,
     SetUnion,
@@ -92,7 +91,7 @@ __all__ = [
     "UlsetError", "InvalidInput", "DirectionRejected", "Unsupported",
     "PreconditionFailed", "EmptyContour",
     "HalfSpace", "SetExpr", "Polyhedron", "SetUnion", "SetIntersection",
-    "Shift", "ComplementClosure", "RecessionCone",
+    "Shift", "ComplementClosure",
     "contains", "contains_many", "recession_cone", "certify_direction",
     "complement_closure",
     "set_from_json", "set_to_json",

@@ -41,8 +41,8 @@ from .evaluator import (
     _keys,
     _spans,
 )
-from .geometry import (EPS_MEMBERSHIP, Leaf, contains_many, fold_plan, _as_vector, _exact,
-                       _row_values, _rows_at)
+from .geometry import (EPS_MEMBERSHIP, Leaf, contains_many, fold_plan, recession_cone,
+                       _as_vector, _exact, _row_values, _rows_at)
 
 HOLDS = "Holds"
 VIOLATED = "Violated"
@@ -440,17 +440,19 @@ def classify_convexity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 4
     return reports
 
 
-def check_recession_inequality(h_set: FunctionalHandle, h_rec: FunctionalHandle,
-                               n_samples: int = 1000, seed: int = 42,
+def check_recession_inequality(h: FunctionalHandle, n_samples: int = 1000, seed: int = 42,
                                bbox=DEFAULT_BBOX) -> PropertyReport:
-    """Sampled bound phi(y0 + y1) <= phi(y0) + phi_cone(y1)."""
+    """Sampled bound phi(y0 + y1) <= phi(y0) + phi_cone(y1), phi_cone the
+    closed form on the set's recession cone, built afresh: compiled on
+    ``h.cert``, its plan would stay on the handle for the rest of the run."""
+    cone = make_handle(recession_cone(h.set), h.k, t_max=h.t_max, tol=h.tol)
     rng = np.random.default_rng(seed)
-    P0, V0, _ = _draw_domain(h_set, n_samples, rng, bbox)
-    P1, V1, _ = _draw_domain(h_rec, n_samples, rng, bbox)
+    P0, V0, _ = _draw_domain(h, n_samples, rng, bbox)
+    P1, V1, _ = _draw_domain(cone, n_samples, rng, bbox)
     worst = _Worst(1e-7)
-    for a, b in _blocks(h_set, min(len(P0), len(P1))):
+    for a, b in _blocks(h, min(len(P0), len(P1))):
         y0, v0, y1, v1 = P0[a:b], V0[a:b], P1[a:b], V1[a:b]
-        vs = _keys(h_set, y0 + y1)
+        vs = _keys(h, y0 + y1)
         worst.add(_le_defect(vs, v0 + v1), lambda i: {
             "inputs": {"y0": y0[i].tolist(), "y1": y1[i].tolist()},
             "values": {"phi_sum": _ext_json(vs[i]), "phi_y0": _ext_json(v0[i]),
@@ -595,7 +597,7 @@ def check_subgradient_bound(h: FunctionalHandle, ybar, n_samples: int = 1000,
     j = int(np.argmax(fold_plan(root, ybar[:, None], _row_values)[:, 0] / divisor))
     ystar = leaves[0].R[j] / divisor[j]
 
-    rec = make_handle(h.cert.to_polyhedron(), h.k, t_max=h.t_max, tol=h.tol)
+    rec = make_handle(recession_cone(h.set), h.k, t_max=h.t_max, tol=h.tol)
     rng = np.random.default_rng(seed)
     lo, hi = bbox
     worst = _Worst(1e-7)

@@ -45,7 +45,7 @@ from .geometry import (
     AK_POSITIVE_MIN,
     EPS_MEMBERSHIP,
     ComplementClosure,
-    RecessionCone,
+    Polyhedron,
     SetExpr,
     certify_direction,
     fold_plan,
@@ -244,7 +244,7 @@ class FunctionalHandle:
         return tuple(map(_motion, _leaf_ak(self.set, self.k)))
 
     @cached_property
-    def cert(self) -> RecessionCone:
+    def cert(self) -> Polyhedron:
         """The set's recession cone, the rows :func:`certify_direction` checks k on."""
         return recession_cone(self.set)
 

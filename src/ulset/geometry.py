@@ -220,28 +220,6 @@ class ComplementClosure(SetExpr):
         return self.base.members if isinstance(self.base, SetUnion) else (self.base,)
 
 
-@record
-class RecessionCone:
-    """Polyhedral cone of directions u with x + t*u staying in the set.
-
-    ``exact=False`` marks a sound under-approximation: every listed
-    direction is valid, but valid directions may be missing.
-    """
-
-    halfspaces: tuple[HalfSpace, ...]
-    exact: bool
-
-    def __post_init__(self):
-        hs = tuple(self.halfspaces)
-        for h in hs:
-            if h.b != 0.0:
-                raise InvalidInput("recession cone rows must pass through the origin")
-        object.__setattr__(self, "halfspaces", hs)
-
-    def to_polyhedron(self) -> Polyhedron:
-        return Polyhedron(self.halfspaces)
-
-
 # ---------------------------------------------------------------------------
 # row plans and membership
 
@@ -350,18 +328,18 @@ def contains(s: SetExpr, y, eps: float = EPS_MEMBERSHIP) -> bool:
 # recession cones and direction certificates
 
 
-def recession_cone(s: SetExpr) -> RecessionCone:
-    """Recession cone of a set expression: its plan's rows, offsets dropped.
+def recession_cone(s: SetExpr) -> Polyhedron:
+    """Recession cone of a set expression: its plan's distinct rows, in
+    plan order, with offsets 0.
 
-    Exact for polyhedra and their shifts/intersections. Unions get the
-    intersection of their members' cones, and complement closures the
-    reversed rows of their base, both flagged inexact: every listed
-    direction is valid, but exactness is not derivable from the
-    representation.
+    Exact when the plan has no union and no complement closure (polyhedra
+    and their shifts and intersections). Otherwise it is a sound
+    under-approximation: every direction it holds is valid, but valid
+    directions may be missing. Unions get the intersection of their
+    members' cones, and complement closures the reversed rows of their base.
     """
-    root, leaves = s.plan
-    rows = {a.tobytes(): a for leaf in leaves for a in leaf.R}
-    return RecessionCone(tuple(HalfSpace(a, 0.0) for a in rows.values()), exact=_exact(root))
+    rows = {a.tobytes(): a for leaf in s.plan[1] for a in leaf.R}
+    return Polyhedron(tuple(HalfSpace(a, 0.0) for a in rows.values()))
 
 
 def _exact(node) -> bool:

@@ -29,6 +29,9 @@ INT_CONE_MARGIN = 1e-9
 #: Minimizers within this of the minimum are all returned.
 ARGMIN_TOL = 1e-9
 
+#: The refusal of finite points whose difference is not finite.
+DIFFERENCE_OVERFLOW = "a difference of two points overflows the float range"
+
 
 @record
 class PointCloud:
@@ -72,9 +75,11 @@ class OrderCone:
     generators: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        for h in self.rep.halfspaces:
-            if abs(h.b) > 1e-12:
-                raise InvalidInput("order cone rows must pass through the origin")
+        rows = self.rep.halfspaces
+        if any(abs(h.b) > 1e-12 for h in rows):
+            raise InvalidInput("order cone rows must pass through the origin")
+        # stored through the origin, so that rep, the gauge and the norm read one cone
+        object.__setattr__(self, "rep", Polyhedron(tuple(HalfSpace(h.a, 0.0) for h in rows)))
         if self.generators is not None:
             gens = tuple(_as_vector(g, self.rep.dim, "generator") for g in self.generators)
             object.__setattr__(self, "generators", gens)
@@ -197,8 +202,8 @@ def _minimize(F, C: OrderCone, k, refs: np.ndarray) -> list[tuple[list[int], flo
     candidates within ARGMIN_TOL of it. Keys depend on their point alone
     (see :func:`_rows_at`), so values and indices are bitwise those of one
     :func:`_keys` call per reference on all of F - a; a block whose every
-    point is a candidate refuses a difference or key that overflows as
-    that call does.
+    point is a candidate refuses a difference that overflows with
+    :data:`DIFFERENCE_OVERFLOW`, and a key that overflows as that call does.
     """
     F = _cloud(F)
     if F.dim != C.dim:
@@ -256,7 +261,10 @@ def _refine(h, F: np.ndarray, refs: np.ndarray, pairs: np.ndarray) -> list[tuple
     r, p = np.divmod(pairs, len(F))
     # C-ordered (m, c), the layout whose keys TestReferenceBlocks pins
     D = np.take(F.T, p, axis=1)
-    D -= np.take(refs.T, r, axis=1)
+    with np.errstate(over="ignore"):
+        D -= np.take(refs.T, r, axis=1)
+    if not np.isfinite(D).all():
+        raise InvalidInput(DIFFERENCE_OVERFLOW)
     keys = _keys(h, D.T)
     del D
     # counts by bincount: a reduction of bools cast to ints takes a 128 KiB
@@ -290,8 +298,10 @@ def weakly_efficient(F, C: OrderCone) -> list[int]:
         raise InvalidInput(f"cloud has dimension {F.dim}, cone has {C.dim}")
     pts = F.points
     n, m = pts.shape
+    hi, lo = _as_points([pts.max(axis=0), pts.min(axis=0)], m)
     with np.errstate(over="ignore"):
-        _as_points(pts.max(axis=0) - pts.min(axis=0), m)
+        if not np.isfinite(hi - lo).all():
+            raise InvalidInput(DIFFERENCE_OVERFLOW)
     beaten = np.zeros(n, dtype=bool)
     for a, b in _spans(n, math.isqrt(_fit(m)) * m):
         live, c = np.arange(a, b), 0

@@ -17,7 +17,6 @@ from ulset import (
     Shift,
     Strategy,
     make_handle,
-    recession_cone,
 )
 import ulset.analysis as analysis
 from ulset.evaluator import _keys
@@ -360,10 +359,6 @@ def reference_check_monotone(h, cone, strict: bool = False, n_samples: int = 100
     worst = functional if functional.defect >= escaped.defect else escaped
     name = "strictly_monotone" if strict else "monotone"
     return analysis._verdict(name, seed, n_samples, worst, applicable=functional.count)
-
-
-def rec_handle_for(h):
-    return make_handle(recession_cone(h.set).to_polyhedron(), h.k)
 
 
 def neg_orthant(n: int = 2) -> Polyhedron:

@@ -33,7 +33,7 @@ from ulset import (
     make_handle,
     separate,
 )
-from conftest import (biased_eval, neg_orthant, rec_handle_for, reference_check_monotone,
+from conftest import (biased_eval, neg_orthant, reference_check_monotone,
                       three_quadrant_union)
 
 
@@ -141,18 +141,17 @@ class TestConvexityClassification:
 
 class TestRecessionInequality:
     def test_three_quadrant_holds(self, tq_handle):
-        r = check_recession_inequality(tq_handle, rec_handle_for(tq_handle), 400, seed=42)
+        r = check_recession_inequality(tq_handle, 400, seed=42)
         assert r.verdict == HOLDS
         assert r.max_defect <= 1e-7
 
     def test_cone_equals_its_recession(self, cone_diag):
-        r = check_recession_inequality(cone_diag, rec_handle_for(cone_diag), 400, seed=42)
+        r = check_recession_inequality(cone_diag, 400, seed=42)
         assert r.verdict == HOLDS
 
     def test_corrupted_violated(self, tq_handle, monkeypatch):
-        h_rec = rec_handle_for(tq_handle)
         monkeypatch.setattr(analysis, "_keys", biased_eval())
-        r = check_recession_inequality(tq_handle, h_rec, 400, seed=42)
+        r = check_recession_inequality(tq_handle, 400, seed=42)
         assert r.verdict == VIOLATED
 
 
@@ -319,7 +318,7 @@ class TestSampleCount:
         lambda h, n: check_translation_invariance(h, n),
         lambda h, n: check_monotone(h, MonotoneCone((np.array([1.0, 0.0]),)), n_samples=n),
         lambda h, n: classify_convexity(h, n),
-        lambda h, n: check_recession_inequality(h, rec_handle_for(h), n),
+        lambda h, n: check_recession_inequality(h, n),
         lambda h, n: check_dual_relation(h, n),
         lambda h, n: check_subgradient_bound(h, [2.0, 1.0], n),
         lambda h, n: check_norm_score_identity(OrderCone.nonneg(2), [1.0, 1.0], [0.0, 0.0], n),
@@ -375,8 +374,7 @@ def _block_runs():
         "monotone_set_level": lambda: check_monotone(diag, nudge, n_samples=300),
         "convexity": lambda: classify_convexity(tq, 300, seed=3),
         "convexity_biased": biased(lambda: classify_convexity(edge, 300, seed=3)),
-        "recession_biased": biased(lambda: check_recession_inequality(tq, rec_handle_for(tq),
-                                                                      300, seed=3)),
+        "recession_biased": biased(lambda: check_recession_inequality(tq, 300, seed=3)),
         "dual": lambda: check_dual_relation(diag, 300, seed=3),
         "dual_biased": biased(lambda: check_dual_relation(diag, 300, seed=3)),
         "subgradient": lambda: check_subgradient_bound(diag, [2.0, 1.0], 300, seed=3),

@@ -236,22 +236,20 @@ def test_lone_row_product_copies_no_points():
     assert peak < P.nbytes
 
 
-class TestRecessionCone:
+class TestRecessionRows:
     def test_offsets_drop(self):
         cone = recession_cone(Polyhedron((HalfSpace([1.0], -1.0),)))
-        assert cone.exact
+        assert isinstance(cone, Polyhedron)
         assert cone.halfspaces[0].b == 0.0
         assert cone.halfspaces[0].a.tolist() == [1.0]
 
     def test_orthant_is_its_own_cone(self):
         cone = recession_cone(neg_orthant(2))
-        assert cone.exact
         rows = sorted(h.a.tolist() for h in cone.halfspaces)
         assert rows == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_union_under_approximation(self):
         cone = recession_cone(three_quadrant_union())
-        assert not cone.exact
         rows = sorted(h.a.tolist() for h in cone.halfspaces)
         assert rows == [[0.0, 1.0], [1.0, 0.0]]
 
@@ -259,7 +257,7 @@ class TestRecessionCone:
         # every cone direction must keep sampled members inside the set
         rng = np.random.default_rng(7)
         s = three_quadrant_union()
-        cone_poly = recession_cone(s).to_polyhedron()
+        cone_poly = recession_cone(s)
         members = []
         while len(members) < 500:
             cand = rng.uniform(-10, 10, size=(1000, 2))
@@ -276,20 +274,19 @@ class TestRecessionCone:
 
     def test_shift_keeps_cone(self):
         base = neg_orthant(2)
-        assert recession_cone(Shift(base, [5.0, -3.0])).exact
+        rows = [h.a.tolist() for h in recession_cone(Shift(base, [5.0, -3.0])).halfspaces]
+        assert rows == [h.a.tolist() for h in recession_cone(base).halfspaces]
 
     def test_intersection_concatenates_rows(self):
         s = SetIntersection((neg_orthant(2), Polyhedron((HalfSpace([1.0, 1.0], 4.0),))))
         cone = recession_cone(s)
-        assert cone.exact
         assert len(cone.halfspaces) == 3
 
     def test_complement_unsupported(self):
         # the reversed rows through the origin, deduplicated: a sound
-        # under-approximation, so never flagged exact
+        # under-approximation
         base = SetUnion((neg_orthant(2), Polyhedron((HalfSpace([1.0, 0.0], 3.0),))))
         cone = recession_cone(ComplementClosure(base))
-        assert cone.exact is False
         assert [h.a.tolist() for h in cone.halfspaces] == [[-1.0, -0.0], [-0.0, -1.0]]
         assert all(h.b == 0.0 for h in cone.halfspaces)
 

@@ -69,6 +69,16 @@ class TestGaugeConeShift:
         vals = gauge_cone_shift(C, [1.0, 1.0], np.array([[2.0, 1.0], [-1.0, -1.0]]))
         assert vals.tolist() == [2.0, 0.0]
 
+    def test_rows_near_the_origin_are_read_through_it(self):
+        # a row with |b| <= 1e-12 is accepted as through the origin, and the
+        # cone stores it so: the gauge is 0 at the origin, not the offset's 1e-6
+        rows = (HalfSpace([-1.0, 0.0], -1e-12), HalfSpace([0.0, -1.0], -1e-12))
+        C = OrderCone(Polyhedron(rows))
+        assert [h.b for h in C.rep.halfspaces] == [0.0, 0.0]
+        assert gauge_cone_shift(C, [-1e-6, -1e-6], [0.0, 0.0]) == 0.0
+        with pytest.raises(InvalidInput, match="through the origin"):
+            OrderCone(Polyhedron((HalfSpace([-1.0, 0.0], 2e-12), rows[1])))
+
 
 class TestOrderUnitNorm:
     def test_example_value_against_oracle(self):

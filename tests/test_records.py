@@ -59,7 +59,6 @@ def _samples():
         "SetIntersection": ulset.SetIntersection((h.set, h.set)),
         "Shift": ulset.Shift(h.set, [1.0, -1.0]),
         "ComplementClosure": ulset.ComplementClosure(h.set),
-        "RecessionCone": h.cert,
         "ExtReal": ExtReal.finite(1.5),
         "FunctionalHandle": h,
         "PointCloud": cloud,

@@ -32,8 +32,8 @@ from ulset.evaluator import _BLOCK_FLOATS, _keys
 from ulset.geometry import EPS_MEMBERSHIP, _rows_at
 import ulset.scalarization as scalarization
 from ulset.boxes import Boxes
-from ulset.scalarization import (ARGMIN_TOL, _LINE_FLOATS, _minimize, _parse_lines,
-                                 _read_points_csv)
+from ulset.scalarization import (ARGMIN_TOL, DIFFERENCE_OVERFLOW, _LINE_FLOATS, _minimize,
+                                 _parse_lines, _read_points_csv)
 
 from conftest import reference_candidates, reference_exact, reference_weakly_efficient
 
@@ -120,7 +120,7 @@ class TestWeaklyEfficient:
         # (1e308, 1e308) - (-1e308, -1e308) overflows; 0·inf must not read as efficient
         F = np.array([[1e308, 1e308], [-1e308, -1e308]])
         assert weakly_efficient(0.1 * F, orthant2) == [1]
-        with pytest.raises(InvalidInput, match="finite coordinates"), np.errstate(over="ignore"):
+        with pytest.raises(InvalidInput, match=DIFFERENCE_OVERFLOW), np.errstate(over="ignore"):
             weakly_efficient(F, orthant2)
 
     def test_interior_test_refuses_wrong_width(self, orthant2):
@@ -144,6 +144,20 @@ class TestWeaklyEfficient:
         F = sphere_front(np.random.default_rng(62), 1500)
         C = OrderCone.nonneg(3)
         assert weakly_efficient(F, C) == reference_weakly_efficient(F, C)
+
+
+def test_overflow_is_named_without_a_warning(orthant2):
+    # finite points whose difference overflows are refused by name, with no
+    # numpy overflow warning; a NaN point keeps its own message
+    big = np.array([[1e308, 1e308], [-1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=DIFFERENCE_OVERFLOW):
+            weakly_efficient(big, orthant2)
+        with pytest.raises(InvalidInput, match=DIFFERENCE_OVERFLOW):
+            scalarize(np.array([[1e308, 0.0]]), orthant2, [1.0, 1.0], [-1e308, 0.0])
+        with pytest.raises(InvalidInput, match="finite coordinates"):
+            weakly_efficient(np.array([[np.nan, 0.0], [0.0, 0.0]]), orthant2)
 
 
 class TestMinimizeBlocks:
@@ -219,7 +233,7 @@ class TestMinimizeBlocks:
         self.assert_bitwise(F, OrderCone.nonneg(1), k, np.round(rng.normal(size=(300, 1)), 1))
 
     def test_non_finite_difference_rejected(self, orthant2):
-        with pytest.raises(InvalidInput, match="finite coordinates"), np.errstate(over="ignore"):
+        with pytest.raises(InvalidInput, match=DIFFERENCE_OVERFLOW), np.errstate(over="ignore"):
             _minimize(np.array([[1e308, 0.0]]), orthant2, [1.0, 1.0], np.array([[-1e308, 0.0]]))
 
     @staticmethod
@@ -258,7 +272,7 @@ class TestMinimizeBlocks:
         refs[-1] = [-1e308, 0.0]
         assert np.isfinite(F - refs[-2]).all()
         assert len(_minimize(F, orthant2, [1.0, 1.0], refs[:-1])) == 2 * 1365
-        with pytest.raises(InvalidInput, match="finite coordinates"), np.errstate(over="ignore"):
+        with pytest.raises(InvalidInput, match=DIFFERENCE_OVERFLOW), np.errstate(over="ignore"):
             _minimize(F, orthant2, [1.0, 1.0], refs)
 
 
