@@ -18,6 +18,10 @@ array longer than a block. The verdict is Violated when the largest
 defect exceeds the check's tolerance; the witness is then the first
 sample with that largest defect.
 
+A check's draw (:class:`_Draw`) keeps of each sample only its key and
+its candidate's index; a block's points and extra columns are redrawn
+from the seeded stream.
+
 All verdicts are sampled evidence: Holds means no violation was found,
 not a proof.
 """
@@ -211,11 +215,10 @@ def _blocks(h: FunctionalHandle, n: int, columns: int = 0):
 
 #: The most samples one call draws (classify_convexity draws two per
 #: requested sample). A check evaluates and reduces its samples block by
-#: block, but it keeps each kept sample's point, key and extra columns
-#: (at most two, or check_monotone's step of dim floats, whatever the
-#: cone's generator count), for the pairings of later blocks: the
-#: convexity pairs join the first and the second half of the draw. So a
-#: larger count is refused rather than left to exhaust memory.
+#: block, and its draw keeps 12 bytes of each kept sample, a key and a
+#: candidate index, for the pairings of later blocks: the convexity pairs
+#: join the first and the second half of the draw. So a larger count is
+#: refused rather than left to exhaust memory.
 MAX_SAMPLES = 10**6
 
 
@@ -227,52 +230,99 @@ def _sample_count(n: int) -> None:
                            f"{MAX_SAMPLES}")
 
 
-def _draw_domain(h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0, G=None):
-    """Rejection-sample up to n domain points (value not nu) from the box.
+class _Cursor:
+    """A reader of one seeded PCG64 stream from its start state. A read
+    advances across the gap to its offset, in 64-bit draws, one per double
+    of Generator.uniform; a read behind the cursor restarts it."""
 
-    Returns the points, their lattice keys and the extra columns: extra
-    uniform columns in [-10, 10] are drawn alongside each candidate so
-    that rejection does not disturb the pairing. Oversampling is capped
-    at 10x. Given a generator matrix G of at most extra_cols rows, each
-    kept sample holds its cone step (0.3 * |e|) @ G, dim floats, in place
-    of its extra columns e.
+    def __init__(self, state: dict):
+        self._state, self._bits, self._at = state, np.random.PCG64(), 0
+        self._bits.state = state
+        self._rng = np.random.Generator(self._bits)
 
-    A round draws n candidates block by block, then their extra columns
-    block by block; Generator.uniform split by rows gives the rows of
-    one draw, so the stream is that of whole rounds. Kept rows go
-    straight into arrays of n rows; candidates drawn once n are kept
-    are not evaluated.
+    def read(self, offset: int, rows: int, width: int, bounds) -> np.ndarray:
+        if offset < self._at:
+            self._bits.state, self._at = self._state, 0
+        if offset > self._at:
+            self._bits.advance(offset - self._at)
+        self._at = offset + rows * width
+        return self._rng.uniform(*bounds, size=(rows, width))
+
+
+class _Draw:
+    """Rejection-sample up to n domain points (value not nu) from the box,
+    with extra uniform columns in [-10, 10] per candidate; oversampling is
+    capped at 10x. A round draws n candidates block by block, then the
+    extra columns of all n, which it skips with PCG64.advance, as it skips
+    candidates past the n-th kept one; rng is left where the rounds end.
+
+    Keeps a key and a candidate index (int32) per kept sample, 12 bytes.
+    :meth:`take` redraws the rest bit for bit from the seeded stream.
+    Given a generator matrix G of at most extra_cols rows, a sample's extra
+    columns e give its cone step (0.3 * |e|) @ G instead.
     """
-    _sample_count(n)
-    lo, hi = bbox
-    dim = h.set.dim
-    P, V = np.empty((n, dim)), np.empty(n)
-    E = np.empty((n, extra_cols if G is None else dim))
-    blocks = list(_blocks(h, n, extra_cols))
-    kept = 0
-    for _ in range(10):  # rounds of n candidates
-        if kept == n:
-            break
-        first = kept
-        keep = np.zeros(n, dtype=bool)
-        for a, b in blocks:
-            cand = rng.uniform(lo, hi, size=(b - a, dim))
-            if kept == n:
-                continue
-            keys = _keys(h, cand)
-            rows = np.flatnonzero(keys < np.inf)[: n - kept]
-            keep[a + rows] = True
-            P[kept: kept + len(rows)] = cand[rows]
-            V[kept: kept + len(rows)] = keys[rows]
-            kept += len(rows)
-        if extra_cols:
+
+    def __init__(self, h: FunctionalHandle, n: int, rng, bbox, extra_cols: int = 0, G=None):
+        _sample_count(n)
+        (lo, hi), dim, state = bbox, h.set.dim, rng.bit_generator.state
+        self._points, self._extras = _Cursor(state), _Cursor(state)
+        self._dim, self._bbox, self._columns, self._G = dim, (lo, hi), extra_cols, G
+        self._round, self._skip = n * (dim + extra_cols), n * dim  # draws per round, to extras
+        keys, index = np.empty(n), np.empty(n, dtype=np.int32)
+        blocks = list(_blocks(h, n, extra_cols))
+        self._cap, kept, self._starts = blocks[0][1], 0, [0]
+        while kept < n and len(self._starts) <= 10:  # rounds of n candidates
             for a, b in blocks:
-                extras = rng.uniform(-10.0, 10.0, size=(b - a, extra_cols))[keep[a:b]]
-                if G is not None:
-                    extras = _rows_at(np.abs(extras[:, : len(G)]) * 0.3, G)
-                E[first: first + len(extras)] = extras
-                first += len(extras)
-    return P[:kept], V[:kept], E[:kept]
+                if kept == n:
+                    rng.bit_generator.advance((n - a) * dim)
+                    break
+                V = _keys(h, rng.uniform(lo, hi, size=(b - a, dim)))
+                rows = np.flatnonzero(V < np.inf)[: n - kept]
+                keys[kept: kept + len(rows)], index[kept: kept + len(rows)] = V[rows], a + rows
+                kept += len(rows)
+            rng.bit_generator.advance(n * extra_cols)
+            self._starts.append(kept)
+        self.keys, self._index = keys[:kept], index[:kept]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def take(self, a: int, b: int):
+        """The points, keys and extra columns (cone steps, given G) of
+        samples [a, b), a < b."""
+        return self.points(a, b), self.keys[a:b], self.extras(a, b)
+
+    def points(self, a: int, b: int) -> np.ndarray:
+        return self._redraw(a, b, self._points, 0, self._dim, self._bbox)
+
+    def extras(self, a: int, b: int) -> np.ndarray:
+        G = self._G
+        step = None if G is None else (lambda e: _rows_at(np.abs(e[:, : len(G)]) * 0.3, G))
+        return self._redraw(a, b, self._extras, self._skip, self._columns, (-10.0, 10.0), step)
+
+    def _redraw(self, a, b, cursor, skip, width, bounds, step=None) -> np.ndarray:
+        """Rows of samples [a, b): points (skip 0) or extra columns (skip
+        n*dim), read per block of candidates and gathered only where it
+        rejected one. step maps all the kept rows of a block at once: past
+        inner dimension 4 a gemm row can round by the rows beside it."""
+        pieces = []
+        for r, (first, end) in enumerate(zip(self._starts, self._starts[1:])):
+            index = self._index[first:end]
+            k = max(a, first) - first
+            while k < min(b, end) - first:
+                p = int(index[k]) // self._cap * self._cap
+                # int32 bounds: a Python int would cast all of index to int64
+                k0, k1 = np.searchsorted(index, np.array([p, p + self._cap], np.int32)).tolist()
+                stop = min(b - first, k1)
+                if step is None:
+                    k0, k1 = k, stop
+                lo, hi = int(index[k0]), int(index[k1 - 1]) + 1
+                rows = cursor.read(r * self._round + skip + lo * width, hi - lo, width, bounds)
+                if hi - lo != k1 - k0:
+                    rows = rows[index[k0:k1] - lo]
+                pieces.append((rows if step is None else step(rows))[k - k0: stop - k0])
+                k = stop
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +342,11 @@ def check_sublevel_identity(h: FunctionalHandle, n_samples: int = 1000, seed: in
     a·y - b would widen it by s / (a·k) in t).
     """
     rng = np.random.default_rng(seed)
-    P, V, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=1)
+    draw = _Draw(h, n_samples, rng, bbox, extra_cols=1)
     worst = _Worst(0.0)
-    for a, b in _blocks(h, len(P)):
-        y, v, t = P[a:b], V[a:b], E[a:b, 0]
+    for a, b in _blocks(h, len(draw)):
+        y, v, E = draw.take(a, b)
+        t = E[:, 0]
         member = contains_many(h.set, y - t[:, None] * h.k, 0.0)
         keep = ~(np.abs(v - t) <= 1e-6)
         y, v, t, member = y[keep], v[keep], t[keep], member[keep]
@@ -312,15 +363,20 @@ def check_translation_invariance(h: FunctionalHandle, n_samples: int = 1000, see
                                  bbox=DEFAULT_BBOX) -> PropertyReport:
     """Sampled identity phi(y + t*k) = phi(y) + t; -inf is preserved."""
     rng = np.random.default_rng(seed)
-    P, V, E = _draw_domain(h, n_samples, rng, bbox, extra_cols=1)
-    T = E[:, 0]
+    draw = _Draw(h, n_samples, rng, bbox, extra_cols=1)
     pass_tol = 1e-7
     if h.strategy == Strategy.BISECTION:
-        spread = float(np.abs(V[np.isfinite(V)]).max(initial=0.0) + np.abs(T).max(initial=0.0))
-        pass_tol = max(pass_tol, 2.0 * h.tol * (1.0 + spread))
+        # the largest |phi| and |t|, by blocks: the t column is redrawn alone
+        vmax = tmax = 0.0
+        for a, b in _blocks(h, len(draw)):
+            v = draw.keys[a:b]
+            vmax = max(vmax, np.abs(v[np.isfinite(v)]).max(initial=0.0))
+            tmax = max(tmax, np.abs(draw.extras(a, b)).max())
+        pass_tol = max(pass_tol, 2.0 * h.tol * (1.0 + float(vmax + tmax)))
     worst = _Worst(pass_tol)
-    for a, b in _blocks(h, len(P)):
-        y, v, t = P[a:b], V[a:b], T[a:b]
+    for a, b in _blocks(h, len(draw)):
+        y, v, E = draw.take(a, b)
+        t = E[:, 0]
         v2 = _keys(h, y + t[:, None] * h.k)
         worst.add(_eq_defect(v2, v + t), lambda i: {
             "inputs": {"y": y[i].tolist(), "t": float(t[i])},
@@ -342,11 +398,11 @@ def check_monotone(h: FunctionalHandle, cone: MonotoneCone, strict: bool = False
     """
     rng = np.random.default_rng(seed)
     G = cone.matrix(h.set.dim)
-    P, V, S = _draw_domain(h, n_samples, rng, bbox, extra_cols=max(G.shape[0], 1), G=G)
+    draw = _Draw(h, n_samples, rng, bbox, extra_cols=max(G.shape[0], 1), G=G)
     k = h.k
     functional, escaped = _Worst(0.0), _Worst(0.0)
-    for a, b in _blocks(h, len(P)):
-        y, v, B = P[a:b], V[a:b], S[a:b]
+    for a, b in _blocks(h, len(draw)):
+        y, v, B = draw.take(a, b)
         v1 = _keys(h, y - B)
         ok = v1 < np.inf
         y2, step, v1, v2 = y[ok], B[ok], v1[ok], v[ok]
@@ -386,14 +442,14 @@ def classify_convexity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 4
                            f"points per sample, so the sample count must be at most "
                            f"{MAX_SAMPLES // 2}")
     rng = np.random.default_rng(seed)
-    P, V, E = _draw_domain(h, 2 * n_samples, rng, bbox, extra_cols=2)
-    half = len(P) // 2
+    draw = _Draw(h, 2 * n_samples, rng, bbox, extra_cols=2)
+    half = len(draw) // 2
 
     convex, subadditive = _Worst(1e-7), _Worst(1e-7)
     for a, b in _blocks(h, half):
-        y1, v1 = P[a:b], V[a:b]
-        y2, v2 = P[half + a: half + b], V[half + a: half + b]
-        lam = 0.05 + 0.9 * (np.abs(E[a:b, 0]) / 10.0)
+        y1, v1, E = draw.take(a, b)
+        y2, v2 = draw.points(half + a, half + b), draw.keys[half + a: half + b]
+        lam = 0.05 + 0.9 * (np.abs(E[:, 0]) / 10.0)
         vm = _keys(h, lam[:, None] * y1 + (1 - lam)[:, None] * y2)
         convex.add(_le_defect(vm, lam * v1 + (1 - lam) * v2), lambda i: {
             "inputs": {"y1": y1[i].tolist(), "y2": y2[i].tolist(), "lambda": float(lam[i])},
@@ -408,9 +464,9 @@ def classify_convexity(h: FunctionalHandle, n_samples: int = 1000, seed: int = 4
         })
 
     homogeneous = _Worst(1e-7)
-    for a, b in _blocks(h, min(len(P), n_samples)):
-        y, vy = P[a:b], V[a:b]
-        lam = 0.05 + 0.4 * np.abs(E[a:b, 1])
+    for a, b in _blocks(h, min(len(draw), n_samples)):
+        y, vy, E = draw.take(a, b)
+        lam = 0.05 + 0.4 * np.abs(E[:, 1])
         vs = _keys(h, lam[:, None] * y)
         homogeneous.add(_eq_defect(vs, lam * vy), lambda i: {
             "inputs": {"y": y[i].tolist(), "lambda": float(lam[i])},
@@ -447,11 +503,11 @@ def check_recession_inequality(h: FunctionalHandle, n_samples: int = 1000, seed:
     ``h.cert``, its plan would stay on the handle for the rest of the run."""
     cone = make_handle(recession_cone(h.set), h.k, t_max=h.t_max, tol=h.tol)
     rng = np.random.default_rng(seed)
-    P0, V0, _ = _draw_domain(h, n_samples, rng, bbox)
-    P1, V1, _ = _draw_domain(cone, n_samples, rng, bbox)
+    draw0 = _Draw(h, n_samples, rng, bbox)
+    draw1 = _Draw(cone, n_samples, rng, bbox)
     worst = _Worst(1e-7)
-    for a, b in _blocks(h, min(len(P0), len(P1))):
-        y0, v0, y1, v1 = P0[a:b], V0[a:b], P1[a:b], V1[a:b]
+    for a, b in _blocks(h, min(len(draw0), len(draw1))):
+        (y0, v0, _), (y1, v1, _) = draw0.take(a, b), draw1.take(a, b)
         vs = _keys(h, y0 + y1)
         worst.add(_le_defect(vs, v0 + v1), lambda i: {
             "inputs": {"y0": y0[i].tolist(), "y1": y1[i].tolist()},
@@ -472,11 +528,12 @@ def check_dual_relation(h: FunctionalHandle, n_samples: int = 1000, seed: int = 
     except PreconditionFailed:
         return PropertyReport("dual_relation", INAPPLICABLE, None, 0.0, n_samples, seed, 0)
     rng = np.random.default_rng(seed)
-    P, V, _ = _draw_domain(h, n_samples, rng, bbox)
+    draw = _Draw(h, n_samples, rng, bbox)
     worst = _Worst(1e-6)
-    for a, b in _blocks(h, len(P)):
-        finite = np.isfinite(V[a:b])
-        y, v = P[a:b][finite], V[a:b][finite]
+    for a, b in _blocks(h, len(draw)):
+        y, v, _ = draw.take(a, b)
+        finite = np.isfinite(v)
+        y, v = y[finite], v[finite]
         d = _dual_keys(dual, y)
         worst.add(_eq_defect(d, v, mismatch=1.0 + np.abs(v)), lambda i: {
             "inputs": {"y": y[i].tolist()},
@@ -551,22 +608,29 @@ def estimate_lipschitz(h: FunctionalHandle, n_pairs: int = 1000, seed: int = 42,
     Then no sampled pair may differ by more than the bound plus 1e-6 times
     its distance, plus both keys' :func:`_value_error`; if one does, the
     evaluation is inconsistent and this raises. l_emp is the largest slope.
+    Pairs are drawn, evaluated and reduced block by block.
     """
     _sample_count(n_pairs)
     l_bound = NU if not h.interior else ExtReal.finite(max(
         float(np.linalg.norm(a)) / float(ak) for leaf, motion in zip(h.set.plan[1], h.motions)
         for a, ak in zip(leaf.R, motion.divisor[:, 0])))
-    rng = np.random.default_rng(seed)
-    lo, hi = bbox
-    A = rng.uniform(lo, hi, size=(n_pairs, h.set.dim))
-    B = rng.uniform(lo, hi, size=(n_pairs, h.set.dim))
-    va, vb = _keys(h, A), _keys(h, B)
-    dist = np.linalg.norm(A - B, axis=1)
-    good = np.isfinite(va) & np.isfinite(vb) & (dist > 1e-12)
-    va, vb, dist = va[good], vb[good], dist[good]
-    l_emp = float((np.abs(va - vb) / dist).max(initial=0.0))
-    if h.interior and (np.abs(va - vb) > (l_bound.value + 1e-6) * dist
-                       + _value_error(h, bbox, va) + _value_error(h, bbox, vb)).any():
+    # the stream holds A's n_pairs rows, then B's: two cursors read them by blocks
+    dim = h.set.dim
+    state = np.random.default_rng(seed).bit_generator.state
+    cursor_a, cursor_b = _Cursor(state), _Cursor(state)
+    l_emp, inconsistent = 0.0, False
+    for a, b in _blocks(h, n_pairs):
+        A = cursor_a.read(a * dim, b - a, dim, bbox)
+        B = cursor_b.read((n_pairs + a) * dim, b - a, dim, bbox)
+        va, vb = _keys(h, A), _keys(h, B)
+        dist = np.linalg.norm(A - B, axis=1)
+        good = np.isfinite(va) & np.isfinite(vb) & (dist > 1e-12)
+        va, vb, dist = va[good], vb[good], dist[good]
+        l_emp = max(l_emp, float((np.abs(va - vb) / dist).max(initial=0.0)))
+        inconsistent = inconsistent or h.interior and bool((
+            np.abs(va - vb) > (l_bound.value + 1e-6) * dist
+            + _value_error(h, bbox, va) + _value_error(h, bbox, vb)).any())
+    if inconsistent:
         raise UlsetError(
             f"sampled slope {l_emp} exceeds the certified bound {l_bound.value}; "
             "evaluation is inconsistent"

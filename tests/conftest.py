@@ -289,12 +289,13 @@ def biased_eval(bias_scale=0.05):
 # made its steps (0.3 * |E|) @ G from them.
 
 
-def reference_draw_domain(h, n: int, rng, bbox, extra_cols: int):
-    """Rejection-sample as analysis._draw_domain does, keeping each kept
-    sample's point, key and all of its extra columns."""
+def reference_draw_domain(h, n: int, rng, bbox, extra_cols: int, G=None):
+    """Rejection-sample as analysis._Draw does, keeping each kept
+    sample's point, key and all of its extra columns, or given a generator
+    matrix G its cone step (0.3 * |e|) @ G."""
     lo, hi = bbox
     dim = h.set.dim
-    P, V, E = np.empty((n, dim)), np.empty(n), np.empty((n, extra_cols))
+    P, V, E = np.empty((n, dim)), np.empty(n), np.empty((n, extra_cols if G is None else dim))
     blocks = list(analysis._blocks(h, n, extra_cols))
     kept = 0
     for _ in range(10):
@@ -314,6 +315,11 @@ def reference_draw_domain(h, n: int, rng, bbox, extra_cols: int):
             kept += len(rows)
         for a, b in blocks:
             extras = rng.uniform(-10.0, 10.0, size=(b - a, extra_cols))[keep[a:b]]
+            if G is not None:
+                # the kept rows of a block of candidates, in one product; a
+                # lone row is multiplied as two copies, as in reference_check_monotone
+                W = np.abs(extras[:, : len(G)]) * 0.3
+                extras = (np.repeat(W, 2, axis=0) @ G)[:1] if len(W) == 1 else W @ G
             E[first: first + len(extras)] = extras
             first += len(extras)
     return P[:kept], V[:kept], E[:kept]

@@ -34,7 +34,7 @@ from ulset import (
     separate,
 )
 from conftest import (biased_eval, neg_orthant, reference_check_monotone,
-                      three_quadrant_union)
+                      reference_draw_domain, three_quadrant_union)
 
 
 class TestSublevelIdentity:
@@ -429,9 +429,10 @@ class TestBlocks:
 
     def test_convexity_memory_bounded(self):
         # 20k samples draw 40k points: keeping them with their keys and
-        # two extra columns takes 1.8 MiB, and one pass over them held
-        # each suite's defects, keys and probe points at full length too
-        # (5.5 MiB at peak)
+        # two extra columns took 1.8 MiB of a 2.3 MiB peak, and one pass
+        # over them held each suite's defects, keys and probe points at
+        # full length too (5.5 MiB at peak). Keeping a key and an index
+        # per point takes 0.5 MiB of a 1.1 MiB peak.
         rng = np.random.default_rng(5)
         k = np.array([1.0, 0.5, 2.0])
         members = []
@@ -450,7 +451,7 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert reports["convex"].applicable == 20_000
-        assert peak < 3 * 2**20
+        assert peak < 1.25 * 2**20
 
 
 def _random_cone(generators: int, dim: int) -> MonotoneCone:
@@ -500,3 +501,103 @@ class TestMonotoneSteps:
             tracemalloc.stop()
         assert report.applicable == 20_000
         assert peak < 4 * 2**20
+
+
+#: A strip of 1/20 of the default box along k = (1, 0), nu elsewhere: ten
+#: rounds keep about half of the n samples asked for.
+THIN = Polyhedron((HalfSpace([1.0, 0.0], 0.0), HalfSpace([0.0, 1.0], -9.0)))
+
+DRAW_HANDLES = {
+    "orthant": make_handle(neg_orthant(2), [1.0, 1.0]),
+    "three_quadrant": make_handle(three_quadrant_union(), [1.0, 0.0]),
+    "edge": make_handle(neg_orthant(2), [1.0, 0.0]),
+    "thin": make_handle(THIN, [1.0, 0.0]),
+}
+
+
+def _draw_splits(h, kept: int):
+    """Spans [a, b) to take, in the orders the checks take them and some
+    they do not: blocks, ragged spans forward and backward, and
+    classify_convexity's pairs of the first and the second half."""
+    blocks = list(analysis._blocks(h, kept))
+    cuts = np.unique(np.random.default_rng(kept).integers(0, kept + 1, size=8))
+    ragged = list(zip([0, *cuts], [*cuts, kept]))
+    half = kept // 2
+    pairs = [span for a, b in analysis._blocks(h, half)
+             for span in ((a, b), (half + a, half + b))]
+    return [(a, b) for a, b in blocks + ragged + ragged[::-1] + pairs if a < b]
+
+
+class TestRedraw:
+    """A draw keeps a key and a candidate index per kept sample and
+    redraws the rest from the seeded stream, bit for bit."""
+
+    @pytest.mark.parametrize("columns", [0, 1, 2, "cone1", "cone3", "cone200"])
+    @pytest.mark.parametrize("name", DRAW_HANDLES)
+    def test_take_matches_materialized_draw(self, name, columns):
+        h = DRAW_HANDLES[name]
+        G = None
+        if isinstance(columns, str):
+            G = _random_cone(int(columns[4:]), h.set.dim).matrix(h.set.dim)
+            columns = len(G)
+        cap = next(analysis._blocks(h, 10**6, columns))[1]
+        for n in sorted({1, cap - 1, cap + 1, 20_000 if columns < 200 else 3 * cap + 5}):
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            draw = analysis._Draw(h, n, rng, analysis.DEFAULT_BBOX, columns, G)
+            P, V, E = reference_draw_domain(h, n, ref_rng, analysis.DEFAULT_BBOX, columns, G)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert len(draw) == len(P)
+            if name == "thin" and n > 1:
+                assert len(P) < n  # the 10x cap ends the draw
+            for a, b in _draw_splits(h, len(P)):
+                got = draw.take(a, b)
+                for x, want in zip(got, (P[a:b], V[a:b], E[a:b])):
+                    assert x.shape == want.shape and x.tobytes() == want.tobytes(), (n, a, b)
+
+    @pytest.mark.parametrize("name, rounds", [("three_quadrant", 1), ("edge", 2), ("thin", 10)])
+    def test_rounds_drawn(self, name, rounds):
+        # the takes above redraw across this many rounds of rejection
+        draw = analysis._Draw(DRAW_HANDLES[name], 20_000, np.random.default_rng(20_000),
+                              analysis.DEFAULT_BBOX, 1)
+        assert len(draw._starts) - 1 >= rounds
+
+
+def _nine_rows():
+    """A union of two 9-row polyhedra in 3-d, a·k >= 1 on every row: a
+    block holds 1820 points, so a 2k-sample call fills whole blocks and a
+    20k-sample call adds only what the draw keeps."""
+    rng, k = np.random.default_rng(5), np.array([1.0, 0.5, 2.0])
+    return make_handle(SetUnion(tuple(
+        Polyhedron(tuple(HalfSpace(a + k / (k @ k), b) for a, b in
+                         zip(np.abs(rng.normal(size=(9, 3))), rng.uniform(-2.0, 2.0, 9))))
+        for _ in range(2))), k)
+
+
+NINE_ROWS = _nine_rows()
+
+
+def _peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawMemory:
+    @pytest.mark.parametrize("check, draws", [
+        (check_sublevel_identity, 1), (check_recession_inequality, 2),
+        (check_dual_relation, 1), (classify_convexity, 2)])
+    def test_kept_sample_costs_a_key_and_an_index(self, check, draws):
+        # 12 bytes a drawn sample; keeping its point and extra columns too took 32-49
+        check(NINE_ROWS, 10, seed=1)
+        grown = _peak(lambda: check(NINE_ROWS, 20_000, seed=1)) - _peak(
+            lambda: check(NINE_ROWS, 2_000, seed=1))
+        assert grown < 16 * draws * 18_000
+
+    def test_lipschitz_memory_independent_of_pairs(self):
+        # drawing both point arrays whole took 2.4 MiB at 20k pairs
+        estimate_lipschitz(NINE_ROWS, 10, seed=1)
+        small = _peak(lambda: estimate_lipschitz(NINE_ROWS, 20_000, seed=1))
+        assert _peak(lambda: estimate_lipschitz(NINE_ROWS, 200_000, seed=1)) < small + 2**14
